@@ -18,6 +18,12 @@
 # archived under ci-artifacts/<preset>/ before exiting, so the failing run's
 # telemetry timeline survives the red build.
 #
+# After the release preset's tests pass, the benchmark's traced-run test
+# (perfbench/tests/test_trace.py) runs once: it builds the benchmark and
+# checks every workload's golden fingerprint, the only check that pins the
+# queue outputs of rigid jobs (predefined node counts) byte for byte. It
+# takes about half a minute once the benchmark is built.
+#
 # Environment:
 #   PRESETS        space-separated subset of presets (default: all three)
 #   CTEST_ARGS     extra arguments for ctest (e.g. "-L fault", "-R Queue")
@@ -25,6 +31,7 @@
 #   MAX_SLOWDOWN   regression-gate wall-clock threshold in percent (15)
 #   SKIP_GATE      set to 1 to skip the regression-gate step
 #   SKIP_LINT      set to 1 to skip the clip-lint stage
+#   SKIP_PERFBENCH set to 1 to skip the benchmark's traced-run test
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -79,6 +86,10 @@ for preset in $PRESETS; do
     exit 1
   fi
   rm -rf "$ARTIFACTS/$preset"  # green run: nothing worth archiving
+  if [ "$preset" = release ] && [ "${SKIP_PERFBENCH:-0}" != "1" ]; then
+    echo "==> [$preset] perfbench traced run: purity + golden fingerprints"
+    python3 perfbench/tests/test_trace.py
+  fi
 done
 
 if [ "${SKIP_GATE:-0}" != "1" ] && [ -d build/bench ]; then

@@ -15,17 +15,16 @@ std::vector<int> ClusterAllocator::power_of_two_counts() const {
 }
 
 ClusterDecision ClusterAllocator::allocate(
-    const ProfileData& profile, workloads::ScalabilityClass cls, int np,
-    Watts cluster_budget, const std::vector<int>& predefined_counts) const {
+    const AppModels& models, Watts cluster_budget,
+    const std::vector<int>& predefined_counts) const {
   CLIP_REQUIRE(cluster_budget.value() > 0.0,
                "cluster budget must be positive");
 
   // Budget-free recommendation: the configuration the application would run
   // at given ample power; its acceptable range anchors the allocation.
   const NodeDecision unbounded =
-      selector_->select(profile, cls, np, Watts(spec_->max_node_w()));
-  const PowerEstimator power(*spec_, profile);
-  const PowerRange range = power.acceptable_range(
+      selector_->select(models, Watts(spec_->max_node_w()));
+  const PowerRange range = models.power.acceptable_range(
       unbounded.config.threads, unbounded.config.affinity,
       unbounded.config.mem_level);
   CLIP_ENSURE(range.low.value() > 0.0 && range.high >= range.low,
@@ -42,16 +41,13 @@ ClusterDecision ClusterAllocator::allocate(
   CLIP_REQUIRE(!candidates.empty(), "no feasible node counts");
 
   if (options_.strict_algorithm1)
-    return allocate_strict(profile, cls, np, cluster_budget,
-                           predefined_counts, range);
-  return allocate_scored(profile, cls, np, cluster_budget, candidates,
-                         range);
+    return allocate_strict(models, cluster_budget, predefined_counts, range);
+  return allocate_scored(models, cluster_budget, candidates, range);
 }
 
 ClusterDecision ClusterAllocator::allocate_scored(
-    const ProfileData& profile, workloads::ScalabilityClass cls, int np,
-    Watts cluster_budget, const std::vector<int>& candidates,
-    const PowerRange& range) const {
+    const AppModels& models, Watts cluster_budget,
+    const std::vector<int>& candidates, const PowerRange& range) const {
   ClusterDecision best;
   double best_score = std::numeric_limits<double>::infinity();
   for (int nodes : candidates) {
@@ -72,7 +68,7 @@ ClusterDecision ClusterAllocator::allocate_scored(
       obs::ScopedSpan span(obs_, "pipeline.node_select", "pipeline");
       span.arg("nodes", nodes);
       span.arg("node_share_w", node_share);
-      node = selector_->select(profile, cls, np, usable);
+      node = selector_->select(models, usable);
       span.arg("threads", node.config.threads);
     } catch (const PreconditionError&) {
       continue;  // no feasible node config under this share
@@ -96,8 +92,8 @@ ClusterDecision ClusterAllocator::allocate_scored(
 }
 
 ClusterDecision ClusterAllocator::allocate_strict(
-    const ProfileData& profile, workloads::ScalabilityClass cls, int np,
-    Watts cluster_budget, const std::vector<int>& predefined_counts,
+    const AppModels& models, Watts cluster_budget,
+    const std::vector<int>& predefined_counts,
     const PowerRange& range) const {
   const double p_lo = range.low.value();
   const double p_hi = range.high.value();
@@ -129,7 +125,7 @@ ClusterDecision ClusterAllocator::allocate_strict(
   const Watts usable(std::min(d.node_budget.value(), p_hi));
   obs::ScopedSpan span(obs_, "pipeline.node_select", "pipeline");
   span.arg("nodes", nodes);
-  d.node = selector_->select(profile, cls, np, usable);
+  d.node = selector_->select(models, usable);
   d.predicted_score = d.node.predicted_time.value() / nodes;
   return d;
 }

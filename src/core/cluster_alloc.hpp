@@ -22,9 +22,7 @@
 #include "core/node_config.hpp"
 #include "obs/session.hpp"
 #include "core/power_range.hpp"
-#include "core/profile.hpp"
 #include "sim/machine.hpp"
-#include "workloads/signature.hpp"
 
 namespace clip::core {
 
@@ -49,10 +47,10 @@ class ClusterAllocator {
 
   /// Choose node count + per-node budget + node config for a profiled
   /// application under the cluster budget. `predefined_counts` empty = the
-  /// application decomposes at any node count.
+  /// application decomposes at any node count. Every candidate is priced
+  /// with the same `models`, built once by the caller.
   [[nodiscard]] ClusterDecision allocate(
-      const ProfileData& profile, workloads::ScalabilityClass cls, int np,
-      Watts cluster_budget,
+      const AppModels& models, Watts cluster_budget,
       const std::vector<int>& predefined_counts = {}) const;
 
   /// Default predefined process counts for grid codes: powers of two up to
@@ -65,13 +63,12 @@ class ClusterAllocator {
 
  private:
   [[nodiscard]] ClusterDecision allocate_scored(
-      const ProfileData& profile, workloads::ScalabilityClass cls, int np,
-      Watts cluster_budget, const std::vector<int>& candidates,
-      const PowerRange& range) const;
+      const AppModels& models, Watts cluster_budget,
+      const std::vector<int>& candidates, const PowerRange& range) const;
 
   [[nodiscard]] ClusterDecision allocate_strict(
-      const ProfileData& profile, workloads::ScalabilityClass cls, int np,
-      Watts cluster_budget, const std::vector<int>& predefined_counts,
+      const AppModels& models, Watts cluster_budget,
+      const std::vector<int>& predefined_counts,
       const PowerRange& range) const;
 
   const sim::MachineSpec* spec_;

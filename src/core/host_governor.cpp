@@ -78,7 +78,8 @@ GovernorDecision HostGovernor::govern(parallel::ThreadPool& pool,
   const int np = decision.cls == workloads::ScalabilityClass::kLinear
                      ? 0
                      : std::max(2, half);
-  decision.node = selector_.select(p, decision.cls, np, node_budget);
+  decision.node =
+      selector_.select(AppModels(model_, p, decision.cls, np), node_budget);
 
   // Enforce on the real pool.
   pool.set_concurrency(decision.node.config.threads);

@@ -51,27 +51,27 @@ sim::MemPowerLevel NodeConfigSelector::choose_mem_level(
   return chosen;
 }
 
-NodeDecision NodeConfigSelector::select(const ProfileData& profile,
-                                        workloads::ScalabilityClass cls,
-                                        int np, Watts node_budget) const {
-  return select_from(profile, cls, np, node_budget,
-                     candidate_threads(cls, np));
+NodeDecision NodeConfigSelector::select(const AppModels& models,
+                                        Watts node_budget) const {
+  return select_from(models, node_budget,
+                     candidate_threads(models.cls, models.np));
 }
 
-NodeDecision NodeConfigSelector::select_forced(
-    const ProfileData& profile, workloads::ScalabilityClass cls, int np,
-    Watts node_budget, int threads) const {
+NodeDecision NodeConfigSelector::select_forced(const AppModels& models,
+                                               Watts node_budget,
+                                               int threads) const {
   CLIP_REQUIRE(threads >= 1 && threads <= spec_->shape.total_cores(),
                "forced thread count outside the node");
-  return select_from(profile, cls, np, node_budget, {threads});
+  return select_from(models, node_budget, {threads});
 }
 
 NodeDecision NodeConfigSelector::select_from(
-    const ProfileData& profile, workloads::ScalabilityClass cls, int np,
-    Watts node_budget, const std::vector<int>& candidates) const {
+    const AppModels& models, Watts node_budget,
+    const std::vector<int>& candidates) const {
   CLIP_REQUIRE(node_budget.value() > 0.0, "node budget must be positive");
-  const PowerEstimator power(*spec_, profile);
-  const PerfPredictor perf(*spec_, profile, cls, np);
+  const PowerEstimator& power = models.power;
+  const PerfPredictor& perf = models.perf;
+  const auto& states = spec_->ladder.states();
 
   NodeDecision best;
   bool have_best = false;
@@ -79,7 +79,7 @@ NodeDecision NodeConfigSelector::select_from(
     // Affinity: the profiler's memory-intensity preference; once a config
     // spans both sockets the two policies converge, so the preference only
     // matters for t <= cores_per_socket.
-    const parallel::AffinityPolicy affinity = profile.preferred_affinity;
+    const parallel::AffinityPolicy affinity = models.affinity;
     const double ceiling = std::max(1.0, perf.observed_bw_ceiling());
 
     // CPU <-> DRAM power split: every memory power level trades DRAM
@@ -111,31 +111,25 @@ NodeDecision NodeConfigSelector::select_from(
       // Highest DVFS state the predicted CPU power fits under the
       // remaining budget; if even the lowest state does not fit, model the
       // RAPL duty-cycle penalty.
-      double f_rel = 0.0;
+      std::size_t state = states.size();
+      bool fits = false;
+      while (!fits && state > 0)
+        fits = power.cpu_power_at_state(threads, affinity, --state) <=
+               cpu_budget;
       double duty = 1.0;
-      const auto& states = spec_->ladder.states();
-      for (auto it = states.rbegin(); it != states.rend(); ++it) {
-        const double candidate = spec_->ladder.relative(*it);
-        if (power.cpu_power(threads, affinity, candidate) <= cpu_budget) {
-          f_rel = candidate;
-          break;
-        }
-      }
-      if (f_rel == 0.0) {
-        // Clock-modulation region: gating cuts dynamic power only, so the
-        // duty solves cpu_budget = base + load(f_min)*duty (mirroring the
-        // enforcement model).
-        f_rel = spec_->ladder.relative(spec_->ladder.min());
-        const Watts floor_w = power.cpu_power(threads, affinity, f_rel);
-        const parallel::Placement placement =
-            parallel::place_threads(spec_->shape, threads, affinity);
-        double base_w = 0.0;
-        for (int t : placement.threads_per_socket)
-          base_w += t > 0 ? spec_->socket_base_w : spec_->socket_parked_w;
+      if (!fits) {
+        // Clock-modulation region (state is the lowest): gating cuts
+        // dynamic power only, so the duty solves
+        // cpu_budget = base + load(f_min)*duty (mirroring the enforcement
+        // model).
+        const Watts floor_w =
+            power.cpu_power_at_state(threads, affinity, state);
+        const double base_w = power.cpu_base_w(threads, affinity);
         const double load_w = std::max(1e-6, floor_w.value() - base_w);
         duty = std::clamp((cpu_budget.value() - base_w) / load_w,
                           1.0 / 16.0, 1.0);
       }
+      const double f_rel = spec_->ladder.relative(states[state]);
 
       const double bw_for_prediction = std::max(planned_bw, 1e-3);
       const double predicted =
@@ -151,7 +145,8 @@ NodeDecision NodeConfigSelector::select_from(
       d.f_rel_expected = f_rel * duty;
       d.predicted_time = Seconds(predicted);
       d.predicted_power =
-          power.cpu_power(threads, affinity, f_rel) * duty + mem_cap;
+          power.cpu_power_at_state(threads, affinity, state) * duty +
+          mem_cap;
       if (!have_best ||
           d.predicted_time.value() < best.predicted_time.value()) {
         best = d;

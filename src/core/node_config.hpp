@@ -35,6 +35,26 @@ struct NodeSelectorOptions {
   double mem_cap_slack_w = 0.5;        ///< extra watts on the DRAM cap
 };
 
+/// The prediction models one plan prices its candidates with: built once
+/// from the application's profile, class and N_P, then shared by every
+/// node-count candidate the allocator scores and by the acceptable range
+/// it reports. `spec` must be the machine of the selector that uses them.
+struct AppModels {
+  AppModels(const sim::MachineSpec& spec, const ProfileData& profile,
+            workloads::ScalabilityClass scalability, int inflection)
+      : cls(scalability),
+        np(inflection),
+        affinity(profile.preferred_affinity),
+        power(spec, profile),
+        perf(spec, profile, scalability, inflection) {}
+
+  workloads::ScalabilityClass cls;
+  int np;
+  parallel::AffinityPolicy affinity;  ///< the profile's preferred placement
+  PowerEstimator power;
+  PerfPredictor perf;
+};
+
 class NodeConfigSelector {
  public:
   NodeConfigSelector(const sim::MachineSpec& spec,
@@ -42,16 +62,14 @@ class NodeConfigSelector {
       : spec_(&spec), options_(options) {}
 
   /// Choose the best node configuration under `node_budget` (CPU+DRAM watts).
-  [[nodiscard]] NodeDecision select(const ProfileData& profile,
-                                    workloads::ScalabilityClass cls, int np,
+  [[nodiscard]] NodeDecision select(const AppModels& models,
                                     Watts node_budget) const;
 
   /// Like select(), but with the thread count dictated by the caller (the
   /// §VII constrained-runtime mode): CLIP still coordinates affinity,
   /// memory level and the CPU/DRAM split at exactly `threads`.
-  [[nodiscard]] NodeDecision select_forced(const ProfileData& profile,
-                                           workloads::ScalabilityClass cls,
-                                           int np, Watts node_budget,
+  [[nodiscard]] NodeDecision select_forced(const AppModels& models,
+                                           Watts node_budget,
                                            int threads) const;
 
   /// The class-dependent candidate thread counts (paper §II conclusions:
@@ -68,9 +86,8 @@ class NodeConfigSelector {
       parallel::AffinityPolicy affinity) const;
 
  private:
-  [[nodiscard]] NodeDecision select_from(const ProfileData& profile,
-                                         workloads::ScalabilityClass cls,
-                                         int np, Watts node_budget,
+  [[nodiscard]] NodeDecision select_from(const AppModels& models,
+                                         Watts node_budget,
                                          const std::vector<int>& candidates)
       const;
 

@@ -26,6 +26,10 @@ PowerEstimator::PowerEstimator(const sim::MachineSpec& spec,
     placements_.push_back(parallel::place_threads(
         spec.shape, threads, parallel::AffinityPolicy::kScatter));
   }
+  ladder_pow_.reserve(spec.ladder.state_count());
+  for (const GHz f : spec.ladder.states())
+    ladder_pow_.push_back(
+        std::pow(spec.ladder.relative(f), spec.power_exponent));
 }
 
 const parallel::Placement& PowerEstimator::placement(
@@ -42,18 +46,29 @@ double PowerEstimator::bw_demand_gbps(int threads) const {
   return per_core_bw_gbps_ * threads;
 }
 
-Watts PowerEstimator::cpu_power(int threads,
-                                parallel::AffinityPolicy affinity,
-                                double f_rel) const {
-  CLIP_REQUIRE(threads >= 1 && threads <= spec_->shape.total_cores(),
-               "threads outside the node");
-  CLIP_REQUIRE(f_rel > 0.0 && f_rel <= 1.5, "f_rel out of range");
+double PowerEstimator::cpu_base_w(int threads,
+                                  parallel::AffinityPolicy affinity) const {
   double total = 0.0;
   for (int t : placement(threads, affinity).threads_per_socket)
     total += t > 0 ? spec_->socket_base_w : spec_->socket_parked_w;
-  total += threads * per_core_load_w_ *
-           std::pow(f_rel, spec_->power_exponent);
-  return Watts(total);
+  return total;
+}
+
+Watts PowerEstimator::cpu_power(int threads,
+                                parallel::AffinityPolicy affinity,
+                                double f_rel) const {
+  CLIP_REQUIRE(f_rel > 0.0 && f_rel <= 1.5, "f_rel out of range");
+  return Watts(cpu_base_w(threads, affinity) +
+               threads * per_core_load_w_ *
+                   std::pow(f_rel, spec_->power_exponent));
+}
+
+Watts PowerEstimator::cpu_power_at_state(int threads,
+                                         parallel::AffinityPolicy affinity,
+                                         std::size_t state) const {
+  CLIP_REQUIRE(state < ladder_pow_.size(), "state outside the ladder");
+  return Watts(cpu_base_w(threads, affinity) +
+               threads * per_core_load_w_ * ladder_pow_[state]);
 }
 
 Watts PowerEstimator::mem_power(int threads,

@@ -35,6 +35,19 @@ class PowerEstimator {
                                 parallel::AffinityPolicy affinity,
                                 double f_rel) const;
 
+  /// cpu_power() at state `state` of the machine's DVFS ladder (ascending,
+  /// as FrequencyLadder::states()), bit for bit: the f_rel^exponent term of
+  /// every state is taken once, when the estimator is built, so a selector
+  /// scanning the ladder for each candidate pays no pow() per probe.
+  [[nodiscard]] Watts cpu_power_at_state(int threads,
+                                         parallel::AffinityPolicy affinity,
+                                         std::size_t state) const;
+
+  /// The load-independent part of cpu_power(): base power of the sockets
+  /// holding threads plus parked power of the empty ones.
+  [[nodiscard]] double cpu_base_w(int threads,
+                                  parallel::AffinityPolicy affinity) const;
+
   /// Predicted memory-domain power (achieved bandwidth capped by the level).
   [[nodiscard]] Watts mem_power(int threads,
                                 parallel::AffinityPolicy affinity,
@@ -73,6 +86,7 @@ class PowerEstimator {
   double per_core_load_w_ = 0.0;
   double per_core_bw_gbps_ = 0.0;
   std::vector<parallel::Placement> placements_;  ///< [(threads-1)*2 + policy]
+  std::vector<double> ladder_pow_;  ///< f_rel^exponent per ladder state
 };
 
 }  // namespace clip::core

@@ -92,6 +92,12 @@ ClipScheduler::get_or_characterize(const workloads::WorkloadSignature& app) {
   return {std::move(profile), std::move(record), false};
 }
 
+bool ClipScheduler::knows(const workloads::WorkloadSignature& app) const {
+  const auto hit = db_.lookup(app.name, app.parameters);
+  if (hit) hit->validate();
+  return hit.has_value();
+}
+
 ScheduleDecision ClipScheduler::schedule(
     const workloads::WorkloadSignature& app, Watts cluster_budget) {
   obs::ScopedSpan root(obs_, "clip.schedule", "pipeline");
@@ -109,8 +115,9 @@ ScheduleDecision ClipScheduler::schedule(
   ClusterDecision alloc;
   {
     obs::ScopedSpan span(obs_, "pipeline.allocate", "pipeline");
-    alloc = allocator_.allocate(profile, record.cls, record.inflection,
-                                cluster_budget, predefined);
+    const AppModels models(executor_->spec(), profile, record.cls,
+                           record.inflection);
+    alloc = allocator_.allocate(models, cluster_budget, predefined);
     span.arg("nodes", alloc.nodes);
     span.arg("node_budget_w", alloc.node_budget.value());
   }
@@ -169,7 +176,7 @@ ClipScheduler::PhasedDecision ClipScheduler::schedule_phased(
     auto [profile, record, cached] = get_or_characterize(phase);
     (void)cached;
     const NodeDecision nd = selector_.select(
-        profile, record.cls, record.inflection,
+        AppModels(executor_->spec(), profile, record.cls, record.inflection),
         Watts(std::min(base.node_budget.value(),
                        executor_->spec().max_node_w())));
     d.cluster.phase_nodes.push_back(nd.config);
@@ -196,26 +203,24 @@ ScheduleDecision ClipScheduler::schedule_constrained(
   obs::count(obs_, cached ? "scheduler.db_hits" : "scheduler.db_misses");
 
   const Watts node_budget(cluster_budget.value() / fixed_nodes);
+  ScheduleDecision d;
   NodeDecision nd;
   {
     obs::ScopedSpan span(obs_, "pipeline.node_select", "pipeline");
     span.arg("nodes", fixed_nodes);
+    const AppModels models(executor_->spec(), profile, record.cls,
+                           record.inflection);
     nd = fixed_threads > 0
-             ? selector_.select_forced(profile, record.cls,
-                                       record.inflection, node_budget,
-                                       fixed_threads)
-             : selector_.select(profile, record.cls, record.inflection,
-                                node_budget);
+             ? selector_.select_forced(models, node_budget, fixed_threads)
+             : selector_.select(models, node_budget);
+    d.node_range = models.power.acceptable_range(
+        nd.config.threads, nd.config.affinity, nd.config.mem_level);
     span.arg("threads", nd.config.threads);
   }
 
-  ScheduleDecision d;
   d.cls = record.cls;
   d.inflection = record.inflection;
   d.node_budget = node_budget;
-  const PowerEstimator power(executor_->spec(), profile);
-  d.node_range = power.acceptable_range(
-      nd.config.threads, nd.config.affinity, nd.config.mem_level);
   d.predicted_node_time = nd.predicted_time;
   d.from_knowledge_db = cached;
   d.profiling_cost = cached ? Seconds(0.0) : profile.profiling_cost;

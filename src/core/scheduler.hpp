@@ -67,6 +67,11 @@ class ClipScheduler {
                     training_suite,
                 SchedulerOptions options = SchedulerOptions{});
 
+  /// Neither copyable nor movable: the allocator points at this
+  /// scheduler's own selector_.
+  ClipScheduler(const ClipScheduler&) = delete;
+  ClipScheduler& operator=(const ClipScheduler&) = delete;
+
   /// Decide node count, per-node budget, threads, affinity, memory level
   /// and CPU/DRAM caps for `app` under `cluster_budget`.
   [[nodiscard]] ScheduleDecision schedule(
@@ -116,6 +121,11 @@ class ClipScheduler {
   std::size_t seed_knowledge_from(const KnowledgeDb& db) {
     return db_.merge_from(db);
   }
+
+  /// Whether schedule() would plan `app` from the knowledge database,
+  /// without profiling it. A record found is validate()d first, so a
+  /// corrupt one throws here exactly as schedule() would.
+  [[nodiscard]] bool knows(const workloads::WorkloadSignature& app) const;
 
   [[nodiscard]] KnowledgeDb& knowledge_db() { return db_; }
   [[nodiscard]] const InflectionPredictor& inflection_predictor() const {

@@ -295,8 +295,9 @@ bool QueueEventLoop::try_start(std::size_t j) {
   obs::ScopedSpan span(action_obs(), "queue.try_start", "runtime");
   span.arg("app", jobs_[j].app.name);
   // active() gate: hex-formatting the ids costs two string allocations, and
-  // try_start runs once per pending job per step — an inert span must not
-  // pay that (bench/obs_overhead prices the tracing-on duty cycle).
+  // every admission pass calls try_start until the cluster is full — an
+  // inert span must not pay that (bench/obs_overhead prices the tracing-on
+  // duty cycle).
   if (span.active() && j < traces_.size()) {
     span.arg("trace_id", traces_[j].hex());
     span.arg("span_id", traces_[j].span_hex("queue"));
@@ -307,6 +308,14 @@ bool QueueEventLoop::try_start(std::size_t j) {
   span.arg("free_watts", watts_avail);
   if (nodes_avail < 1 ||
       watts_avail < options_.min_node_power_w)
+    return false;
+  // A predefined decomposition cannot shrink: a rigid job asking for more
+  // nodes than are free is rejected below, whatever its plan. Once its app
+  // is characterized the plan has no other effect, so it is skipped
+  // (docs/performance.md, "Admission"); on a knowledge-DB miss the job
+  // still plans first, so characterization happens on its first attempt.
+  if (jobs_[j].requested_nodes > nodes_avail &&
+      scheduler_->knows(jobs_[j].app))
     return false;
 
   // Shape the job as if the free watts were all its own...
@@ -430,6 +439,10 @@ void QueueEventLoop::start_eligible() {
     for (std::size_t j = 0; j < jobs_.size(); ++j) {
       if (state_[j] != State::kPending) continue;
       if (eligible_s_[j] > now_) continue;  // still backing off after a crash
+      // No free node, or too few watts to wake one: try_start would reject
+      // every remaining job at its first check, so the pass ends.
+      if (free_nodes() < 1 || free_power() < options_.min_node_power_w)
+        break;
       const bool ok = try_start(j);
       if (!ok && !options_.backfill) break;  // strict FCFS: head blocks
     }

@@ -8,9 +8,14 @@
 // applications).
 //
 // Policy (FCFS with optional backfill), evaluated event-driven:
-//   * a job may start when free nodes and free watts remain;
+//   * an admission pass offers the start to each pending job in submission
+//     order, and ends once no node is free or the free watts fall below
+//     min_node_power_w;
 //   * CLIP first shapes the job as if the free watts were all its own, then
 //     is constrained to the free nodes with a proportional budget slice;
+//   * a rigid job (QueueJob::requested_nodes) waits until that many nodes
+//     are free, and without backfill it blocks every job behind it; once
+//     its app is characterized it is not planned while it waits;
 //   * completions free nodes and watts, unblocking the queue.
 //
 // Resilience (docs/robustness.md): with a fault::FaultInjector attached the

@@ -27,6 +27,13 @@ class SimExecutor {
   /// `meter` options control measurement noise (disable for exact tests).
   explicit SimExecutor(MachineSpec spec, MeterOptions meter = MeterOptions{});
 
+  /// Neither copyable nor movable: the RAPL solver and its power model
+  /// point at this executor's own spec_, so a copy or a moved-to executor
+  /// would read the source's. Factories returning a prvalue still work
+  /// (guaranteed copy elision).
+  SimExecutor(const SimExecutor&) = delete;
+  SimExecutor& operator=(const SimExecutor&) = delete;
+
   [[nodiscard]] const MachineSpec& spec() const { return spec_; }
   [[nodiscard]] const Variability& variability() const {
     return variability_;

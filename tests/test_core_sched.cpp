@@ -2,7 +2,10 @@
 // allocator (Algorithm 1), variability coordinator, scheduler facade.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <type_traits>
 
 #include "core/cluster_alloc.hpp"
 #include "core/node_config.hpp"
@@ -11,7 +14,9 @@
 #include "core/variability_coord.hpp"
 #include "sim/executor.hpp"
 #include "util/check.hpp"
+#include "util/rng.hpp"
 #include "workloads/catalog.hpp"
+#include "workloads/random.hpp"
 
 namespace clip::core {
 namespace {
@@ -29,6 +34,12 @@ class SchedTest : public ::testing::Test {
   ScalabilityClassifier classifier_;
   NodeConfigSelector selector_{ex_.spec()};
   ClusterAllocator allocator_{ex_.spec(), selector_};
+
+  [[nodiscard]] AppModels models(const ProfileData& p,
+                                 workloads::ScalabilityClass cls,
+                                 int np) const {
+    return AppModels(ex_.spec(), p, cls, np);
+  }
 };
 
 // ----------------------------------------------------------- node selector ----
@@ -66,7 +77,7 @@ TEST_F(SchedTest, SelectorKeepsAllCoresForLinearUnderAnyBudget) {
   const ProfileData p = profiler_.profile(w);
   for (double budget : {60.0, 100.0, 160.0}) {
     const NodeDecision d = selector_.select(
-        p, workloads::ScalabilityClass::kLinear, 0, Watts(budget));
+        models(p, workloads::ScalabilityClass::kLinear, 0), Watts(budget));
     EXPECT_EQ(d.config.threads, 24) << budget;
   }
 }
@@ -76,9 +87,9 @@ TEST_F(SchedTest, SelectorThrottlesLogarithmicAtLowBudget) {
   ProfileData p = profiler_.profile(w);
   profiler_.validate_at(w, p, 10);
   const NodeDecision rich = selector_.select(
-      p, workloads::ScalabilityClass::kLogarithmic, 10, Watts(170.0));
+      models(p, workloads::ScalabilityClass::kLogarithmic, 10), Watts(170.0));
   const NodeDecision poor = selector_.select(
-      p, workloads::ScalabilityClass::kLogarithmic, 10, Watts(70.0));
+      models(p, workloads::ScalabilityClass::kLogarithmic, 10), Watts(70.0));
   EXPECT_EQ(rich.config.threads, 24);
   EXPECT_LE(poor.config.threads, rich.config.threads);
 }
@@ -89,7 +100,7 @@ TEST_F(SchedTest, SelectorNeverExceedsInflectionForParabolic) {
   profiler_.validate_at(w, p, 12);
   for (double budget : {70.0, 100.0, 140.0, 170.0}) {
     const NodeDecision d = selector_.select(
-        p, workloads::ScalabilityClass::kParabolic, 12, Watts(budget));
+        models(p, workloads::ScalabilityClass::kParabolic, 12), Watts(budget));
     EXPECT_LE(d.config.threads, 12) << budget;
   }
 }
@@ -100,7 +111,7 @@ TEST_F(SchedTest, SelectorSplitsBudgetBetweenDomains) {
   profiler_.validate_at(w, p, 12);
   const Watts budget(120.0);
   const NodeDecision d = selector_.select(
-      p, workloads::ScalabilityClass::kParabolic, 12, budget);
+      models(p, workloads::ScalabilityClass::kParabolic, 12), budget);
   EXPECT_LE(d.config.cpu_cap.value() + d.config.mem_cap.value(),
             budget.value() + 1.0);
   EXPECT_GT(d.config.mem_cap.value(), 10.0);  // memory app needs DRAM watts
@@ -124,9 +135,10 @@ TEST_F(SchedTest, MemLevelMatchesDemand) {
 TEST_F(SchedTest, ImpossibleBudgetThrows) {
   const auto w = *workloads::find_benchmark("CoMD");
   const ProfileData p = profiler_.profile(w);
-  EXPECT_THROW((void)selector_.select(
-                   p, workloads::ScalabilityClass::kLinear, 0, Watts(0.0)),
-               PreconditionError);
+  EXPECT_THROW(
+      (void)selector_.select(
+          models(p, workloads::ScalabilityClass::kLinear, 0), Watts(0.0)),
+      PreconditionError);
 }
 
 // -------------------------------------------------------- cluster allocator ----
@@ -135,7 +147,7 @@ TEST_F(SchedTest, GenerousBudgetUsesAllNodes) {
   const auto w = *workloads::find_benchmark("CoMD");
   const ProfileData p = profiler_.profile(w);
   const ClusterDecision d = allocator_.allocate(
-      p, workloads::ScalabilityClass::kLinear, 0, Watts(1500.0));
+      models(p, workloads::ScalabilityClass::kLinear, 0), Watts(1500.0));
   EXPECT_EQ(d.nodes, 8);
 }
 
@@ -143,7 +155,7 @@ TEST_F(SchedTest, NodeBudgetIsClusterShare) {
   const auto w = *workloads::find_benchmark("CoMD");
   const ProfileData p = profiler_.profile(w);
   const ClusterDecision d = allocator_.allocate(
-      p, workloads::ScalabilityClass::kLinear, 0, Watts(1000.0));
+      models(p, workloads::ScalabilityClass::kLinear, 0), Watts(1000.0));
   EXPECT_NEAR(d.node_budget.value(), 1000.0 / d.nodes, 1e-9);
 }
 
@@ -153,7 +165,7 @@ TEST_F(SchedTest, PredefinedCountsAreRespected) {
   profiler_.validate_at(w, p, 10);
   for (double budget : {300.0, 500.0, 700.0, 1100.0}) {
     const ClusterDecision d = allocator_.allocate(
-        p, workloads::ScalabilityClass::kLogarithmic, 10, Watts(budget),
+        models(p, workloads::ScalabilityClass::kLogarithmic, 10), Watts(budget),
         allocator_.power_of_two_counts());
     EXPECT_TRUE(d.nodes == 1 || d.nodes == 2 || d.nodes == 4 ||
                 d.nodes == 8)
@@ -167,7 +179,7 @@ TEST_F(SchedTest, NodeCountGrowsWithBudget) {
   int prev_nodes = 0;
   for (double budget : {150.0, 400.0, 800.0, 1500.0}) {
     const ClusterDecision d = allocator_.allocate(
-        p, workloads::ScalabilityClass::kLinear, 0, Watts(budget));
+        models(p, workloads::ScalabilityClass::kLinear, 0), Watts(budget));
     EXPECT_GE(d.nodes, prev_nodes) << budget;
     prev_nodes = d.nodes;
   }
@@ -185,7 +197,7 @@ TEST_F(SchedTest, StrictAlgorithm1UsesRangeBounds) {
   ProfileData p = profiler_.profile(w);
   profiler_.validate_at(w, p, 10);
   const ClusterDecision d = strict.allocate(
-      p, workloads::ScalabilityClass::kLogarithmic, 10, Watts(600.0),
+      models(p, workloads::ScalabilityClass::kLogarithmic, 10), Watts(600.0),
       allocator_.power_of_two_counts());
   // Algorithm 1: largest predefined count with share >= P_lo.
   EXPECT_EQ(d.nodes, 4);
@@ -210,9 +222,9 @@ TEST_F(SchedTest, ScoredAllocationNeverWorseThanStrict) {
                               ? allocator_.power_of_two_counts()
                               : std::vector<int>{};
       const ClusterDecision scored =
-          allocator_.allocate(p, cls, np, Watts(budget), counts);
+          allocator_.allocate(models(p, cls, np), Watts(budget), counts);
       const ClusterDecision literal =
-          strict.allocate(p, cls, np, Watts(budget), counts);
+          strict.allocate(models(p, cls, np), Watts(budget), counts);
       auto run = [&](const ClusterDecision& d) {
         sim::ClusterConfig cfg;
         cfg.nodes = d.nodes;
@@ -222,6 +234,74 @@ TEST_F(SchedTest, ScoredAllocationNeverWorseThanStrict) {
       EXPECT_LE(run(scored), run(literal) * 1.05)
           << name << " @" << budget;
     }
+  }
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+TEST_F(SchedTest, AllocatorDecisionIsTheSelectorsAtTheChosenShareBitForBit) {
+  // The allocator prices every node count with one shared set of models;
+  // the node decision it keeps must be exactly what a selector with
+  // freshly built models picks at the chosen share. Low budgets push the
+  // one-node share below the lowest DVFS state (clock modulation).
+  Rng rng(0x5E1EC7);
+  const double f_min = ex_.spec().ladder.relative(ex_.spec().ladder.min());
+  int clock_modulated = 0;
+  for (int i = 0; i < 24; ++i) {
+    const workloads::WorkloadSignature w = workloads::random_signature(rng);
+    ProfileData p = profiler_.profile(w);
+    const auto cls = classifier_.classify(p);
+    int np = 0;
+    if (cls != workloads::ScalabilityClass::kLinear) {
+      np = 2 * static_cast<int>(rng.uniform_int(1, 12));
+      profiler_.validate_at(w, p, np);
+    }
+    const AppModels shared = models(p, cls, np);
+    for (int b = 0; b < 6; ++b) {
+      const double budget =
+          b < 3 ? rng.uniform(30.0, 90.0) : rng.uniform(90.0, 1400.0);
+      const ClusterDecision d = allocator_.allocate(shared, Watts(budget));
+      const NodeDecision fresh = selector_.select(
+          models(p, cls, np), Watts(budget / d.nodes));
+      const std::string where = w.name + " @" + std::to_string(budget);
+      EXPECT_EQ(d.node.config.threads, fresh.config.threads) << where;
+      EXPECT_EQ(d.node.config.affinity, fresh.config.affinity) << where;
+      EXPECT_EQ(d.node.config.mem_level, fresh.config.mem_level) << where;
+      EXPECT_EQ(bits(d.node.config.cpu_cap.value()),
+                bits(fresh.config.cpu_cap.value()))
+          << where;
+      EXPECT_EQ(bits(d.node.config.mem_cap.value()),
+                bits(fresh.config.mem_cap.value()))
+          << where;
+      EXPECT_EQ(bits(d.node.f_rel_expected), bits(fresh.f_rel_expected))
+          << where;
+      EXPECT_EQ(bits(d.node.predicted_time.value()),
+                bits(fresh.predicted_time.value()))
+          << where;
+      EXPECT_EQ(bits(d.node.predicted_power.value()),
+                bits(fresh.predicted_power.value()))
+          << where;
+      if (d.node.f_rel_expected < f_min) ++clock_modulated;
+    }
+  }
+  EXPECT_GT(clock_modulated, 0);  // the duty-cycle branch was exercised
+}
+
+TEST_F(SchedTest, LadderTableCpuPowerIsCpuPowerAtEveryState) {
+  const sim::FrequencyLadder& ladder = ex_.spec().ladder;
+  for (const char* name : {"CoMD", "STREAM-Triad", "SP-MZ"}) {
+    const PowerEstimator est(
+        ex_.spec(), profiler_.profile(*workloads::find_benchmark(name)));
+    for (int threads = 1; threads <= ex_.spec().shape.total_cores();
+         ++threads)
+      for (const auto affinity : {parallel::AffinityPolicy::kCompact,
+                                  parallel::AffinityPolicy::kScatter})
+        for (std::size_t s = 0; s < ladder.state_count(); ++s)
+          EXPECT_EQ(bits(est.cpu_power_at_state(threads, affinity, s).value()),
+                    bits(est.cpu_power(threads, affinity,
+                                       ladder.relative(ladder.states()[s]))
+                             .value()))
+              << name << " t=" << threads << " state=" << s;
   }
 }
 
@@ -376,6 +456,21 @@ TEST_F(SchedulerTest, ScheduleAndRunReturnsMeasurement) {
   const sim::Measurement m = sched_.schedule_and_run(w, Watts(900.0));
   EXPECT_GT(m.time.value(), 0.0);
   EXPECT_FALSE(m.nodes.empty());
+}
+
+TEST(SchedulerConstruction, SchedulerAndExecutorAreNeitherCopiedNorMoved) {
+  // Both point into themselves (the allocator at the scheduler's selector,
+  // the RAPL solver at the executor's spec): a copy or a moved-to object
+  // would read its source's members.
+  static_assert(!std::is_copy_constructible_v<ClipScheduler>);
+  static_assert(!std::is_move_constructible_v<ClipScheduler>);
+  static_assert(!std::is_copy_assignable_v<ClipScheduler>);
+  static_assert(!std::is_move_assignable_v<ClipScheduler>);
+  static_assert(!std::is_copy_constructible_v<sim::SimExecutor>);
+  static_assert(!std::is_move_constructible_v<sim::SimExecutor>);
+  static_assert(!std::is_copy_assignable_v<sim::SimExecutor>);
+  static_assert(!std::is_move_assignable_v<sim::SimExecutor>);
+  SUCCEED();
 }
 
 TEST(SchedulerConstruction, EmptyTrainingSuiteThrows) {

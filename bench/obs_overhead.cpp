@@ -9,7 +9,7 @@
 //   Cost — the queue duty cycle with telemetry + tracing on vs off. The
 //   paper job mix is repeated 10x so one server instance serves a run with
 //   hundreds of scheduling decisions (as in production, where the server
-//   lives for an hours-long run) and its one-time thread spawn amortizes;
+//   lives for an hours-long run) and its one-time socket set-up amortizes;
 //   the median paired CPU-time ratio is reported as overhead_pct.
 //
 // `--json` writes BENCH_obs.json (schema in bench/README.md), which
@@ -71,7 +71,7 @@ int main(int argc, char** argv) {
   bare.cluster_budget = Watts(budget);
   // 10x the paper mix: a long-lived run whose decision count dwarfs the
   // plane's per-run setup, so the ratio below converges to the marginal
-  // per-decision cost rather than the server's thread-spawn constant.
+  // per-decision cost rather than the server's set-up constant.
   std::vector<runtime::QueueJob> jobs;
   for (int rep = 0; rep < 10; ++rep)
     for (const auto& a : apps) jobs.push_back({a, 0});
@@ -132,7 +132,7 @@ int main(int argc, char** argv) {
   const auto cpu_ms = [] {
     // Process CPU time, not steady_clock: co-tenant preemption inflates
     // wall-clock by more than the plane costs, and CPU time also charges
-    // the server thread's (accept-idle) cycles to the side that owns them.
+    // the accept thread's (idle) cycles to the side that owns them.
     timespec ts;
     // clip-lint: allow(D1) prices the obs plane in real CPU ms; a simulated clock has nothing to say here
     clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);

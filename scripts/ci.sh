@@ -31,7 +31,6 @@
 #   MAX_SLOWDOWN   regression-gate wall-clock threshold in percent (15)
 #   SKIP_GATE      set to 1 to skip the regression-gate step
 #   SKIP_LINT      set to 1 to skip the clip-lint stage
-#   SKIP_PERFBENCH set to 1 to skip the benchmark's traced-run test
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -86,7 +85,7 @@ for preset in $PRESETS; do
     exit 1
   fi
   rm -rf "$ARTIFACTS/$preset"  # green run: nothing worth archiving
-  if [ "$preset" = release ] && [ "${SKIP_PERFBENCH:-0}" != "1" ]; then
+  if [ "$preset" = release ]; then
     echo "==> [$preset] perfbench traced run: purity + golden fingerprints"
     python3 perfbench/tests/test_trace.py
   fi

@@ -54,7 +54,8 @@ sim::MemPowerLevel NodeConfigSelector::choose_mem_level(
 NodeDecision NodeConfigSelector::select(const AppModels& models,
                                         Watts node_budget) const {
   return select_from(models, node_budget,
-                     candidate_threads(models.cls, models.np));
+                     candidate_threads(models.perf.scalability(),
+                                       models.perf.inflection()));
 }
 
 NodeDecision NodeConfigSelector::select_forced(const AppModels& models,

@@ -42,14 +42,10 @@ struct NodeSelectorOptions {
 struct AppModels {
   AppModels(const sim::MachineSpec& spec, const ProfileData& profile,
             workloads::ScalabilityClass scalability, int inflection)
-      : cls(scalability),
-        np(inflection),
-        affinity(profile.preferred_affinity),
+      : affinity(profile.preferred_affinity),
         power(spec, profile),
         perf(spec, profile, scalability, inflection) {}
 
-  workloads::ScalabilityClass cls;
-  int np;
   parallel::AffinityPolicy affinity;  ///< the profile's preferred placement
   PowerEstimator power;
   PerfPredictor perf;

@@ -1,19 +1,28 @@
 #include "obs/telemetry_server.hpp"
 
 // The status snapshot is pushed by the queue thread and served by the
-// accept thread; every touch goes through mu_ (clip-analyze L1 enforces
-// the write side).
+// accept thread; every touch goes through mu_. The accept thread's set of
+// servers is changed by their owners and read by the thread; every touch
+// goes through set_mu_ (clip-analyze L1 enforces the write side of both).
 // clip-lint: guards(mu_: snapshot_)
+// clip-lint: guards(set_mu_: servers_, next_id_, serving_)
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <sys/epoll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <unistd.h>
 
+#include <condition_variable>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
+#include <functional>
+#include <map>
 #include <sstream>
+#include <thread>
 
 #include "obs/chrome_trace.hpp"
 #include "util/check.hpp"
@@ -77,6 +86,126 @@ void send_all(int fd, const std::string& data) {
   }
 }
 
+/// The accept thread every TelemetryServer in the process shares. A server
+/// adds its non-blocking listening socket when it is constructed and
+/// removes it in stop(); the thread waits in epoll_wait(2) over all of them
+/// and handles one connection at a time. Adding and removing only edit the
+/// epoll set, so neither wakes the thread. One thread per server cost
+/// more to spawn and join than a 100-job queue run spends on everything
+/// else the live plane does (bench/obs_overhead).
+class AcceptThread {
+ public:
+  using Handler = std::function<void(int)>;
+
+  /// Built with the first server; joined when static objects are
+  /// destroyed at exit.
+  static AcceptThread& instance() {
+    static AcceptThread thread;
+    return thread;
+  }
+
+  AcceptThread(const AcceptThread&) = delete;
+  AcceptThread& operator=(const AcceptThread&) = delete;
+
+  ~AcceptThread() {
+    const std::uint64_t one = 1;
+    (void)::write(wake_fd_, &one, sizeof one);
+    thread_.join();
+    (void)::close(wake_fd_);
+    (void)::close(epoll_fd_);
+  }
+
+  /// Serve connections on `listen_fd` with `handler` until remove(id).
+  std::uint64_t add(int listen_fd, Handler handler) {
+    const std::lock_guard<std::mutex> lock(set_mu_);
+    const std::uint64_t id = next_id_++;
+    epoll_event ev{};
+    ev.events = EPOLLIN;
+    ev.data.u64 = id;
+    CLIP_REQUIRE(::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, listen_fd, &ev) == 0,
+                 "telemetry server: epoll_ctl(ADD) failed");
+    servers_.emplace(id, Server{listen_fd, std::move(handler)});
+    return id;
+  }
+
+  /// Stop serving registration `id`. On return no connection of it is
+  /// being handled, so its owner may close the socket and go away.
+  void remove(std::uint64_t id) {
+    std::unique_lock<std::mutex> lock(set_mu_);
+    const auto it = servers_.find(id);
+    if (it == servers_.end()) return;
+    (void)::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, it->second.listen_fd,
+                      nullptr);
+    servers_.erase(it);
+    idle_.wait(lock, [&] { return serving_ != id; });
+  }
+
+ private:
+  struct Server {
+    int listen_fd;
+    Handler handler;
+  };
+  /// Not a registration (ids start at 1): tags the wake eventfd in the
+  /// epoll set, and is serving_ while no connection is being handled.
+  static constexpr std::uint64_t kNone = 0;
+
+  AcceptThread()
+      : epoll_fd_(::epoll_create1(EPOLL_CLOEXEC)),
+        wake_fd_(::eventfd(0, EFD_CLOEXEC)) {
+    epoll_event ev{};
+    ev.events = EPOLLIN;
+    ev.data.u64 = kNone;
+    if (epoll_fd_ < 0 || wake_fd_ < 0 ||
+        ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_fd_, &ev) != 0) {
+      if (epoll_fd_ >= 0) (void)::close(epoll_fd_);
+      if (wake_fd_ >= 0) (void)::close(wake_fd_);
+      CLIP_REQUIRE(false, "telemetry server: cannot start the accept thread");
+    }
+    thread_ = std::thread([this] { serve(); });
+  }
+
+  void serve() {
+    epoll_event events[16];
+    for (;;) {
+      const int n = ::epoll_wait(epoll_fd_, events, 16, -1);
+      for (int i = 0; i < n; ++i) {
+        const std::uint64_t id = events[i].data.u64;
+        if (id == kNone) return;  // the destructor's wake
+        Handler handler;
+        int fd = -1;
+        {
+          const std::lock_guard<std::mutex> lock(set_mu_);
+          // A server removed after the wait returned is skipped by id.
+          const auto it = servers_.find(id);
+          if (it == servers_.end()) continue;
+          // Linux does not pass O_NONBLOCK on to the accepted socket: the
+          // connection blocks, bounded by its receive/send timeouts.
+          fd = ::accept(it->second.listen_fd, nullptr, nullptr);
+          if (fd < 0) continue;  // the peer gave up first (EAGAIN), EINTR
+          handler = it->second.handler;
+          serving_ = id;
+        }
+        handler(fd);
+        (void)::close(fd);
+        {
+          const std::lock_guard<std::mutex> lock(set_mu_);
+          serving_ = kNone;
+        }
+        idle_.notify_all();
+      }
+    }
+  }
+
+  const int epoll_fd_;
+  const int wake_fd_;  ///< written once, by the destructor
+  std::mutex set_mu_;
+  std::condition_variable idle_;  ///< signalled when serving_ clears
+  std::map<std::uint64_t, Server> servers_;
+  std::uint64_t next_id_{1};
+  std::uint64_t serving_{kNone};  ///< registration being handled, if any
+  std::thread thread_;
+};
+
 }  // namespace
 
 std::string StatusSnapshot::to_json() const {
@@ -97,7 +226,9 @@ TelemetryServer::TelemetryServer(TelemetryServerOptions options)
   CLIP_REQUIRE(options_.port >= 0 && options_.port <= 65535,
                "telemetry port out of range: " +
                    std::to_string(options_.port));
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+  // Non-blocking, so a connection the peer drops between the accept
+  // thread's wakeup and its accept() cannot park that thread.
+  listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
   CLIP_REQUIRE(listen_fd_ >= 0, "telemetry server: socket() failed");
   const int one = 1;
   (void)::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
@@ -122,42 +253,23 @@ TelemetryServer::TelemetryServer(TelemetryServerOptions options)
                "telemetry server: getsockname() failed");
   port_ = static_cast<int>(ntohs(bound.sin_port));
 
+  registration_ = AcceptThread::instance().add(
+      listen_fd_, [this](int fd) { handle_connection(fd); });
   running_.store(true, std::memory_order_release);
-  thread_ = std::thread([this] { serve(); });
 }
 
 TelemetryServer::~TelemetryServer() { stop(); }
 
 void TelemetryServer::stop() {
-  if (!running_.exchange(false, std::memory_order_acq_rel)) {
-    if (thread_.joinable()) thread_.join();
-    return;
-  }
-  // Wake the blocking accept(): shutdown + close makes it return with an
-  // error on every platform we target.
-  if (listen_fd_ >= 0) {
-    (void)::shutdown(listen_fd_, SHUT_RDWR);
-    (void)::close(listen_fd_);
-    listen_fd_ = -1;
-  }
-  if (thread_.joinable()) thread_.join();
+  if (!running_.exchange(false, std::memory_order_acq_rel)) return;
+  AcceptThread::instance().remove(registration_);
+  (void)::close(listen_fd_);
+  listen_fd_ = -1;
 }
 
 void TelemetryServer::publish(const StatusSnapshot& snapshot) {
   const std::lock_guard<std::mutex> lock(mu_);
   snapshot_ = snapshot;
-}
-
-void TelemetryServer::serve() {
-  while (running_.load(std::memory_order_acquire)) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) {
-      if (!running_.load(std::memory_order_acquire)) break;
-      continue;  // transient (EINTR, aborted connection)
-    }
-    handle_connection(fd);
-    (void)::close(fd);
-  }
 }
 
 void TelemetryServer::handle_connection(int fd) {
@@ -183,7 +295,16 @@ void TelemetryServer::handle_connection(int fd) {
     return;
   }
   requests_.fetch_add(1, std::memory_order_relaxed);
-  send_all(fd, respond(target));
+  std::string response;
+  try {
+    response = respond(target);
+  } catch (const std::exception& e) {
+    // Runs on the accept thread every server shares: a failed render
+    // answers 500 instead of ending the process.
+    response = http_response(500, "Internal Server Error", "text/plain",
+                             std::string(e.what()) + "\n");
+  }
+  send_all(fd, response);
 }
 
 std::string TelemetryServer::respond(const std::string& target) const {

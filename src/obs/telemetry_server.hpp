@@ -16,9 +16,12 @@
 //   /timeline?series=S    JSONL tail of one flight-recorder series
 //                         (&n=K caps the tail length)
 //
-// Plain POSIX sockets, no wall-clock reads (clip-lint D1 clean): the
-// accept loop blocks on accept(2) and is woken for shutdown by closing the
-// listening socket; per-connection receive/send timeouts are plain socket
+// Plain sockets, no wall-clock reads (clip-lint D1 clean). One accept
+// thread serves every server in the process: it starts with the first
+// server, waits in epoll_wait(2) over each live server's listening socket
+// and handles one connection at a time. A server joins that set when it is
+// constructed and leaves it in stop(), so a short run pays for a socket,
+// not for a thread. Per-connection receive/send timeouts are plain socket
 // options.
 #pragma once
 
@@ -26,7 +29,6 @@
 #include <cstdint>
 #include <mutex>
 #include <string>
-#include <thread>
 
 #include "obs/metrics.hpp"
 #include "obs/timeline.hpp"
@@ -80,8 +82,8 @@ class TelemetryServer {
   /// Publish a fresh status snapshot (loop thread; cheap copy under mutex).
   void publish(const StatusSnapshot& snapshot);
 
-  /// Stop serving and join the accept thread. Idempotent; the destructor
-  /// calls it.
+  /// Stop serving: once this returns no request of this server is in
+  /// flight and the port is closed. Idempotent; the destructor calls it.
   void stop();
 
   /// Request router, exposed so tests can exercise every endpoint without
@@ -94,13 +96,12 @@ class TelemetryServer {
   }
 
  private:
-  void serve();
   void handle_connection(int fd);
 
   TelemetryServerOptions options_;
   int listen_fd_ = -1;
   int port_ = 0;
-  std::thread thread_;
+  std::uint64_t registration_ = 0;  ///< this server's id in the accept set
   std::atomic<bool> running_{false};
   std::atomic<std::uint64_t> requests_{0};
   mutable std::mutex mu_;

@@ -6,6 +6,8 @@
 // clip-lint: guards(mu_: samples_, events_, dropped_)
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
@@ -49,18 +51,41 @@ namespace {
 /// The historical format_exact: %.*g at every precision until strtod
 /// round-trips. Kept as the correctness fallback (and for non-finite
 /// values); the fast path below must render byte-identically.
-std::string format_exact_slow(double v) {
+void append_exact_slow(std::string& out, double v) {
   char buf[40];
   for (int precision = 1; precision <= 17; ++precision) {
     std::snprintf(buf, sizeof buf, "%.*g", precision, v);
     if (std::strtod(buf, nullptr) == v) break;
   }
-  return buf;
+  out += buf;
 }
+
+/// The last values each thread rendered, direct-mapped on their bits. A
+/// run renders the same numbers again and again: a job's end time in its
+/// launch record and again in its completion record, the one instant every
+/// series was sampled at in a timeline export, the same watts per node. A
+/// hit skips both conversions below.
+struct ExactMemo {
+  /// Never a key: non-finite values bypass the memo.
+  static constexpr std::uint64_t kEmpty = 0x7ff8'0000'0000'0001;
+  struct Slot {
+    std::uint64_t bits = kEmpty;
+    std::uint8_t size = 0;
+    char text[31] = {};
+  };
+  std::array<Slot, 32> slots{};
+};
+thread_local ExactMemo exact_memo;
 
 }  // namespace
 
 std::string format_exact(double v) {
+  std::string out;
+  append_exact(out, v);
+  return out;
+}
+
+void append_exact(std::string& out, double v) {
   // One std::to_chars pass (scientific = shortest round-trip mantissa D and
   // decimal exponent E), then a hand-rendered %g at the minimal precision -
   // what the historical try-every-precision loop produced, without its up to
@@ -68,11 +93,20 @@ std::string format_exact(double v) {
   // every snapshot serializes dozens of doubles through here. The
   // from_chars check at the end guards byte-compatibility (tests pin it
   // across a randomized sweep); any miss falls back to the loop.
-  if (!std::isfinite(v)) return format_exact_slow(v);
+  if (!std::isfinite(v)) {
+    append_exact_slow(out, v);
+    return;
+  }
+  const auto bits = std::bit_cast<std::uint64_t>(v);
+  ExactMemo::Slot& slot =
+      exact_memo.slots[(bits * 0x9E37'79B9'7F4A'7C15ull) >> 59];
+  if (slot.bits == bits) {
+    out.append(slot.text, slot.size);
+    return;
+  }
   char sci[40];
   const auto r =
       std::to_chars(sci, sci + sizeof sci, v, std::chars_format::scientific);
-  *r.ptr = '\0';  // to_chars does not terminate; strtol below needs it
   char digits[20] = {'0'};
   int precision = 0;
   int exponent = 0;
@@ -81,7 +115,7 @@ std::string format_exact(double v) {
   if (negative) ++p;
   for (; p != r.ptr && *p != 'e'; ++p)
     if (*p != '.') digits[precision++] = *p;
-  if (p != r.ptr) exponent = static_cast<int>(std::strtol(p + 1, nullptr, 10));
+  if (p != r.ptr) std::from_chars(p + (p[1] == '+' ? 2 : 1), r.ptr, exponent);
 
   char buf[40];
   char* o = buf;
@@ -116,9 +150,14 @@ std::string format_exact(double v) {
   // from_chars skips the locale machinery (this check runs per double).
   double back = 0.0;
   const auto pr = std::from_chars(buf, o, back);
-  if (pr.ec == std::errc() && pr.ptr == o && back == v)
-    return std::string(buf, o);
-  return format_exact_slow(v);
+  if (pr.ec == std::errc() && pr.ptr == o && back == v) {
+    slot.bits = bits;
+    slot.size = static_cast<std::uint8_t>(o - buf);
+    std::copy(buf, o, slot.text);
+    out.append(buf, o);
+    return;
+  }
+  append_exact_slow(out, v);
 }
 
 Timeline::Timeline(TimelineOptions options) : options_(options) {}

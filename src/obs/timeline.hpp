@@ -164,4 +164,8 @@ class Timeline {
 /// same bits, so timeline exports and run reports round-trip exactly.
 [[nodiscard]] std::string format_exact(double v);
 
+/// format_exact(v) appended to `out`: payloads and snapshots that render
+/// many doubles build them in one buffer, without a string per value.
+void append_exact(std::string& out, double v);
+
 }  // namespace clip::obs

@@ -1,6 +1,8 @@
 #include "runtime/queue.hpp"
 
 #include <algorithm>
+#include <charconv>
+#include <concepts>
 #include <cstdlib>
 #include <limits>
 #include <map>
@@ -64,7 +66,27 @@ fault::BudgetGuard make_guard(const QueueOptions& options,
 // tokens are `key=value` separated by spaces, list values use ',' (entries),
 // ':' (fields), '/' and ';' (ids) — all characters format_exact never emits.
 
-std::string fx(double v) { return obs::format_exact(v); }
+// A journal payload is assembled piece by piece into one reused buffer and
+// copied out at its exact size. An operator+ chain regrows its string at
+// every doubling and makes a temporary per number, which cost more than
+// appending the record (bench/recovery prices the journal).
+void put(std::string& out, std::string_view piece) { out += piece; }
+void put(std::string& out, const char* piece) { out += piece; }
+void put(std::string& out, double v) { obs::append_exact(out, v); }
+void put(std::string& out, bool) = delete;  // spell flags out as "1"/"0"
+template <std::integral T>
+void put(std::string& out, T v) {
+  char buf[24];
+  out.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+}
+
+template <typename... Pieces>
+std::string payload(const Pieces&... pieces) {
+  thread_local std::string buffer;
+  buffer.clear();
+  (put(buffer, pieces), ...);
+  return buffer;
+}
 
 double parse_double(const std::string& s, const char* what) {
   char* end = nullptr;
@@ -291,7 +313,8 @@ int QueueEventLoop::faults_active_at(double t) const {
   return active;
 }
 
-bool QueueEventLoop::try_start(std::size_t j) {
+bool QueueEventLoop::try_start(std::size_t j, int nodes_avail,
+                               double watts_avail) {
   obs::ScopedSpan span(action_obs(), "queue.try_start", "runtime");
   span.arg("app", jobs_[j].app.name);
   // active() gate: hex-formatting the ids costs two string allocations, and
@@ -302,13 +325,8 @@ bool QueueEventLoop::try_start(std::size_t j) {
     span.arg("trace_id", traces_[j].hex());
     span.arg("span_id", traces_[j].span_hex("queue"));
   }
-  const int nodes_avail = free_nodes();
-  const double watts_avail = free_power();
   span.arg("free_nodes", nodes_avail);
   span.arg("free_watts", watts_avail);
-  if (nodes_avail < 1 ||
-      watts_avail < options_.min_node_power_w)
-    return false;
   // A predefined decomposition cannot shrink: a rigid job asking for more
   // nodes than are free is rejected below, whatever its plan. Once its app
   // is characterized the plan has no other effect, so it is skipped
@@ -415,12 +433,10 @@ bool QueueEventLoop::try_start(std::size_t j) {
   obs::observe(action_obs(), "queue.job_wait_s", wait_s_spec(), out.wait_s());
   if (journal_ != nullptr) {
     const Running& rr = running_.back();
-    jlog("launch", "job=" + std::to_string(j) + " attempt=" +
-                       std::to_string(attempts_[j]) + " nodes=" +
-                       join_ints(rr.node_ids, '/') + " slice=" +
-                       fx(rr.power_w) + " end=" + fx(rr.end_s) +
-                       " crashed=" + (rr.crashed ? "1" : "0") +
-                       trace_suffix(j));
+    jlog("launch", payload("job=", j, " attempt=", attempts_[j], " nodes=",
+                           join_ints(rr.node_ids, '/'), " slice=",
+                           rr.power_w, " end=", rr.end_s, " crashed=",
+                           rr.crashed ? "1" : "0", trace_suffix(j)));
   }
   return true;
 }
@@ -439,11 +455,12 @@ void QueueEventLoop::start_eligible() {
     for (std::size_t j = 0; j < jobs_.size(); ++j) {
       if (state_[j] != State::kPending) continue;
       if (eligible_s_[j] > now_) continue;  // still backing off after a crash
-      // No free node, or too few watts to wake one: try_start would reject
-      // every remaining job at its first check, so the pass ends.
-      if (free_nodes() < 1 || free_power() < options_.min_node_power_w)
-        break;
-      const bool ok = try_start(j);
+      // No free node, or too few watts to wake one: no job can start, and
+      // a job that does not start frees nothing, so the pass ends.
+      const int nodes_avail = free_nodes();
+      const double watts_avail = free_power();
+      if (nodes_avail < 1 || watts_avail < options_.min_node_power_w) break;
+      const bool ok = try_start(j, nodes_avail, watts_avail);
       if (!ok && !options_.backfill) break;  // strict FCFS: head blocks
     }
   }
@@ -581,8 +598,8 @@ void QueueEventLoop::claw_back(int node) {
                       static_cast<double>(faults_active_at(now_)));
   }
   if (journal_ != nullptr)
-    jlog("guard-claw", "node=" + std::to_string(node) + " windows=" +
-                           std::to_string(truncated) + " t=" + fx(now_));
+    jlog("guard-claw",
+         payload("node=", node, " windows=", truncated, " t=", now_));
 }
 
 // The guard's sampling pass: read every active node's meter (corrupted by
@@ -619,8 +636,8 @@ void QueueEventLoop::guard_sample() {
       enforcement_pending_[static_cast<std::size_t>(n)] = true;
       enforcements_.push_back({now_ + guard_.options().reaction_s, n});
       if (journal_ != nullptr)
-        jlog("enforce-scheduled", "node=" + std::to_string(n) + " at=" +
-                                      fx(enforcements_.back().at_s));
+        jlog("enforce-scheduled",
+             payload("node=", n, " at=", enforcements_.back().at_s));
     }
   }
 }
@@ -709,7 +726,7 @@ void QueueEventLoop::apply_claw(const PendingClaw& c) {
     if (cand.job_index == c.job) r = &cand;
   if (r == nullptr || attempts_[c.job] != c.attempt) {
     if (journal_ != nullptr)
-      jlog("claw-dissolve", "job=" + std::to_string(c.job) + " reason=gone");
+      jlog("claw-dissolve", payload("job=", c.job, " reason=gone"));
     return;
   }
   const int n_nodes = static_cast<int>(r->node_ids.size());
@@ -720,7 +737,7 @@ void QueueEventLoop::apply_claw(const PendingClaw& c) {
   if (claw <= 0.0) {
     // A re-grant since the decision ate the slack.
     if (journal_ != nullptr)
-      jlog("claw-dissolve", "job=" + std::to_string(c.job) + " reason=eaten");
+      jlog("claw-dissolve", payload("job=", c.job, " reason=eaten"));
     return;
   }
   r->power_w -= claw;
@@ -738,7 +755,7 @@ void QueueEventLoop::apply_claw(const PendingClaw& c) {
                         per_node_cap);
   }
   if (journal_ != nullptr)
-    jlog("claw-actuate", "job=" + std::to_string(c.job) + " w=" + fx(claw));
+    jlog("claw-actuate", payload("job=", c.job, " w=", claw));
 }
 
 // The redistribution tick: sample, size claw-backs, and hill-climb
@@ -784,14 +801,14 @@ void QueueEventLoop::redist_tick() {
                        "claw-scheduled " + report_.jobs[r.job_index].app +
                            " w=" + format_double(claw, 1));
     if (journal_ != nullptr)
-      jlog("claw-scheduled", "job=" + std::to_string(r.job_index) + " at=" +
-                                 fx(pending_claws_.back().at_s) +
-                                 " w=" + fx(claw));
+      jlog("claw-scheduled",
+           payload("job=", r.job_index, " at=", pending_claws_.back().at_s,
+                   " w=", claw));
   }
   if (timeline_ != nullptr)
     timeline_->record("redist.slack_w", now_, slack_total);
   if (journal_ != nullptr)
-    jlog("tick", "t=" + fx(now_) + " slack=" + fx(slack_total));
+    jlog("tick", payload("t=", now_, " slack=", slack_total));
   if (!options_.redist.subsystem_split) return;
   for (auto& r : running_) {
     if (r.crashed) continue;
@@ -818,7 +835,7 @@ void QueueEventLoop::redist_tick() {
                            " pkg->dram w=" +
                            format_double(options_.redist.shift_step_w, 1));
     if (journal_ != nullptr)
-      jlog("shift", "job=" + std::to_string(r.job_index) + " t=" + fx(now_));
+      jlog("shift", payload("job=", r.job_index, " t=", now_));
   }
 }
 
@@ -870,8 +887,7 @@ void QueueEventLoop::try_regrant() {
                        "regrant-rejected " + report_.jobs[r.job_index].app +
                            " w=" + format_double(best->grant_w, 1));
     if (journal_ != nullptr)
-      jlog("grant-reject", "job=" + std::to_string(r.job_index) + " w=" +
-                               fx(best->grant_w));
+      jlog("grant-reject", payload("job=", r.job_index, " w=", best->grant_w));
     return;
   }
   const Eval& e = evals[static_cast<std::size_t>(best - candidates.data())];
@@ -884,8 +900,7 @@ void QueueEventLoop::try_regrant() {
                      "regrant " + report_.jobs[r.job_index].app +
                          " w=" + format_double(best->grant_w, 1));
   if (journal_ != nullptr)
-    jlog("grant", "job=" + std::to_string(r.job_index) + " w=" +
-                      fx(best->grant_w));
+    jlog("grant", payload("job=", r.job_index, " w=", best->grant_w));
 }
 
 // Process the single earliest finished run due at `now` (one per pass, so
@@ -914,8 +929,7 @@ bool QueueEventLoop::finish_one_due() {
       timeline_->event("job", now_,
                        "finish " + report_.jobs[j].app + trace_suffix(j));
     if (journal_ != nullptr)
-      jlog("complete", "job=" + std::to_string(j) + " t=" + fx(now_) +
-                           trace_suffix(j));
+      jlog("complete", payload("job=", j, " t=", now_, trace_suffix(j)));
     return true;
   }
   // Crash abort: replace the optimistic energy bill with the watts the
@@ -938,8 +952,7 @@ bool QueueEventLoop::finish_one_due() {
     if (timeline_ != nullptr)
       timeline_->event("job", now_, "fail " + out.app + trace_suffix(j));
     if (journal_ != nullptr)
-      jlog("fail", "job=" + std::to_string(j) + " t=" + fx(now_) +
-                       trace_suffix(j));
+      jlog("fail", payload("job=", j, " t=", now_, trace_suffix(j)));
     return true;
   }
   state_[j] = State::kPending;
@@ -957,10 +970,9 @@ bool QueueEventLoop::finish_one_due() {
   if (timeline_ != nullptr)
     timeline_->event("job", now_, "requeue " + out.app + trace_suffix(j));
   if (journal_ != nullptr)
-    jlog("crash-requeue", "job=" + std::to_string(j) + " node=" +
-                              std::to_string(r.crashed_node) +
-                              " eligible=" + fx(eligible_s_[j]) +
-                              trace_suffix(j));
+    jlog("crash-requeue",
+         payload("job=", j, " node=", r.crashed_node, " eligible=",
+                 eligible_s_[j], trace_suffix(j)));
   return true;
 }
 
@@ -1184,7 +1196,7 @@ void QueueEventLoop::finalize() {
     ++report_.jobs_failed;
     obs::count(action_obs(), "queue.jobs_failed");
     if (journal_ != nullptr)
-      jlog("fail", "job=" + std::to_string(j) + " reason=stranded");
+      jlog("fail", payload("job=", j, " reason=stranded"));
   }
 
   report_.makespan_s = 0.0;
@@ -1214,8 +1226,8 @@ void QueueEventLoop::finalize() {
     timeline_->record("budget.violation_s", report_.makespan_s,
                       report_.violation_s);
   if (journal_ != nullptr)
-    jlog("end", "makespan=" + fx(report_.makespan_s) +
-                    " violation_s=" + fx(report_.violation_s));
+    jlog("end", payload("makespan=", report_.makespan_s, " violation_s=",
+                        report_.violation_s));
   publish_status(false);
 }
 
@@ -1248,8 +1260,8 @@ void QueueEventLoop::update_mode() {
     timeline_->record("mode.current", now_, static_cast<double>(mode_));
   }
   if (journal_ != nullptr)
-    jlog("mode", std::string("to=") + to_string(mode_) + " t=" + fx(now_) +
-                     " factor=" + fx(factor));
+    jlog("mode", payload("to=", to_string(mode_), " t=", now_, " factor=",
+                         factor));
   publish_status(true);
 }
 
@@ -1280,8 +1292,7 @@ void QueueEventLoop::brownout_clawback() {
                        "brownout-claw " + report_.jobs[r.job_index].app +
                            " w=" + format_double(clawed, 1));
     if (journal_ != nullptr)
-      jlog("brownout-claw", "job=" + std::to_string(r.job_index) +
-                                " w=" + fx(new_slice));
+      jlog("brownout-claw", payload("job=", r.job_index, " w=", new_slice));
   }
 }
 
@@ -1332,7 +1343,7 @@ void QueueEventLoop::maybe_snapshot() {
 }
 
 std::string QueueEventLoop::begin_payload() const {
-  std::string os = "budget=" + fx(total_budget_) +
+  std::string os = "budget=" + obs::format_exact(total_budget_) +
                    " nodes=" + std::to_string(total_nodes_) +
                    " jobs=" + std::to_string(jobs_.size());
   os += options_.backfill ? " backfill=1" : " backfill=0";
@@ -1374,7 +1385,7 @@ std::string QueueEventLoop::serialize_state() const {
   std::string os;
   os.reserve(768 + 96 * jobs_.size() + 224 * running_.size());
   const auto num = [&os](long long v) { os += std::to_string(v); };
-  const auto dbl = [&os](double v) { os += obs::format_exact(v); };
+  const auto dbl = [&os](double v) { obs::append_exact(os, v); };
   os += "init=";
   os += init_done_ ? '1' : '0';
   os += " now=";

@@ -280,7 +280,10 @@ class QueueEventLoop {
   [[nodiscard]] std::vector<int> active_node_ids() const;
   [[nodiscard]] double true_cluster_power(double t) const;
   [[nodiscard]] int faults_active_at(double t) const;
-  bool try_start(std::size_t j);
+  /// Offer the start to pending job `j`; `nodes_avail` and `watts_avail`
+  /// are the free nodes and watts, which start_eligible has checked admit
+  /// at least one node.
+  bool try_start(std::size_t j, int nodes_avail, double watts_avail);
   void start_eligible();
   void apply_fault_events();
   void claw_back(int node);

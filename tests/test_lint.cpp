@@ -210,9 +210,9 @@ TEST(LintMutants, J1CatchesAnUnjournaledModeTransition) {
   std::string src = read_file(src_path("runtime/queue.cpp"));
   src = mutate(src,
                "  if (journal_ != nullptr)\n"
-               "    jlog(\"mode\", std::string(\"to=\") + to_string(mode_)",
+               "    jlog(\"mode\", payload(\"to=\", to_string(mode_)",
                "  if (false)\n"
-               "    jlog_disabled(std::string(\"to=\") + to_string(mode_)");
+               "    jlog_disabled(payload(\"to=\", to_string(mode_)");
   src = mutate(src, "    if (factor < applied_factor_) brownout_clawback();\n",
                "");
   const FileResult r = analyze_source(src, "src/runtime/queue.cpp");

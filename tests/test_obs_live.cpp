@@ -10,6 +10,7 @@
 #include <unistd.h>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <optional>
 #include <set>
 #include <sstream>
@@ -246,6 +247,39 @@ TEST(TelemetryServer, ServesAllFourEndpointsOverRealSockets) {
 
   EXPECT_EQ(server.requests_served(), 4u);
   server.stop();  // idempotent with the destructor
+}
+
+TEST(TelemetryServer, ServersShareOneAcceptThreadAndLeaveItCleanly) {
+  // Two live servers at once: each answers from its own snapshot.
+  auto a = std::make_unique<obs::TelemetryServer>(
+      obs::TelemetryServerOptions{});
+  obs::TelemetryServer b(obs::TelemetryServerOptions{});
+  obs::StatusSnapshot snap;
+  snap.mode = "METER_BLACKOUT";
+  b.publish(snap);
+  EXPECT_NE(obs::http_get("127.0.0.1", a->port(), "/healthz").find("200 OK"),
+            std::string::npos);
+  EXPECT_NE(obs::http_get("127.0.0.1", b.port(), "/healthz").find("503"),
+            std::string::npos);
+
+  // One leaves; the other keeps serving.
+  a->stop();
+  a.reset();
+  EXPECT_NE(obs::http_get("127.0.0.1", b.port(), "/status")
+                .find("\"mode\":\"METER_BLACKOUT\""),
+            std::string::npos);
+  EXPECT_EQ(b.requests_served(), 2u);
+
+  // Servers come and go many times; each serves while it lives.
+  for (int i = 0; i < 50; ++i) {
+    obs::TelemetryServer s(obs::TelemetryServerOptions{});
+    ASSERT_NE(obs::http_get("127.0.0.1", s.port(), "/healthz").find("200 OK"),
+              std::string::npos)
+        << "server " << i;
+    EXPECT_EQ(s.requests_served(), 1u);
+  }
+  EXPECT_NE(obs::http_get("127.0.0.1", b.port(), "/healthz").find("503"),
+            std::string::npos);
 }
 
 TEST(TelemetryServer, QueueRunOwnsAServerAndPublishesFinalStatus) {

@@ -342,6 +342,28 @@ TEST(FormatExact, MatchesThePrecisionSearchByteForByte) {
     EXPECT_EQ(obs::format_exact(v), format_exact_reference(v)) << v;
 }
 
+TEST(FormatExact, RepeatsAndAppendsRenderTheSameBytes) {
+  // The second pass renders recently seen values again (the per-thread
+  // memo); the interleaving makes values evict each other. -0.0 and 0.0
+  // must not share an entry.
+  std::vector<double> values = {0.0, -0.0, 700.0, 42.328};
+  Rng rng(0x5EED);
+  for (int i = 0; i < 2000; ++i)
+    values.push_back(rng.uniform(0.0, 100.0));
+  for (int pass = 0; pass < 2; ++pass)
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      const double v = values[pass == 0 ? i : values.size() - 1 - i];
+      ASSERT_EQ(obs::format_exact(v), format_exact_reference(v)) << v;
+      ASSERT_EQ(obs::format_exact(v), format_exact_reference(v)) << v;
+    }
+  std::string out = "t=";
+  obs::append_exact(out, 42.328);
+  out += " w=";
+  obs::append_exact(out, -0.0);
+  obs::append_exact(out, std::numeric_limits<double>::infinity());
+  EXPECT_EQ(out, "t=42.328 w=-0inf");
+}
+
 // ------------------------------------------------------------- producers ----
 
 TEST(TimelineProducers, RaplSimulateEmitsMonotoneSeries) {

@@ -34,8 +34,8 @@
 //                                        salvage status, record/snapshot
 //                                        counts, per-kind totals
 //   clipctl recover <watts> <run-dir>    resume a crash-interrupted record
-//                    [--trace]           run from its journal (latest
-//                                        snapshot + replay) and rewrite the
+//                    [--trace]           run from its journal (fold its
+//                                        snapshots + replay) and rewrite the
 //                                        completed run record (--trace must
 //                                        match the recording run's setting)
 //   clipctl serve <watts> [--port N]     run the job mix with the read-only

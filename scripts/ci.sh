@@ -91,6 +91,19 @@ for preset in $PRESETS; do
   fi
 done
 
+# Every gate runs and reports, even after one fails: a failing wall-clock
+# comparison must not hide the recovery or purity verdicts behind it. The
+# stage exits non-zero at the end, naming each gate that failed.
+failed_gates=""
+gate() {
+  name=$1
+  shift
+  if ! "$@"; then
+    echo "==> [gate] FAILED: $name" >&2
+    failed_gates="$failed_gates $name"
+  fi
+}
+
 if [ "${SKIP_GATE:-0}" != "1" ] && [ -d build/bench ]; then
   echo "==> [gate] regression gate selftest"
   scripts/regression_gate.sh --selftest
@@ -100,17 +113,23 @@ if [ "${SKIP_GATE:-0}" != "1" ] && [ -d build/bench ]; then
     "$ARTIFACTS/BENCH_redist_fresh.json" "$ARTIFACTS/BENCH_recovery_fresh.json" \
     "$ARTIFACTS/BENCH_obs_fresh.json"
   echo "==> [gate] compare against committed BENCH_eval_engine.json"
-  scripts/regression_gate.sh --max-slowdown "$MAX_SLOWDOWN" \
+  gate eval-engine scripts/regression_gate.sh --max-slowdown "$MAX_SLOWDOWN" \
     BENCH_eval_engine.json "$ARTIFACTS/BENCH_fresh.json"
   echo "==> [gate] batch-core throughput floor"
-  scripts/regression_gate.sh --batch --max-slowdown "$MAX_SLOWDOWN" \
+  gate batch scripts/regression_gate.sh --batch --max-slowdown "$MAX_SLOWDOWN" \
     BENCH_eval_engine.json "$ARTIFACTS/BENCH_fresh.json"
   echo "==> [gate] redistribution improvement floor"
-  scripts/regression_gate.sh --redist "$ARTIFACTS/BENCH_redist_fresh.json"
+  gate redist scripts/regression_gate.sh --redist \
+    "$ARTIFACTS/BENCH_redist_fresh.json"
   echo "==> [gate] crash-consistency: byte-identical recovery + journal overhead"
-  scripts/regression_gate.sh --recovery "$ARTIFACTS/BENCH_recovery_fresh.json"
+  gate recovery scripts/regression_gate.sh --recovery \
+    "$ARTIFACTS/BENCH_recovery_fresh.json"
   echo "==> [gate] observability plane: purity + endpoints + duty-cycle overhead"
-  scripts/regression_gate.sh --obs "$ARTIFACTS/BENCH_obs_fresh.json"
+  gate obs scripts/regression_gate.sh --obs "$ARTIFACTS/BENCH_obs_fresh.json"
 fi
 
+if [ -n "$failed_gates" ]; then
+  echo "==> bench gates failed:$failed_gates" >&2
+  exit 1
+fi
 echo "==> all presets passed: $PRESETS"

@@ -44,6 +44,121 @@ double value_at_points(const std::deque<TimelinePoint>& pts, double t_s) {
   return std::prev(it)->value;
 }
 
+/// Append `p` to a series (sample or event) and count it; returns true when
+/// the ring buffer evicted the oldest point to make room. The caller holds
+/// the timeline's lock and bumps dropped_.
+template <typename Series, typename Point>
+bool push_point(Series& s, Point p, std::size_t ring_capacity,
+                const char* what, std::string_view name) {
+  CLIP_REQUIRE(std::isfinite(p.t_s), "timeline timestamp must be finite");
+  CLIP_REQUIRE(s.points.empty() || p.t_s >= s.points.back().t_s,
+               std::string("timeline ") + what + " '" + std::string(name) +
+                   "' timestamps must be non-decreasing");
+  bool evicted = false;
+  if (ring_capacity > 0 && s.points.size() >= ring_capacity) {
+    s.points.pop_front();
+    evicted = true;
+  }
+  s.points.push_back(std::move(p));
+  ++s.appended;
+  return evicted;
+}
+
+template <typename Map>
+typename Map::mapped_type& series_of(Map& all, std::string_view name) {
+  auto it = all.find(name);
+  if (it == all.end())
+    it = all.emplace(std::string(name), typename Map::mapped_type{}).first;
+  return it->second;
+}
+
+// --- delta text ------------------------------------------------------------
+// Names and labels inside a delta: the delta's separators (',' between
+// fields, ';' after a series) and the journal's (space between tokens,
+// newline between records) never appear raw.
+
+constexpr std::string_view kDeltaSpecial = "\\ \n,;";
+
+void append_delta_text(std::string& out, std::string_view s) {
+  for (;;) {
+    const std::size_t hit = s.find_first_of(kDeltaSpecial);
+    out.append(s.substr(0, hit));
+    if (hit == std::string_view::npos) return;
+    out += '\\';
+    switch (s[hit]) {
+      case ' ':
+        out += 's';
+        break;
+      case '\n':
+        out += 'n';
+        break;
+      case ',':
+        out += 'c';
+        break;
+      case ';':
+        out += 'e';
+        break;
+      default:
+        out += '\\';
+    }
+    s.remove_prefix(hit + 1);
+  }
+}
+
+/// Decode the text at the front of `in` up to the next ',' or ';' into
+/// `out`, consuming it.
+void read_delta_text(std::string_view& in, std::string& out) {
+  out.clear();
+  for (;;) {
+    const std::size_t hit = in.find_first_of(",;\\");
+    out.append(in.substr(0, hit));
+    if (hit == std::string_view::npos) {
+      in = {};
+      return;
+    }
+    in.remove_prefix(hit);
+    if (in.front() != '\\') return;
+    CLIP_REQUIRE(in.size() >= 2, "timeline delta: dangling escape");
+    switch (in[1]) {
+      case 's':
+        out += ' ';
+        break;
+      case 'n':
+        out += '\n';
+        break;
+      case 'c':
+        out += ',';
+        break;
+      case 'e':
+        out += ';';
+        break;
+      case '\\':
+        out += '\\';
+        break;
+      default:
+        CLIP_REQUIRE(false, std::string("timeline delta: unknown escape \\") +
+                                in[1]);
+    }
+    in.remove_prefix(2);
+  }
+}
+
+double read_delta_double(std::string_view& in, const char* what) {
+  double v = 0.0;
+  const auto r = std::from_chars(in.data(), in.data() + in.size(), v);
+  CLIP_REQUIRE(r.ec == std::errc() && r.ptr != in.data(),
+               std::string("timeline delta: bad ") + what + " '" +
+                   std::string(in.substr(0, in.find_first_of(",;"))) + "'");
+  in.remove_prefix(static_cast<std::size_t>(r.ptr - in.data()));
+  return v;
+}
+
+bool consume(std::string_view& in, char c) {
+  if (in.empty() || in.front() != c) return false;
+  in.remove_prefix(1);
+  return true;
+}
+
 }  // namespace
 
 namespace {
@@ -164,40 +279,20 @@ Timeline::Timeline(TimelineOptions options) : options_(options) {}
 
 void Timeline::record(std::string_view series, double t_s, double value) {
   CLIP_REQUIRE(!series.empty(), "timeline series name must not be empty");
-  CLIP_REQUIRE(std::isfinite(t_s), "timeline timestamp must be finite");
   std::lock_guard lock(mu_);
-  auto it = samples_.find(series);
-  if (it == samples_.end())
-    it = samples_.emplace(std::string(series), SampleSeries{}).first;
-  auto& pts = it->second.points;
-  CLIP_REQUIRE(pts.empty() || t_s >= pts.back().t_s,
-               "timeline series '" + it->first +
-                   "' timestamps must be non-decreasing");
-  if (options_.ring_capacity > 0 && pts.size() >= options_.ring_capacity) {
-    pts.pop_front();
+  if (push_point(series_of(samples_, series), TimelinePoint{t_s, value},
+                 options_.ring_capacity, "series", series))
     ++dropped_;
-  }
-  pts.push_back(TimelinePoint{t_s, value});
 }
 
 void Timeline::event(std::string_view series, double t_s,
                      std::string_view label) {
   CLIP_REQUIRE(!series.empty(), "timeline series name must not be empty");
-  CLIP_REQUIRE(std::isfinite(t_s), "timeline timestamp must be finite");
   std::lock_guard lock(mu_);
-  auto it = events_.find(series);
-  if (it == events_.end())
-    it = events_.emplace(std::string(series), EventSeries{}).first;
-  auto& entries = it->second.entries;
-  CLIP_REQUIRE(entries.empty() || t_s >= entries.back().t_s,
-               "timeline event series '" + it->first +
-                   "' timestamps must be non-decreasing");
-  if (options_.ring_capacity > 0 &&
-      entries.size() >= options_.ring_capacity) {
-    entries.pop_front();
+  if (push_point(series_of(events_, series),
+                 TimelineEvent{t_s, std::string(label)},
+                 options_.ring_capacity, "event series", series))
     ++dropped_;
-  }
-  entries.push_back(TimelineEvent{t_s, std::string(label)});
 }
 
 std::vector<std::string> Timeline::series_names() const {
@@ -222,7 +317,7 @@ std::vector<TimelineEvent> Timeline::events(std::string_view series) const {
   std::lock_guard lock(mu_);
   const auto it = events_.find(series);
   if (it == events_.end()) return {};
-  return {it->second.entries.begin(), it->second.entries.end()};
+  return {it->second.points.begin(), it->second.points.end()};
 }
 
 std::size_t Timeline::total_samples() const {
@@ -338,7 +433,7 @@ CsvDocument Timeline::to_csv_document() const {
       doc.rows.push_back(
           {"sample", name, format_exact(p.t_s), format_exact(p.value), ""});
   for (const auto& [name, e] : events_)
-    for (const auto& ev : e.entries)
+    for (const auto& ev : e.points)
       doc.rows.push_back(
           {"event", name, format_exact(ev.t_s), "", ev.label});
   return doc;
@@ -356,7 +451,7 @@ void Timeline::write_jsonl(const std::filesystem::path& path) const {
           << "\",\"t_s\":" << format_exact(p.t_s)
           << ",\"value\":" << format_exact(p.value) << "}\n";
   for (const auto& [name, e] : events_)
-    for (const auto& ev : e.entries)
+    for (const auto& ev : e.points)
       out << "{\"kind\":\"event\",\"series\":\"" << json_escape(name)
           << "\",\"t_s\":" << format_exact(ev.t_s) << ",\"label\":\""
           << json_escape(ev.label) << "\"}\n";
@@ -365,11 +460,6 @@ void Timeline::write_jsonl(const std::filesystem::path& path) const {
 
 void Timeline::load_csv(const std::filesystem::path& path) {
   load_csv_document(read_csv(path), path.string());
-}
-
-void Timeline::load_csv_string(const std::string& text,
-                               const std::string& context) {
-  load_csv_document(parse_csv(text, context), context);
 }
 
 void Timeline::load_csv_document(const CsvDocument& doc,
@@ -389,6 +479,89 @@ void Timeline::load_csv_document(const CsvDocument& doc,
       CLIP_REQUIRE(false, "timeline CSV: unknown kind '" + kind + "'");
     }
   }
+}
+
+void Timeline::write_delta(std::string& out, TimelineMark& mark) const {
+  std::lock_guard lock(mu_);
+  // Both maps are in name order: walk each series beside its mark.
+  const auto write = [&out](char kind, const auto& all, auto& marks,
+                            const auto& field) {
+    auto m = marks.begin();
+    for (const auto& [name, s] : all) {
+      while (m != marks.end() && m->first < name) ++m;
+      if (m == marks.end() || m->first != name)
+        m = marks.emplace_hint(m, name, 0);
+      const std::uint64_t fresh = s.appended - m->second;
+      m->second = s.appended;
+      if (fresh == 0) continue;
+      out += kind;
+      append_delta_text(out, name);
+      // Points the ring evicted since the mark are gone: write what is held.
+      const auto n = static_cast<std::ptrdiff_t>(
+          std::min<std::uint64_t>(fresh, s.points.size()));
+      for (auto p = s.points.end() - n; p != s.points.end(); ++p) {
+        out += ',';
+        append_exact(out, p->t_s);
+        out += ',';
+        field(*p);
+      }
+      out += ';';
+    }
+  };
+  write('s', samples_, mark.samples,
+        [&out](const TimelinePoint& p) { append_exact(out, p.value); });
+  write('e', events_, mark.events,
+        [&out](const TimelineEvent& e) { append_delta_text(out, e.label); });
+}
+
+void Timeline::apply_delta(std::string_view delta) {
+  std::lock_guard lock(mu_);
+  std::string name;
+  std::string label;
+  while (!delta.empty()) {
+    const char kind = delta.front();
+    CLIP_REQUIRE(kind == 's' || kind == 'e',
+                 std::string("timeline delta: unknown series kind '") + kind +
+                     "'");
+    delta.remove_prefix(1);
+    read_delta_text(delta, name);
+    CLIP_REQUIRE(!name.empty(), "timeline delta: empty series name");
+    if (kind == 's') {
+      auto& s = series_of(samples_, name);
+      while (consume(delta, ',')) {
+        const double t_s = read_delta_double(delta, "t_s");
+        CLIP_REQUIRE(consume(delta, ','),
+                     "timeline delta: sample of '" + name + "' has no value");
+        const double value = read_delta_double(delta, "value");
+        if (push_point(s, TimelinePoint{t_s, value}, options_.ring_capacity,
+                       "series", name))
+          ++dropped_;
+      }
+    } else {
+      auto& s = series_of(events_, name);
+      while (consume(delta, ',')) {
+        const double t_s = read_delta_double(delta, "t_s");
+        CLIP_REQUIRE(consume(delta, ','),
+                     "timeline delta: event of '" + name + "' has no label");
+        read_delta_text(delta, label);
+        if (push_point(s, TimelineEvent{t_s, label}, options_.ring_capacity,
+                       "event series", name))
+          ++dropped_;
+      }
+    }
+    CLIP_REQUIRE(consume(delta, ';'),
+                 "timeline delta: series '" + name + "' is not terminated");
+  }
+}
+
+TimelineMark Timeline::mark() const {
+  std::lock_guard lock(mu_);
+  TimelineMark m;
+  for (const auto& [name, s] : samples_)
+    m.samples.emplace_hint(m.samples.end(), name, s.appended);
+  for (const auto& [name, s] : events_)
+    m.events.emplace_hint(m.events.end(), name, s.appended);
+  return m;
 }
 
 void Timeline::clear() {

@@ -11,6 +11,11 @@
 //   * deterministic CSV / JSONL export (doubles print as shortest-exact
 //     %.17g, series in name order, points in time order — two identical
 //     runs serialize byte-identically);
+//   * compact deltas: each series counts the points ever appended to it,
+//     and write_delta() renders only the points appended since a caller's
+//     TimelineMark — the scheduler journal's snapshots carry the flight
+//     record this way, and recovery folds the deltas back in order
+//     (apply_delta), so a snapshot costs what changed, not the whole run;
 //   * alignment and summary queries over the step-function interpretation
 //     of a series (value_at, resample, integral, time_above, summary).
 //
@@ -55,6 +60,14 @@ struct TimelineOptions {
   /// oldest point is evicted and dropped() is bumped. Event series are
   /// bounded the same way.
   std::size_t ring_capacity = 0;
+};
+
+/// Per series, the count of points ever appended (evicted ones included)
+/// as of the last delta written against this mark. Sample and event series
+/// are counted apart: one name may be both.
+struct TimelineMark {
+  std::map<std::string, std::uint64_t, std::less<>> samples;
+  std::map<std::string, std::uint64_t, std::less<>> events;
 };
 
 /// min/mean/max over a sample series plus its time extent.
@@ -123,15 +136,31 @@ class Timeline {
   /// then event rows, series in name order, points in time order.
   void write_csv(const std::filesystem::path& path) const;
 
-  /// The exact bytes write_csv would produce, as a string — the scheduler
-  /// journal embeds a run's timeline in its snapshots this way, so a
-  /// recovered run's flight record is byte-identical to the uninterrupted
-  /// one.
+  /// The exact bytes write_csv would produce, as a string — what tests and
+  /// benches compare to prove two runs' flight records byte-identical.
   [[nodiscard]] std::string to_csv_string() const;
 
-  /// Append the contents of a to_csv_string() export into this timeline.
-  /// Throws on malformed input; `context` names the source in errors.
-  void load_csv_string(const std::string& text, const std::string& context);
+  /// Append to `out` every point appended since `mark`, then advance
+  /// `mark` to now. One block per series with new points, sample series
+  /// first, each in name order:
+  ///
+  ///   ('s' | 'e') <name> (',' <t_s> ',' <value | label>)* ';'
+  ///
+  /// Doubles render by append_exact. Names and labels escape backslash,
+  /// space, newline, ',' and ';' as \\ \s \n \c \e, so any bytes round-trip
+  /// and the delta is one space-free, single-line token. A point the ring
+  /// buffer evicted before any delta wrote it is lost to the delta;
+  /// everything still held is written.
+  void write_delta(std::string& out, TimelineMark& mark) const;
+
+  /// Append the points of a write_delta() rendering, in order, exactly as
+  /// record()/event() would. Throws on malformed input. Folding a run's
+  /// deltas in order into a fresh timeline with the same options
+  /// reproduces its to_csv_string() byte for byte.
+  void apply_delta(std::string_view delta);
+
+  /// The mark a delta written now would leave: every point counted.
+  [[nodiscard]] TimelineMark mark() const;
 
   /// One JSON object per line, same order as the CSV.
   void write_jsonl(const std::filesystem::path& path) const;
@@ -146,17 +175,16 @@ class Timeline {
   [[nodiscard]] CsvDocument to_csv_document() const;
   void load_csv_document(const CsvDocument& doc, const std::string& context);
 
-  struct SampleSeries {
-    std::deque<TimelinePoint> points;
-  };
-  struct EventSeries {
-    std::deque<TimelineEvent> entries;
+  template <typename Point>
+  struct Series {
+    std::deque<Point> points;
+    std::uint64_t appended = 0;  ///< ever appended, evicted points included
   };
 
   mutable std::mutex mu_;
   TimelineOptions options_;
-  std::map<std::string, SampleSeries, std::less<>> samples_;
-  std::map<std::string, EventSeries, std::less<>> events_;
+  std::map<std::string, Series<TimelinePoint>, std::less<>> samples_;
+  std::map<std::string, Series<TimelineEvent>, std::less<>> events_;
   std::uint64_t dropped_ = 0;
 };
 

@@ -74,29 +74,6 @@ std::string journal_escape(std::string_view s) {
   return out;
 }
 
-std::string journal_unescape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    if (s[i] != '\\' || i + 1 >= s.size()) {
-      out.push_back(s[i]);
-      continue;
-    }
-    ++i;
-    switch (s[i]) {
-      case 'n':
-        out.push_back('\n');
-        break;
-      case 's':
-        out.push_back(' ');
-        break;
-      default:
-        out.push_back(s[i]);
-    }
-  }
-  return out;
-}
-
 Journal::Journal(JournalOptions options) : options_(options) {
   CLIP_REQUIRE(options.snapshot_every >= 1,
                "journal snapshot_every must be >= 1");

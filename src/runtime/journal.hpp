@@ -7,13 +7,18 @@
 // crash-requeue, complete, redistribution tick outcomes, mode transitions)
 // is appended as one record, with doubles rendered by obs::format_exact so a
 // replay parses back the exact bits. Periodically the loop also appends a
-// *snapshot* record — a complete serialization of its state (queue depth and
-// per-job states, running placements, the free pool implied by them,
-// BudgetGuard counters, pending redistribution claw-backs, the degraded-mode
-// state and the attached flight recorder). QueueEventLoop::recover restores
-// the latest snapshot, replays the suffix records as verification against
-// its own re-derived decisions, and resumes; a clean recovery is
-// byte-identical to a run that never died.
+// *snapshot* record: the rows of the jobs that changed and the flight
+// recorder's points appended since the previous snapshot, plus the rest of
+// its state whole (running placements, the free pool implied by them,
+// BudgetGuard counters, pending redistribution claw-backs, the
+// degraded-mode state). A snapshot thus costs what changed, and the journal
+// grows linearly with the run. QueueEventLoop::recover folds every snapshot
+// in order to rebuild the job table and flight record, restores the
+// latest one's other state, replays the suffix records as verification
+// against its own re-derived decisions, and resumes; a clean recovery is
+// byte-identical to a run that never died. The `begin` record names the
+// snapshot format (`snapfmt=2`), so a journal in another one is refused by
+// name.
 //
 // On disk a journal is line-oriented text: a version header, then one record
 // per line carrying a sequence number, a kind, a payload and a CRC-32 over
@@ -113,8 +118,7 @@ class Journal {
 [[nodiscard]] std::uint32_t crc32(std::string_view data);
 
 /// Make an arbitrary string safe as a payload token: escapes backslash,
-/// newline and space (so tokenized payloads survive embedded CSV or labels).
+/// newline and space (so tokenized payloads survive embedded names).
 [[nodiscard]] std::string journal_escape(std::string_view s);
-[[nodiscard]] std::string journal_unescape(std::string_view s);
 
 }  // namespace clip::runtime

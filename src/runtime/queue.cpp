@@ -1,6 +1,7 @@
 #include "runtime/queue.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <charconv>
 #include <concepts>
 #include <cstdlib>
@@ -88,35 +89,50 @@ std::string payload(const Pieces&... pieces) {
   return buffer;
 }
 
-double parse_double(const std::string& s, const char* what) {
-  char* end = nullptr;
-  const double v = std::strtod(s.c_str(), &end);
-  CLIP_REQUIRE(!s.empty() && end == s.c_str() + s.size(),
-               std::string("bad snapshot ") + what + ": '" + s + "'");
+double parse_double(std::string_view s, const char* what) {
+  double v = 0.0;
+  const auto r = std::from_chars(s.data(), s.data() + s.size(), v);
+  CLIP_REQUIRE(!s.empty() && r.ec == std::errc() &&
+                   r.ptr == s.data() + s.size(),
+               std::string("bad snapshot ") + what + ": '" + std::string(s) +
+                   "'");
   return v;
 }
 
-long long parse_int(const std::string& s, const char* what) {
-  char* end = nullptr;
-  const long long v = std::strtoll(s.c_str(), &end, 10);
-  CLIP_REQUIRE(!s.empty() && end == s.c_str() + s.size(),
-               std::string("bad snapshot ") + what + ": '" + s + "'");
+long long parse_int(std::string_view s, const char* what) {
+  long long v = 0;
+  const auto r = std::from_chars(s.data(), s.data() + s.size(), v);
+  CLIP_REQUIRE(!s.empty() && r.ec == std::errc() &&
+                   r.ptr == s.data() + s.size(),
+               std::string("bad snapshot ") + what + ": '" + std::string(s) +
+                   "'");
   return v;
 }
 
-std::vector<std::string> split(const std::string& s, char sep) {
-  std::vector<std::string> out;
-  if (s.empty()) return out;
-  std::size_t pos = 0;
-  for (;;) {
-    const std::size_t next = s.find(sep, pos);
-    if (next == std::string::npos) {
-      out.push_back(s.substr(pos));
-      return out;
-    }
-    out.push_back(s.substr(pos, next - pos));
-    pos = next + 1;
-  }
+/// An integer field that must lie in [lo, hi]: an index or enum a restored
+/// snapshot feeds back into the loop's tables.
+long long parse_bounded(std::string_view s, long long lo, long long hi,
+                        const char* what) {
+  const long long v = parse_int(s, what);
+  CLIP_REQUIRE(v >= lo && v <= hi,
+               std::string("snapshot ") + what + " out of range: " +
+                   std::to_string(v) + " not in [" + std::to_string(lo) +
+                   ", " + std::to_string(hi) + "]");
+  return v;
+}
+
+/// The text up to the next `sep` (or the end), consumed with its `sep`.
+std::string_view next_field(std::string_view& in, char sep) {
+  const std::size_t at = in.find(sep);
+  const std::string_view field = in.substr(0, at);
+  in.remove_prefix(at == std::string_view::npos ? in.size() : at + 1);
+  return field;
+}
+
+std::vector<std::string_view> split(std::string_view s, char sep) {
+  std::vector<std::string_view> out;
+  while (!s.empty()) out.push_back(next_field(s, sep));
+  return out;
 }
 
 std::string join_ints(const std::vector<int>& v, char sep) {
@@ -135,30 +151,40 @@ std::string bits(const std::vector<bool>& v) {
   return out;
 }
 
-void restore_bits(std::vector<bool>& v, const std::string& s,
+void restore_bits(std::vector<bool>& v, std::string_view s,
                   const char* what) {
   CLIP_REQUIRE(s.size() == v.size(), std::string("snapshot bitstring '") +
                                          what + "' size mismatch");
   for (std::size_t i = 0; i < v.size(); ++i) v[i] = s[i] == '1';
 }
 
-std::map<std::string, std::string> parse_tokens(const std::string& payload) {
-  std::map<std::string, std::string> out;
-  for (const std::string& token : split(payload, ' ')) {
+using Tokens = std::map<std::string_view, std::string_view, std::less<>>;
+
+/// A snapshot's `key=value` tokens, viewing the payload (which must outlive
+/// the map).
+Tokens parse_tokens(std::string_view payload) {
+  Tokens out;
+  while (!payload.empty()) {
+    const std::string_view token = next_field(payload, ' ');
     const std::size_t eq = token.find('=');
-    CLIP_REQUIRE(eq != std::string::npos && eq > 0,
-                 "malformed snapshot token: '" + token + "'");
+    CLIP_REQUIRE(eq != std::string_view::npos && eq > 0,
+                 "malformed snapshot token: '" + std::string(token) + "'");
     out[token.substr(0, eq)] = token.substr(eq + 1);
   }
   return out;
 }
 
-const std::string& tok(const std::map<std::string, std::string>& m,
-                       const std::string& key) {
+std::string_view tok(const Tokens& m, std::string_view key) {
   const auto it = m.find(key);
-  CLIP_REQUIRE(it != m.end(), "snapshot is missing token '" + key + "'");
+  CLIP_REQUIRE(it != m.end(),
+               "snapshot is missing token '" + std::string(key) + "'");
   return it->second;
 }
+
+/// The journal's snapshot encoding, named in every `begin` record:
+/// snapshots carry job-row and timeline deltas that recovery folds in
+/// order. A journal without it was written with whole-state snapshots.
+constexpr std::string_view kSnapshotFormat = "snapfmt=2";
 
 }  // namespace
 
@@ -1044,10 +1070,22 @@ QueueReport QueueEventLoop::recover(Journal& journal) {
   // check is prefix-tolerant: a journal torn before these records exist is a
   // legitimate early death, not a mismatch.
   const auto& records = journal.records();
-  if (!records.empty())
+  if (!records.empty()) {
+    // The snapshot format first: a journal written in another encoding
+    // must be refused as such, not misread or blamed on the configuration.
+    std::string_view format = records[0].payload;
+    format = format.substr(0, format.find(' '));
+    if (!format.starts_with("snapfmt=")) format = "none";
+    CLIP_REQUIRE(records[0].kind != "begin" || format == kSnapshotFormat,
+                 "journal snapshot format is '" + std::string(format) +
+                     "' but this build reads only " +
+                     std::string(kSnapshotFormat) +
+                     " (delta snapshots); recover it with the build that "
+                     "wrote it");
     CLIP_REQUIRE(records[0].kind == "begin" &&
                      records[0].payload == begin_payload(),
                  "journal was written by a different run configuration");
+  }
   if (records.size() > 1)
     CLIP_REQUIRE(records[1].kind == "admit" &&
                      records[1].payload == admits_payload(),
@@ -1059,7 +1097,7 @@ QueueReport QueueEventLoop::recover(Journal& journal) {
     journal.clear();
     return run_fresh();
   }
-  restore_state(records[*snap].payload);
+  restore_state(*snap);
   replay_cursor_ = *snap + 1;
   replay_limit_ = records.size();
   replaying_ = replay_cursor_ < replay_limit_;
@@ -1343,9 +1381,10 @@ void QueueEventLoop::maybe_snapshot() {
 }
 
 std::string QueueEventLoop::begin_payload() const {
-  std::string os = "budget=" + obs::format_exact(total_budget_) +
-                   " nodes=" + std::to_string(total_nodes_) +
-                   " jobs=" + std::to_string(jobs_.size());
+  std::string os(kSnapshotFormat);
+  os += " budget=" + obs::format_exact(total_budget_) +
+        " nodes=" + std::to_string(total_nodes_) +
+        " jobs=" + std::to_string(jobs_.size());
   os += options_.backfill ? " backfill=1" : " backfill=0";
   os += redist_on_ ? " redist=1" : " redist=0";
   os += injector_ != nullptr ? " injector=1" : " injector=0";
@@ -1377,13 +1416,38 @@ std::string QueueEventLoop::admits_payload() const {
   return os;
 }
 
-std::string QueueEventLoop::serialize_state() const {
+QueueEventLoop::JobRow QueueEventLoop::job_row(State state, int attempts,
+                                               double eligible_s,
+                                               const QueuedJobResult& r) {
+  JobRow row;
+  row.state = state;
+  row.attempts = attempts;
+  row.nodes = r.nodes;
+  row.report_attempts = r.attempts;
+  row.crashed_node = r.crashed_node;
+  row.completed = r.completed;
+  row.doubles = {std::bit_cast<std::uint64_t>(eligible_s),
+                 std::bit_cast<std::uint64_t>(r.submit_s),
+                 std::bit_cast<std::uint64_t>(r.start_s),
+                 std::bit_cast<std::uint64_t>(r.end_s),
+                 std::bit_cast<std::uint64_t>(r.budget_w),
+                 std::bit_cast<std::uint64_t>(r.power_w)};
+  return row;
+}
+
+QueueEventLoop::JobRow QueueEventLoop::job_row(std::size_t j) const {
+  return job_row(state_[j], attempts_[j], eligible_s_[j], report_.jobs[j]);
+}
+
+std::string QueueEventLoop::serialize_state() {
   // Snapshots fire every JournalOptions::snapshot_every records, making this
   // the journal's hot path; build the payload with direct appends into one
   // reserved string (ostringstream's << machinery dominated the journal-on
-  // overhead priced by bench/recovery.cpp).
+  // overhead priced by bench/recovery.cpp). The job table and the flight
+  // record go in as deltas against the previous snapshot, so a snapshot
+  // costs what changed rather than the whole run so far.
   std::string os;
-  os.reserve(768 + 96 * jobs_.size() + 224 * running_.size());
+  os.reserve(1024 + 224 * running_.size());
   const auto num = [&os](long long v) { os += std::to_string(v); };
   const auto dbl = [&os](double v) { obs::append_exact(os, v); };
   os += "init=";
@@ -1400,19 +1464,6 @@ std::string QueueEventLoop::serialize_state() const {
   os += meters_dark_ ? '1' : '0';
   os += " pause=";
   os += admission_paused_ ? '1' : '0';
-  os += " st=";
-  for (const State s : state_)
-    os += static_cast<char>('0' + static_cast<int>(s));
-  os += " att=";
-  for (std::size_t j = 0; j < jobs_.size(); ++j) {
-    if (j > 0) os += ',';
-    num(attempts_[j]);
-  }
-  os += " el=";
-  for (std::size_t j = 0; j < jobs_.size(); ++j) {
-    if (j > 0) os += ',';
-    dbl(eligible_s_[j]);
-  }
   os += " alive=";
   os += bits(node_alive_);
   os += " busy=";
@@ -1520,11 +1571,28 @@ std::string QueueEventLoop::serialize_state() const {
       }
     }
   }
+  // Rows of the jobs whose state, attempts, eligibility or report row
+  // changed since the previous snapshot, against a baseline that starts as
+  // the constructor left every job: the state recovery's fold starts from.
+  if (snap_rows_.empty())
+    snap_rows_.assign(jobs_.size(),
+                      job_row(State::kPending, 0, 0.0, QueuedJobResult{}));
+  os += " rows=";
+  const std::size_t rows_at = os.size();
   for (std::size_t j = 0; j < jobs_.size(); ++j) {
+    const JobRow row = job_row(j);
+    if (row == snap_rows_[j]) continue;
+    snap_rows_[j] = row;
     const QueuedJobResult& out = report_.jobs[j];
-    os += " rep.";
+    if (os.size() > rows_at) os += ',';
     num(static_cast<long long>(j));
-    os += '=';
+    os += ':';
+    os += static_cast<char>('0' + static_cast<int>(state_[j]));
+    os += ':';
+    num(attempts_[j]);
+    os += ':';
+    dbl(eligible_s_[j]);
+    os += ':';
     dbl(out.submit_s);
     os += ':';
     dbl(out.start_s);
@@ -1543,6 +1611,7 @@ std::string QueueEventLoop::serialize_state() const {
     os += ':';
     num(out.crashed_node);
   }
+  if (os.size() == rows_at) os += '-';
   os += " acc=";
   dbl(report_.total_energy_j);
   os += ':';
@@ -1609,39 +1678,77 @@ std::string QueueEventLoop::serialize_state() const {
   }
   os += " tl=";
   if (timeline_ != nullptr)
-    os += journal_escape(timeline_->to_csv_string());
+    timeline_->write_delta(os, snap_mark_);
   else
     os += '-';
   return os;
 }
 
-void QueueEventLoop::restore_state(const std::string& payload) {
-  const std::map<std::string, std::string> m = parse_tokens(payload);
+void QueueEventLoop::restore_state(std::size_t snap) {
+  const std::vector<JournalRecord>& records = journal_->records();
+  const long long last_job = static_cast<long long>(jobs_.size()) - 1;
+  const long long last_node = total_nodes_ - 1;
+
+  // The job table and the flight record: every snapshot's deltas, folded in
+  // order onto the state the constructor left.
+  Tokens m;
+  for (std::size_t i = 0; i <= snap; ++i) {
+    if (records[i].kind != "snapshot") continue;
+    m = parse_tokens(records[i].payload);
+    std::string_view rows = tok(m, "rows");
+    if (rows == "-") rows = {};
+    for (const std::string_view row : split(rows, ',')) {
+      const std::vector<std::string_view> f = split(row, ':');
+      CLIP_REQUIRE(f.size() == 13, "malformed snapshot job row: '" +
+                                       std::string(row) + "'");
+      const auto j = static_cast<std::size_t>(
+          parse_bounded(f[0], 0, last_job, "job row index"));
+      // clip-lint: allow(J1) restore_state is the journal's inverse: it rebuilds state FROM snapshot records during recover(), so journaling here would recurse
+      state_[j] = static_cast<State>(parse_bounded(f[1], 0, 3, "job state"));
+      attempts_[j] = static_cast<int>(parse_int(f[2], "attempts"));
+      eligible_s_[j] = parse_double(f[3], "eligible_s");
+      QueuedJobResult& out = report_.jobs[j];
+      out.submit_s = parse_double(f[4], "report submit");
+      out.start_s = parse_double(f[5], "report start");
+      out.end_s = parse_double(f[6], "report end");
+      out.nodes = static_cast<int>(parse_int(f[7], "report nodes"));
+      out.budget_w = parse_double(f[8], "report budget");
+      out.power_w = parse_double(f[9], "report power");
+      out.attempts = static_cast<int>(parse_int(f[10], "report attempts"));
+      out.completed = parse_int(f[11], "report completed") != 0;
+      out.crashed_node =
+          static_cast<int>(parse_int(f[12], "report crash node"));
+    }
+    if (timeline_ != nullptr) {
+      const std::string_view tl = tok(m, "tl");
+      CLIP_REQUIRE(tl != "-", "snapshot has no timeline but one is attached");
+      timeline_->apply_delta(tl);
+    }
+  }
+  for (std::size_t j = 0; j < jobs_.size(); ++j) {
+    // Strings are re-derived, not serialized: a job has its names set from
+    // the instant its first placement started.
+    if (attempts_[j] > 0) {
+      report_.jobs[j].app = jobs_[j].app.name;
+      report_.jobs[j].parameters = jobs_[j].app.parameters;
+    }
+  }
+  // The next snapshot's deltas start from here, as the dying run's did.
+  snap_rows_.resize(jobs_.size());
+  for (std::size_t j = 0; j < jobs_.size(); ++j) snap_rows_[j] = job_row(j);
+  if (timeline_ != nullptr) snap_mark_ = timeline_->mark();
+
+  // Everything else the latest snapshot (whose tokens `m` holds) carries
+  // whole.
   init_done_ = parse_int(tok(m, "init"), "init flag") != 0;
   now_ = parse_double(tok(m, "now"), "now");
-  // clip-lint: allow(J1) restore_state is the journal's inverse: it rebuilds state FROM a snapshot record during recover(), so journaling here would recurse
-  mode_ = static_cast<DegradedMode>(parse_int(tok(m, "mode"), "mode"));
+  mode_ = static_cast<DegradedMode>(parse_bounded(
+      tok(m, "mode"), 0, static_cast<int>(DegradedMode::kBudgetBrownout),
+      "mode"));
   effective_budget_ = parse_double(tok(m, "ebud"), "effective budget");
   applied_factor_ = parse_double(tok(m, "factor"), "budget factor");
   meters_dark_ = parse_int(tok(m, "dark"), "dark flag") != 0;
   admission_paused_ = parse_int(tok(m, "pause"), "pause flag") != 0;
-
-  const std::string& st = tok(m, "st");
-  CLIP_REQUIRE(st.size() == jobs_.size(), "snapshot job-state size mismatch");
-  for (std::size_t j = 0; j < jobs_.size(); ++j) {
-    CLIP_REQUIRE(st[j] >= '0' && st[j] <= '3',
-                 "bad snapshot job-state digit");
-    state_[j] = static_cast<State>(st[j] - '0');
-  }
-  const std::vector<std::string> att = split(tok(m, "att"), ',');
-  CLIP_REQUIRE(att.size() == jobs_.size(), "snapshot attempts size mismatch");
-  for (std::size_t j = 0; j < jobs_.size(); ++j)
-    attempts_[j] = static_cast<int>(parse_int(att[j], "attempts"));
-  const std::vector<std::string> el = split(tok(m, "el"), ',');
-  CLIP_REQUIRE(el.size() == jobs_.size(),
-               "snapshot eligibility size mismatch");
-  for (std::size_t j = 0; j < jobs_.size(); ++j)
-    eligible_s_[j] = parse_double(el[j], "eligible_s");
 
   restore_bits(node_alive_, tok(m, "alive"), "alive");
   restore_bits(node_busy_, tok(m, "busy"), "busy");
@@ -1658,20 +1765,23 @@ void QueueEventLoop::restore_state(const std::string& payload) {
   next_tick_s_ = parse_double(tok(m, "tick"), "next tick");
 
   enforcements_.clear();
-  for (const std::string& e : split(tok(m, "enf"), ',')) {
-    const std::vector<std::string> f = split(e, ':');
-    CLIP_REQUIRE(f.size() == 2, "malformed snapshot enforcement: '" + e + "'");
+  for (const std::string_view e : split(tok(m, "enf"), ',')) {
+    const std::vector<std::string_view> f = split(e, ':');
+    CLIP_REQUIRE(f.size() == 2, "malformed snapshot enforcement: '" +
+                                    std::string(e) + "'");
     enforcements_.push_back(
         {parse_double(f[0], "enforcement at"),
-         static_cast<int>(parse_int(f[1], "enforcement node"))});
+         static_cast<int>(
+             parse_bounded(f[1], 0, last_node, "enforcement node"))});
   }
   retry_wakeups_.clear();
-  for (const std::string& w : split(tok(m, "retry"), ','))
+  for (const std::string_view w : split(tok(m, "retry"), ','))
     retry_wakeups_.push_back(parse_double(w, "retry wakeup"));
   pending_claws_.clear();
-  for (const std::string& c : split(tok(m, "claw"), ',')) {
-    const std::vector<std::string> f = split(c, ':');
-    CLIP_REQUIRE(f.size() == 4, "malformed snapshot claw: '" + c + "'");
+  for (const std::string_view c : split(tok(m, "claw"), ',')) {
+    const std::vector<std::string_view> f = split(c, ':');
+    CLIP_REQUIRE(f.size() == 4,
+                 "malformed snapshot claw: '" + std::string(c) + "'");
     pending_claws_.push_back(
         {parse_double(f[0], "claw at"),
          static_cast<std::size_t>(parse_int(f[1], "claw job")),
@@ -1684,10 +1794,11 @@ void QueueEventLoop::restore_state(const std::string& payload) {
       static_cast<std::size_t>(parse_int(tok(m, "run.n"), "running count"));
   for (std::size_t k = 0; k < run_n; ++k) {
     const std::string key = std::to_string(k);
-    const std::vector<std::string> f = split(tok(m, "run." + key), ':');
+    const std::vector<std::string_view> f = split(tok(m, "run." + key), ':');
     CLIP_REQUIRE(f.size() == 13, "malformed snapshot running record");
     Running r;
-    r.job_index = static_cast<std::size_t>(parse_int(f[0], "running job"));
+    r.job_index = static_cast<std::size_t>(
+        parse_bounded(f[0], 0, last_job, "running job index"));
     r.start_s = parse_double(f[1], "running start");
     r.end_s = parse_double(f[2], "running end");
     r.power_w = parse_double(f[3], "running slice");
@@ -1700,56 +1811,39 @@ void QueueEventLoop::restore_state(const std::string& payload) {
     r.frac_done = parse_double(f[10], "running frac");
     r.change_s = parse_double(f[11], "running change_s");
     r.ff_remaining = parse_double(f[12], "running ff_remaining");
-    for (const std::string& id : split(tok(m, "ids." + key), '/'))
-      r.node_ids.push_back(static_cast<int>(parse_int(id, "node id")));
-    const std::vector<std::string> cf = split(tok(m, "cfg." + key), ':');
+    for (const std::string_view id : split(tok(m, "ids." + key), '/'))
+      r.node_ids.push_back(
+          static_cast<int>(parse_bounded(id, 0, last_node, "node id")));
+    const std::vector<std::string_view> cf = split(tok(m, "cfg." + key), ':');
     CLIP_REQUIRE(cf.size() == 6, "malformed snapshot running config");
     r.config.nodes = static_cast<int>(parse_int(cf[0], "config nodes"));
     r.config.node.threads =
         static_cast<int>(parse_int(cf[1], "config threads"));
-    r.config.node.affinity = static_cast<parallel::AffinityPolicy>(
-        parse_int(cf[2], "config affinity"));
-    r.config.node.mem_level =
-        static_cast<sim::MemPowerLevel>(parse_int(cf[3], "config mem level"));
+    r.config.node.affinity =
+        static_cast<parallel::AffinityPolicy>(parse_bounded(
+            cf[2], 0, static_cast<int>(parallel::AffinityPolicy::kScatter),
+            "config affinity"));
+    r.config.node.mem_level = static_cast<sim::MemPowerLevel>(
+        parse_bounded(cf[3], 0, static_cast<int>(sim::MemPowerLevel::kL3),
+                      "config mem level"));
     r.config.node.cpu_cap = Watts(parse_double(cf[4], "config cpu cap"));
     r.config.node.mem_cap = Watts(parse_double(cf[5], "config mem cap"));
-    const std::string& ovr = tok(m, "ovr." + key);
+    const std::string_view ovr = tok(m, "ovr." + key);
     if (ovr != "-")
-      for (const std::string& o : split(ovr, ';'))
+      for (const std::string_view o : split(ovr, ';'))
         r.config.cpu_cap_overrides.push_back(
             Watts(parse_double(o, "config cap override")));
     running_.push_back(std::move(r));
   }
 
-  for (std::size_t j = 0; j < jobs_.size(); ++j) {
-    const std::vector<std::string> f =
-        split(tok(m, "rep." + std::to_string(j)), ':');
-    CLIP_REQUIRE(f.size() == 9, "malformed snapshot job report row");
-    QueuedJobResult& out = report_.jobs[j];
-    out.submit_s = parse_double(f[0], "report submit");
-    out.start_s = parse_double(f[1], "report start");
-    out.end_s = parse_double(f[2], "report end");
-    out.nodes = static_cast<int>(parse_int(f[3], "report nodes"));
-    out.budget_w = parse_double(f[4], "report budget");
-    out.power_w = parse_double(f[5], "report power");
-    out.attempts = static_cast<int>(parse_int(f[6], "report attempts"));
-    out.completed = parse_int(f[7], "report completed") != 0;
-    out.crashed_node = static_cast<int>(parse_int(f[8], "report crash node"));
-    // Strings are re-derived, not serialized: a job has its names set from
-    // the instant its first placement started.
-    if (attempts_[j] > 0) {
-      out.app = jobs_[j].app.name;
-      out.parameters = jobs_[j].app.parameters;
-    }
-  }
   {
-    const std::vector<std::string> f = split(tok(m, "acc"), ':');
+    const std::vector<std::string_view> f = split(tok(m, "acc"), ':');
     CLIP_REQUIRE(f.size() == 2, "malformed snapshot accounting");
     report_.total_energy_j = parse_double(f[0], "total energy");
     report_.node_seconds_used = parse_double(f[1], "node seconds");
   }
   {
-    const std::vector<std::string> f = split(tok(m, "racc"), ':');
+    const std::vector<std::string_view> f = split(tok(m, "racc"), ':');
     CLIP_REQUIRE(f.size() == 3, "malformed snapshot resilience accounting");
     report_.retries = static_cast<int>(parse_int(f[0], "retries"));
     report_.jobs_failed = static_cast<int>(parse_int(f[1], "jobs failed"));
@@ -1758,14 +1852,14 @@ void QueueEventLoop::restore_state(const std::string& payload) {
   }
   report_.crashed_nodes.clear();
   {
-    const std::string& cn = tok(m, "cn");
+    const std::string_view cn = tok(m, "cn");
     if (cn != "-")
-      for (const std::string& n : split(cn, '/'))
+      for (const std::string_view n : split(cn, '/'))
         report_.crashed_nodes.push_back(
             static_cast<int>(parse_int(n, "crashed node")));
   }
   {
-    const std::vector<std::string> f = split(tok(m, "racc2"), ':');
+    const std::vector<std::string_view> f = split(tok(m, "racc2"), ':');
     CLIP_REQUIRE(f.size() == 5,
                  "malformed snapshot redistribution accounting");
     report_.redist_claw_backs =
@@ -1777,7 +1871,7 @@ void QueueEventLoop::restore_state(const std::string& payload) {
     report_.redist_granted_w = parse_double(f[4], "granted watts");
   }
   {
-    const std::vector<std::string> f = split(tok(m, "guard"), ':');
+    const std::vector<std::string_view> f = split(tok(m, "guard"), ':');
     CLIP_REQUIRE(f.size() == 5, "malformed snapshot guard state");
     guard_.restore_counters(
         parse_double(f[0], "violation_s"), parse_double(f[1], "violation_ws"),
@@ -1786,33 +1880,28 @@ void QueueEventLoop::restore_state(const std::string& payload) {
     guard_.set_budget(Watts(parse_double(f[4], "guard budget")));
   }
   {
-    const std::string& ve = tok(m, "vends");
+    const std::string_view ve = tok(m, "vends");
     if (injector_ != nullptr) {
       CLIP_REQUIRE(ve != "-",
                    "snapshot has no injector state but one is attached");
       std::vector<double> ends;
-      for (const std::string& v : split(ve, ','))
+      for (const std::string_view v : split(ve, ','))
         ends.push_back(parse_double(v, "violation end"));
       injector_->restore_violation_ends(ends);
     }
   }
   if (redist_on_) {
-    const std::string& det = tok(m, "det");
+    const std::string_view det = tok(m, "det");
     CLIP_REQUIRE(det != "-",
                  "snapshot has no detector samples but redistribution is on");
-    for (const std::string& entry : split(det, ',')) {
-      const std::vector<std::string> f = split(entry, ':');
-      CLIP_REQUIRE(f.size() == 3,
-                   "malformed snapshot detector sample: '" + entry + "'");
+    for (const std::string_view entry : split(det, ',')) {
+      const std::vector<std::string_view> f = split(entry, ':');
+      CLIP_REQUIRE(f.size() == 3, "malformed snapshot detector sample: '" +
+                                      std::string(entry) + "'");
       detector_.observe(static_cast<int>(parse_int(f[0], "detector node")),
                         parse_double(f[1], "detector t"),
                         parse_double(f[2], "detector draw"));
     }
-  }
-  if (timeline_ != nullptr) {
-    const std::string& tl = tok(m, "tl");
-    CLIP_REQUIRE(tl != "-", "snapshot has no timeline but one is attached");
-    timeline_->load_csv_string(journal_unescape(tl), "journal snapshot");
   }
 }
 

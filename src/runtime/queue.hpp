@@ -46,16 +46,20 @@
 // Crash consistency (docs/robustness.md): the event loop lives in
 // QueueEventLoop, a single-shot class whose entire state can be serialized.
 // With a Journal attached (runtime/journal.hpp) every state-changing event
-// is journaled and the state is periodically snapshotted;
-// QueueEventLoop::recover restores the latest snapshot from a journal whose
-// tail was lost with the dying coordinator, replays the surviving suffix as
-// verification, re-derives in-flight placements against the fault plan, and
-// resumes — finishing with byte-identical reports, summaries and timelines
-// to a run that never died. Degraded operating modes (METER_BLACKOUT,
+// is journaled and the state is periodically snapshotted: each snapshot
+// carries the job rows and flight-recorder points that changed since the
+// previous one, plus the rest of the loop state whole.
+// QueueEventLoop::recover takes a journal whose tail was lost with the
+// dying coordinator, folds its snapshots in order, restores the latest
+// one's state, replays the surviving suffix as verification, re-derives
+// in-flight placements against the fault plan, and resumes — finishing
+// with byte-identical reports, summaries and timelines to a run that never
+// died. Degraded operating modes (METER_BLACKOUT,
 // BUDGET_BROWNOUT) are driven by fault-plan entries and surfaced through
 // the mode.* observability series.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -65,6 +69,7 @@
 #include "fault/budget_guard.hpp"
 #include "fault/injector.hpp"
 #include "obs/session.hpp"
+#include "obs/timeline.hpp"
 #include "obs/trace_context.hpp"
 #include "runtime/redistribution.hpp"
 #include "sim/executor.hpp"
@@ -72,7 +77,6 @@
 #include "workloads/signature.hpp"
 
 namespace clip::obs {
-class Timeline;
 class TelemetryServer;
 }
 
@@ -191,7 +195,7 @@ enum class DegradedMode {
 /// The queue's event loop as a single-shot, crash-consistent object: one
 /// constructed instance runs one job stream exactly once (via run(), or
 /// recover() to resume a prior instance's journal). All state lives in
-/// members so a snapshot can serialize it completely; see the header
+/// members so the journal's snapshots can rebuild it; see the header
 /// comment and runtime/journal.hpp for the recovery contract.
 class QueueEventLoop {
  public:
@@ -217,15 +221,18 @@ class QueueEventLoop {
   [[nodiscard]] QueueReport run();
 
   /// Resume a run whose coordinator died, from `journal` (also attaches
-  /// it): restore the latest snapshot, replay the surviving suffix as
-  /// verification against the loop's own re-derived decisions (a divergent
-  /// suffix is truncated and reported as a journal gap), re-derive the
-  /// restored in-flight placements against the fault plan, and run to
-  /// completion. The loop must be constructed with the same executor,
-  /// scheduler, options and jobs as the run that wrote the journal, and
-  /// given fresh injector/timeline attachments (their state is restored
-  /// from the snapshot). A journal with no snapshot yet restarts from
-  /// scratch. Single-shot, like run().
+  /// it): fold every snapshot's job-row and timeline deltas in order,
+  /// restore the latest snapshot's other state, replay the surviving
+  /// suffix as verification against the loop's own re-derived decisions (a
+  /// divergent suffix is truncated and reported as a journal gap),
+  /// re-derive the restored in-flight placements against the fault plan,
+  /// and run to completion. The loop must be constructed with the same
+  /// executor, scheduler, options and jobs as the run that wrote the
+  /// journal, and given fresh injector/timeline attachments (their state is
+  /// restored from the snapshots). A journal whose `begin` does not name
+  /// this build's snapshot format is refused with an error naming it. A
+  /// journal with no snapshot yet restarts from scratch. Single-shot, like
+  /// run().
   [[nodiscard]] QueueReport recover(Journal& journal);
 
   /// Mode the loop was in when it finished (kNormal unless a blackout or
@@ -263,6 +270,20 @@ class QueueEventLoop {
     double ff_remaining = 0.0;   ///< fault-free work seconds left at change_s
   };
   enum class State { kPending, kRunning, kDone, kFailed };
+  /// One job's row as snapshots carry it: queue state, attempts,
+  /// eligibility and report row. Doubles are held as their bits, so -0.0
+  /// and 0.0 differ, as their renderings do.
+  struct JobRow {
+    State state = State::kPending;
+    int attempts = 0;
+    int nodes = 0;
+    int report_attempts = 0;
+    int crashed_node = 0;
+    bool completed = false;
+    /// eligible_s, submit_s, start_s, end_s, budget_w, power_w
+    std::array<std::uint64_t, 6> doubles{};
+    bool operator==(const JobRow&) const = default;
+  };
   struct Enforcement {
     double at_s;
     int node;
@@ -333,8 +354,16 @@ class QueueEventLoop {
   void maybe_snapshot();
   [[nodiscard]] std::string begin_payload() const;
   [[nodiscard]] std::string admits_payload() const;
-  [[nodiscard]] std::string serialize_state() const;
-  void restore_state(const std::string& payload);
+  /// The next snapshot's payload. Advances the delta baselines: replayed
+  /// and fresh snapshots alike go through here.
+  [[nodiscard]] std::string serialize_state();
+  /// Fold every snapshot in records [0, snap] in order, then restore
+  /// record `snap`'s other state.
+  void restore_state(std::size_t snap);
+  [[nodiscard]] static JobRow job_row(State state, int attempts,
+                                      double eligible_s,
+                                      const QueuedJobResult& r);
+  [[nodiscard]] JobRow job_row(std::size_t j) const;
   void rederive_running();
 
   sim::SimExecutor* executor_;
@@ -393,6 +422,11 @@ class QueueEventLoop {
   std::size_t replay_cursor_ = 0;
   std::size_t replay_limit_ = 0;
   int records_since_snapshot_ = 0;
+  // What the previous snapshot left, so the next carries only what changed:
+  // every job's row and the flight recorder's mark. The rows are sized on
+  // the first snapshot, so a loop with no journal never allocates them.
+  std::vector<JobRow> snap_rows_;
+  obs::TimelineMark snap_mark_;
   /// True while records [replay_cursor_, replay_limit_) are being verified:
   /// action_obs() is nullptr so replay never double-counts.
   bool replaying_ = false;

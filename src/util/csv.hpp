@@ -25,12 +25,12 @@ void write_csv(const std::filesystem::path& path, const CsvDocument& doc);
 [[nodiscard]] CsvDocument read_csv(const std::filesystem::path& path);
 
 /// The exact bytes write_csv would put on disk, as a string — for callers
-/// that stage contents before an atomic rename (util/fsio.hpp) or embed a
-/// document inside another record (the scheduler journal's snapshots).
+/// that stage contents before an atomic rename (util/fsio.hpp) or compare
+/// exports in memory.
 [[nodiscard]] std::string render_csv(const CsvDocument& doc);
 
 /// Parse render_csv/write_csv output. `context` names the source in error
-/// messages (a path, "snapshot", ...). Throws on malformed input.
+/// messages (a path, ...). Throws on malformed input.
 [[nodiscard]] CsvDocument parse_csv(const std::string& text,
                                     const std::string& context);
 

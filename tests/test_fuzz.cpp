@@ -14,6 +14,7 @@
 #include "fault/injector.hpp"
 #include "fault/plan.hpp"
 #include "lint.hpp"
+#include "obs/timeline.hpp"
 #include "runtime/journal.hpp"
 #include "runtime/queue.hpp"
 #include "sim/executor.hpp"
@@ -310,20 +311,38 @@ TEST_P(RecoveryFuzz, RandomKillPointsRecoverByteIdentically) {
     (void)warm.run(jobs);
   }
 
+  // The report and the flight record, byte for byte.
   const auto run_with = [&](runtime::Journal* journal,
                             runtime::Journal* resume) {
     runtime::QueueEventLoop loop(ex, sched, opt, jobs);
+    obs::Timeline timeline;
+    loop.set_timeline(&timeline);
     std::optional<fault::FaultInjector> injector;
     if (!plan.empty()) {
       injector.emplace(plan, ex.spec().nodes);
       loop.set_fault_injector(&*injector);
     }
     if (journal != nullptr) loop.set_journal(journal);
-    return resume != nullptr ? loop.recover(*resume) : loop.run();
+    const runtime::QueueReport r =
+        resume != nullptr ? loop.recover(*resume) : loop.run();
+    return report_fingerprint(r) + '\n' + timeline.to_csv_string();
+  };
+  const auto journal_text = [](const runtime::Journal& j) {
+    std::string out;
+    for (const auto& r : j.records())
+      out += r.kind + ' ' + r.payload + '\n';
+    return out;
   };
 
-  runtime::Journal reference;
-  const std::string ref = report_fingerprint(run_with(&reference, nullptr));
+  // A 10-job journal holds about 30 records: a cadence of 1-8 puts several
+  // snapshots in it, so the cuts restore and fold them rather than restart.
+  runtime::JournalOptions jopt;
+  jopt.snapshot_every = static_cast<int>(Rng(0x5AE7 + seed).uniform_int(1, 8));
+  runtime::Journal reference(jopt);
+  const std::string ref = run_with(&reference, nullptr);
+  ASSERT_TRUE(reference.last_snapshot().has_value())
+      << "seed " << seed << " every " << jopt.snapshot_every;
+  const std::string ref_journal = journal_text(reference);
 
   Rng rng(0x171F + seed);
   for (int trial = 0; trial < 5; ++trial) {
@@ -331,8 +350,12 @@ TEST_P(RecoveryFuzz, RandomKillPointsRecoverByteIdentically) {
         rng.uniform_int(0, static_cast<int>(reference.size())));
     runtime::Journal j = reference;
     j.truncate(kill);
-    EXPECT_EQ(report_fingerprint(run_with(nullptr, &j)), ref)
-        << "seed " << seed << " kill@" << kill << " of " << reference.size();
+    EXPECT_EQ(run_with(nullptr, &j), ref)
+        << "seed " << seed << " every " << jopt.snapshot_every << " kill@"
+        << kill << " of " << reference.size();
+    EXPECT_EQ(journal_text(j), ref_journal)
+        << "seed " << seed << " every " << jopt.snapshot_every << " kill@"
+        << kill << " of " << reference.size();
   }
 }
 

@@ -6,8 +6,10 @@
 // byte-identical to one that never died.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -109,13 +111,15 @@ TEST(Journal, Crc32MatchesTheIeeeCheckValue) {
   EXPECT_EQ(runtime::crc32(""), 0x00000000u);
 }
 
-TEST(Journal, EscapeRoundTripsSpacesNewlinesAndBackslashes) {
+TEST(Journal, EscapeMakesAnyNameOneSpaceFreeLine) {
   const std::string raw = "a b\nc\\d \\n e,f;g";
   const std::string esc = runtime::journal_escape(raw);
   EXPECT_EQ(esc.find(' '), std::string::npos);
   EXPECT_EQ(esc.find('\n'), std::string::npos);
-  EXPECT_EQ(runtime::journal_unescape(esc), raw);
-  EXPECT_EQ(runtime::journal_unescape(runtime::journal_escape("")), "");
+  EXPECT_EQ(esc, "a\\sb\\nc\\\\d\\s\\\\n\\se,f;g");
+  // A literal backslash-s must not collide with an escaped space.
+  EXPECT_NE(runtime::journal_escape("\\s"), runtime::journal_escape(" "));
+  EXPECT_EQ(runtime::journal_escape(""), "");
 }
 
 TEST(Journal, SaveLoadRoundTripsExactly) {
@@ -443,6 +447,44 @@ TEST_P(KillPoint, EveryEventBoundaryRecoversByteIdentically) {
   }
 }
 
+// A ring-buffered flight recorder evicts points between snapshots, some
+// before any snapshot wrote them; recovery must still rebuild the same
+// window, and the deltas it writes next must match the dying run's.
+TEST(Recovery, RingBufferedTimelineRecoversByteIdentically) {
+  Cluster& c = cluster();
+  const auto scenarios = recovery_scenarios(c.horizon_s);
+  const fault::FaultPlan& plan = scenarios[1].plan;  // crash-1
+  obs::TimelineOptions ring;
+  ring.ring_capacity = 3;
+  std::uint64_t dropped = 0;
+  const auto drive = [&](runtime::Journal* journal,
+                         runtime::Journal* resume) {
+    runtime::QueueEventLoop loop(c.ex, c.sched, c.opt, c.jobs);
+    obs::Timeline timeline(ring);
+    fault::FaultInjector injector(plan, c.ex.spec().nodes);
+    loop.set_timeline(&timeline);
+    loop.set_fault_injector(&injector);
+    if (journal != nullptr) loop.set_journal(journal);
+    const runtime::QueueReport r =
+        resume != nullptr ? loop.recover(*resume) : loop.run();
+    dropped = timeline.dropped();
+    return fingerprint(r) + '\n' + timeline.to_csv_string();
+  };
+
+  runtime::JournalOptions jopt;
+  jopt.snapshot_every = 5;
+  runtime::Journal reference(jopt);
+  const std::string ref = drive(&reference, nullptr);
+  ASSERT_GT(dropped, 0u) << "the ring never evicted; test covers nothing";
+  const std::string ref_journal = journal_text(reference);
+  for (std::size_t kill = 0; kill <= reference.size(); ++kill) {
+    runtime::Journal j = reference;
+    j.truncate(kill);
+    ASSERT_EQ(drive(nullptr, &j), ref) << "kill@" << kill;
+    ASSERT_EQ(journal_text(j), ref_journal) << "kill@" << kill;
+  }
+}
+
 TEST(Recovery, CountersAccountReplayAndRecovery) {
   Cluster& c = cluster();
   const auto scenarios = recovery_scenarios(c.horizon_s);
@@ -520,6 +562,33 @@ TEST(Recovery, RejectsAJournalFromADifferentConfiguration) {
   EXPECT_THROW((void)wrong_jobs.recover(j2), PreconditionError);
 }
 
+TEST(Recovery, RejectsAJournalWithoutTheSnapshotFormatByName) {
+  Cluster& c = cluster();
+  runtime::JournalOptions jopt;
+  jopt.snapshot_every = 5;
+  runtime::Journal journal(jopt);
+  (void)c.run({}, &journal);
+  const std::string& begin = journal.records().front().payload;
+  ASSERT_EQ(begin.rfind("snapfmt=2 ", 0), 0u) << begin;
+
+  // The same run as an older build wrote it: no format token in `begin`.
+  runtime::Journal old(jopt);
+  old.append("begin", begin.substr(std::string("snapfmt=2 ").size()));
+  for (std::size_t i = 1; i < journal.size(); ++i)
+    old.append(journal.records()[i].kind, journal.records()[i].payload);
+  runtime::QueueEventLoop loop(c.ex, c.sched, c.opt, c.jobs);
+  obs::Timeline timeline;
+  loop.set_timeline(&timeline);
+  try {
+    (void)loop.recover(old);
+    ADD_FAILURE() << "a journal without snapfmt=2 was recovered";
+  } catch (const PreconditionError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("snapshot format"), std::string::npos) << what;
+    EXPECT_NE(what.find("snapfmt=2"), std::string::npos) << what;
+  }
+}
+
 TEST(Recovery, EmptyJournalRecoversByRestartingFromScratch) {
   Cluster& c = cluster();
   const Cluster::Run plain = c.run({}, nullptr);
@@ -529,6 +598,111 @@ TEST(Recovery, EmptyJournalRecoversByRestartingFromScratch) {
   ASSERT_FALSE(j.empty());
   EXPECT_EQ(j.records().front().kind, "begin");
   EXPECT_EQ(j.records().back().kind, "end");
+}
+
+// ---------------------------------------------------- snapshot bounds ----
+// restore_state feeds indices and enum values from a snapshot back into the
+// loop's tables. A CRC-valid record holding one out of range must be
+// refused by name, never index past a table.
+
+using Edit = std::function<std::string(const std::string&)>;
+
+/// `payload` with the value of token `key` passed through `edit`.
+std::string edit_token(const std::string& payload, const std::string& key,
+                       const Edit& edit) {
+  const std::string needle = " " + key + "=";
+  const std::size_t at = payload.find(needle);
+  if (at == std::string::npos) {
+    ADD_FAILURE() << "snapshot has no token " << key;
+    return payload;
+  }
+  const std::size_t from = at + needle.size();
+  const std::size_t to = std::min(payload.find(' ', from), payload.size());
+  return payload.substr(0, from) + edit(payload.substr(from, to - from)) +
+         payload.substr(to);
+}
+
+/// `value` with its `field`-th `sep`-separated field replaced by `with`.
+Edit set_field(char sep, std::size_t field, std::string with) {
+  return [=](const std::string& value) {
+    std::size_t from = 0;
+    for (std::size_t i = 0; i < field; ++i) from = value.find(sep, from) + 1;
+    const std::size_t to = std::min(value.find(sep, from), value.size());
+    return value.substr(0, from) + with + value.substr(to);
+  };
+}
+
+/// What recover() says when the first crash-1 snapshot holding a running
+/// job and changed job rows has its token `key` passed through `edit`, with
+/// the journal cut right after it ("" when it recovered).
+std::string refusal(const std::string& key, const Edit& edit) {
+  Cluster& c = cluster();
+  const fault::FaultPlan plan = recovery_scenarios(c.horizon_s)[1].plan;
+  runtime::JournalOptions jopt;
+  jopt.snapshot_every = 5;
+  runtime::Journal reference(jopt);
+  (void)c.run(plan, &reference);
+  const auto& records = reference.records();
+  std::size_t snap = 0;
+  while (snap < records.size() &&
+         (records[snap].kind != "snapshot" ||
+          records[snap].payload.find(" run.n=0 ") != std::string::npos ||
+          records[snap].payload.find(" rows=- ") != std::string::npos))
+    ++snap;
+  if (snap == records.size()) {
+    ADD_FAILURE() << "no snapshot holds a running job";
+    return "";
+  }
+  runtime::Journal cut(jopt);
+  for (std::size_t i = 0; i < snap; ++i)
+    cut.append(records[i].kind, records[i].payload);
+  cut.append("snapshot", edit_token(records[snap].payload, key, edit));
+  try {
+    (void)c.recover(plan, cut);
+  } catch (const PreconditionError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+bool names(const std::string& what, const std::string& field) {
+  return what.find("snapshot " + field + " out of range") != std::string::npos;
+}
+
+/// One past the last valid job index and node id.
+std::string job_count() { return std::to_string(cluster().jobs.size()); }
+std::string node_count() { return std::to_string(cluster().ex.spec().nodes); }
+
+TEST(SnapshotBounds, JobRowIndexIsChecked) {
+  const std::string what = refusal("rows", set_field(':', 0, job_count()));
+  EXPECT_TRUE(names(what, "job row index")) << what;
+}
+
+TEST(SnapshotBounds, RunningJobIndexIsChecked) {
+  const std::string what = refusal("run.0", set_field(':', 0, job_count()));
+  EXPECT_TRUE(names(what, "running job index")) << what;
+}
+
+TEST(SnapshotBounds, NodeIdsAreChecked) {
+  for (const std::string& id : {node_count(), std::string("-1")}) {
+    const std::string what = refusal("ids.0", set_field('/', 0, id));
+    EXPECT_TRUE(names(what, "node id")) << id << ": " << what;
+  }
+}
+
+TEST(SnapshotBounds, EnforcementNodeIsChecked) {
+  const std::string what = refusal(
+      "enf", [](const std::string&) { return "1.5:" + node_count(); });
+  EXPECT_TRUE(names(what, "enforcement node")) << what;
+}
+
+TEST(SnapshotBounds, EnumFieldsAreChecked) {
+  std::string what = refusal("mode", set_field(':', 0, "3"));
+  EXPECT_TRUE(names(what, "mode")) << what;
+  what = refusal("cfg.0", set_field(':', 2, "2"));
+  EXPECT_TRUE(names(what, "config affinity")) << what;
+  what = refusal("cfg.0", set_field(':', 3, "4"));
+  EXPECT_TRUE(names(what, "config mem level")) << what;
 }
 
 // Redistribution emits its own journal record kinds (tick/shift/grant/claw)

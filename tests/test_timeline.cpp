@@ -7,6 +7,7 @@
 
 #include <unistd.h>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -226,8 +227,8 @@ TEST(Timeline, EventStreamCsvRoundTripAcrossStreams) {
   EXPECT_EQ(job[2].label, "");
   EXPECT_EQ(loaded.events("mode").size(), 2u);
   EXPECT_EQ(loaded.samples("mode").size(), 1u);
-  // The string form matches the file form exactly (journal snapshots embed
-  // timelines via to_csv_string, so the two paths must agree).
+  // The string form matches the file form exactly (tests and benches
+  // compare flight records via to_csv_string, so the two paths must agree).
   EXPECT_EQ(tl.to_csv_string(), slurp(p1));
   std::filesystem::remove(p1);
   std::filesystem::remove(p2);
@@ -290,6 +291,131 @@ TEST(Timeline, LoadCsvRejectsMalformedInput) {
   }
   EXPECT_THROW(tl.load_csv(p), PreconditionError);
   std::filesystem::remove(p);
+}
+
+// -------------------------------------------------------- Timeline deltas ----
+// The journal's snapshots carry the flight record as write_delta() blocks;
+// recovery folds them back with apply_delta(). The fold must reproduce the
+// export byte for byte, whatever the names and labels hold.
+
+/// Text built from what a delta must escape or pass through untouched: its
+/// own separators, the journal's, quoting, '=', escape look-alikes and
+/// non-ASCII bytes.
+std::string hostile_text(Rng& rng, std::int64_t min_pieces) {
+  static const std::vector<std::string> kPieces = {
+      " ", ",", ";", "\"", "\\", "\n", "=", "\\s", "\\c", "\\e",
+      "#", ":", "node1", ".pw", "\xc3\xa9", "\xff", "\x01", "\t",
+      "\xe2\x82\xac"};
+  std::string out;
+  const std::int64_t n = rng.uniform_int(min_pieces, 5);
+  for (std::int64_t i = 0; i < n; ++i)
+    out += kPieces[static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(kPieces.size()) - 1))];
+  return out;
+}
+
+TEST(TimelineDelta, FoldedDeltasReproduceTheCsvByteForByte) {
+  static const double kValues[] = {0.0,    -0.0,   1.0 / 3.0, 1e-300,
+                                   5e-324, -1e300, 42.0,      0.1};
+  Rng rng(0xDE17A);
+  std::vector<std::string> names;
+  for (int i = 0; i < 8; ++i) names.push_back(hostile_text(rng, 1));
+  obs::Timeline live;
+  obs::Timeline folded;
+  obs::TimelineMark mark;
+  double t = 0.0;
+  for (int round = 0; round < 6; ++round) {
+    const std::int64_t points = rng.uniform_int(0, 40);
+    for (std::int64_t k = 0; k < points; ++k) {
+      t += 0.125 * static_cast<double>(rng.uniform_int(0, 2));  // ties too
+      const std::string& name = names[static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(names.size()) - 1))];
+      if (rng.uniform() < 0.5)
+        live.record(name, t,
+                    kValues[static_cast<std::size_t>(rng.uniform_int(0, 7))]);
+      else
+        live.event(name, t, hostile_text(rng, 0));
+    }
+    std::string delta;
+    live.write_delta(delta, mark);
+    EXPECT_EQ(delta.find(' '), std::string::npos) << "round " << round;
+    EXPECT_EQ(delta.find('\n'), std::string::npos) << "round " << round;
+    folded.apply_delta(delta);
+    ASSERT_EQ(folded.to_csv_string(), live.to_csv_string())
+        << "round " << round;
+  }
+  EXPECT_GT(live.total_samples(), 0u);
+}
+
+TEST(TimelineDelta, NothingNewWritesAnEmptyDelta) {
+  obs::Timeline live;
+  obs::TimelineMark mark;
+  std::string delta;
+  live.write_delta(delta, mark);
+  EXPECT_EQ(delta, "");  // an empty timeline
+  live.record("p", 1.0, 2.0);
+  live.event("e", 1.0, "x");
+  live.write_delta(delta, mark);
+  EXPECT_EQ(delta, "sp,1,2;ee,1,x;");
+  std::string again;
+  live.write_delta(again, mark);
+  EXPECT_EQ(again, "");  // nothing since the previous delta
+
+  obs::Timeline folded;
+  folded.apply_delta("");
+  folded.apply_delta(delta);
+  folded.apply_delta(again);
+  EXPECT_EQ(folded.to_csv_string(), live.to_csv_string());
+}
+
+TEST(TimelineDelta, RingEvictionsBetweenDeltasFoldToTheSameWindow) {
+  obs::TimelineOptions opt;
+  opt.ring_capacity = 4;
+  obs::Timeline live(opt);
+  obs::Timeline folded(opt);
+  obs::TimelineMark mark;
+  double t = 0.0;
+  const auto append = [&t](obs::Timeline& tl, int n) {
+    for (int i = 0; i < n; ++i) {
+      t += 0.5;
+      tl.record("a", t, t * 3.0);
+      tl.event("b", t, "step " + std::to_string(i));
+    }
+  };
+  for (int round = 0; round < 5; ++round) {
+    // Later rounds append more than the ring holds: points are evicted
+    // before any delta writes them, and the fold must keep the same window.
+    append(live, 1 + 3 * round);
+    std::string delta;
+    live.write_delta(delta, mark);
+    folded.apply_delta(delta);
+    ASSERT_EQ(folded.to_csv_string(), live.to_csv_string())
+        << "round " << round;
+  }
+  EXPECT_GT(live.dropped(), 0u);
+
+  // A fold resumes from its own mark exactly as the live timeline does
+  // from the one it wrote with: recovery's next snapshot matches the
+  // dying run's byte for byte.
+  obs::TimelineMark resumed = folded.mark();
+  const double t_before = t;
+  append(live, 6);
+  t = t_before;
+  append(folded, 6);
+  std::string from_live;
+  std::string from_fold;
+  live.write_delta(from_live, mark);
+  folded.write_delta(from_fold, resumed);
+  EXPECT_EQ(from_fold, from_live);
+}
+
+TEST(TimelineDelta, MalformedDeltasAreRejected) {
+  for (const char* bad :
+       {"x", "sp", "sp,1", "sp,1,2", "sp,1;", "sp,abc,2;", "sp,1,2x;",
+        "s,1,2;", "ep,1,\\q;", "ep,1,a\\", "sp,nan,1;", "sp,2,1,1,1;"}) {
+    obs::Timeline tl;
+    EXPECT_THROW(tl.apply_delta(bad), PreconditionError) << bad;
+  }
 }
 
 TEST(FormatExact, RoundTripsThroughStrtod) {

@@ -9,7 +9,8 @@
 // replay parses back the exact bits. Periodically the loop also appends a
 // *snapshot* record: the rows of the jobs that changed and the flight
 // recorder's points appended since the previous snapshot, plus the rest of
-// its state whole (running placements, the free pool implied by them,
+// its state whole (running placements, the free pool implied by them, the
+// fault cursor — how many of the plan's time-sorted events were announced —
 // BudgetGuard counters, pending redistribution claw-backs, the
 // degraded-mode state). A snapshot thus costs what changed, and the journal
 // grows linearly with the run. QueueEventLoop::recover folds every snapshot
@@ -17,8 +18,8 @@
 // latest one's other state, replays the suffix records as verification
 // against its own re-derived decisions, and resumes; a clean recovery is
 // byte-identical to a run that never died. The `begin` record names the
-// snapshot format (`snapfmt=2`), so a journal in another one is refused by
-// name.
+// snapshot format (`snapfmt=3`), so a journal in another one, `snapfmt=2`
+// included, is refused by name.
 //
 // On disk a journal is line-oriented text: a version header, then one record
 // per line carrying a sequence number, a kind, a payload and a CRC-32 over

@@ -6,8 +6,6 @@
 #include <concepts>
 #include <cstdlib>
 #include <limits>
-#include <map>
-#include <sstream>
 
 #include "obs/telemetry_server.hpp"
 #include "obs/timeline.hpp"
@@ -62,11 +60,7 @@ fault::BudgetGuard make_guard(const QueueOptions& options,
   return fault::BudgetGuard(guard_opts, options.cluster_budget);
 }
 
-// --- snapshot serialization helpers ---------------------------------------
-// Doubles render via obs::format_exact so a restore parses the exact bits;
-// tokens are `key=value` separated by spaces, list values use ',' (entries),
-// ':' (fields), '/' and ';' (ids) — all characters format_exact never emits.
-
+// --- journal payloads ------------------------------------------------------
 // A journal payload is assembled piece by piece into one reused buffer and
 // copied out at its exact size. An operator+ chain regrows its string at
 // every doubling and makes a temporary per number, which cost more than
@@ -89,52 +83,6 @@ std::string payload(const Pieces&... pieces) {
   return buffer;
 }
 
-double parse_double(std::string_view s, const char* what) {
-  double v = 0.0;
-  const auto r = std::from_chars(s.data(), s.data() + s.size(), v);
-  CLIP_REQUIRE(!s.empty() && r.ec == std::errc() &&
-                   r.ptr == s.data() + s.size(),
-               std::string("bad snapshot ") + what + ": '" + std::string(s) +
-                   "'");
-  return v;
-}
-
-long long parse_int(std::string_view s, const char* what) {
-  long long v = 0;
-  const auto r = std::from_chars(s.data(), s.data() + s.size(), v);
-  CLIP_REQUIRE(!s.empty() && r.ec == std::errc() &&
-                   r.ptr == s.data() + s.size(),
-               std::string("bad snapshot ") + what + ": '" + std::string(s) +
-                   "'");
-  return v;
-}
-
-/// An integer field that must lie in [lo, hi]: an index or enum a restored
-/// snapshot feeds back into the loop's tables.
-long long parse_bounded(std::string_view s, long long lo, long long hi,
-                        const char* what) {
-  const long long v = parse_int(s, what);
-  CLIP_REQUIRE(v >= lo && v <= hi,
-               std::string("snapshot ") + what + " out of range: " +
-                   std::to_string(v) + " not in [" + std::to_string(lo) +
-                   ", " + std::to_string(hi) + "]");
-  return v;
-}
-
-/// The text up to the next `sep` (or the end), consumed with its `sep`.
-std::string_view next_field(std::string_view& in, char sep) {
-  const std::size_t at = in.find(sep);
-  const std::string_view field = in.substr(0, at);
-  in.remove_prefix(at == std::string_view::npos ? in.size() : at + 1);
-  return field;
-}
-
-std::vector<std::string_view> split(std::string_view s, char sep) {
-  std::vector<std::string_view> out;
-  while (!s.empty()) out.push_back(next_field(s, sep));
-  return out;
-}
-
 std::string join_ints(const std::vector<int>& v, char sep) {
   std::string out;
   for (std::size_t i = 0; i < v.size(); ++i) {
@@ -144,47 +92,244 @@ std::string join_ints(const std::vector<int>& v, char sep) {
   return out;
 }
 
-std::string bits(const std::vector<bool>& v) {
-  std::string out(v.size(), '0');
-  for (std::size_t i = 0; i < v.size(); ++i)
-    if (v[i]) out[i] = '1';
-  return out;
+// --- snapshots ---------------------------------------------------------------
+// A snapshot is `key=value` tokens separated by spaces. A value is fields
+// joined by ':', or a list of such entries joined by ',', '/' or ';'.
+// Doubles render via obs::append_exact, so a restore parses the exact bits,
+// and it never emits any of these separators.
+// QueueEventLoop::snapshot_fields lists every token once; the two classes
+// below drive it in each direction.
+
+/// An index or enum field: a reader refuses a value outside [lo, hi] by
+/// `name`, so a restored snapshot never indexes past one of the loop's
+/// tables.
+template <typename T>
+struct Ranged {
+  T& value;
+  long long lo;
+  long long hi;
+  const char* name;
+};
+template <typename T>
+Ranged<T> ranged(T& value, long long lo, long long hi, const char* name) {
+  return {value, lo, hi, name};
 }
 
-void restore_bits(std::vector<bool>& v, std::string_view s,
-                  const char* what) {
-  CLIP_REQUIRE(s.size() == v.size(), std::string("snapshot bitstring '") +
-                                         what + "' size mismatch");
-  for (std::size_t i = 0; i < v.size(); ++i) v[i] = s[i] == '1';
-}
+/// What a list token holds when it has no entries to write: nothing
+/// (kEmpty), '-' (kDash), or '-' because the state it would hold belongs to
+/// an attachment this loop does not have (kAbsent), which a reader skips.
+enum class Blank { kEmpty, kDash, kAbsent };
 
-using Tokens = std::map<std::string_view, std::string_view, std::less<>>;
+/// Renders a snapshot. Snapshots fire every JournalOptions::snapshot_every
+/// records, which makes this the journal's hot path: every field is
+/// appended straight into one reserved string.
+class SnapshotWriter {
+ public:
+  static constexpr bool kReads = false;
+  explicit SnapshotWriter(std::string& out) : out_(out) {}
 
-/// A snapshot's `key=value` tokens, viewing the payload (which must outlive
-/// the map).
-Tokens parse_tokens(std::string_view payload) {
-  Tokens out;
-  while (!payload.empty()) {
-    const std::string_view token = next_field(payload, ' ');
-    const std::size_t eq = token.find('=');
-    CLIP_REQUIRE(eq != std::string_view::npos && eq > 0,
-                 "malformed snapshot token: '" + std::string(token) + "'");
-    out[token.substr(0, eq)] = token.substr(eq + 1);
+  template <typename... Fields>
+  void token(std::string_view key, const Fields&... fields) {
+    open(key);
+    (*this)(fields...);
   }
-  return out;
-}
+  /// One entry per item, each written by `each(item)` through operator().
+  template <typename T, typename Each>
+  void list(std::string_view key, char sep, std::vector<T>& items,
+            const Each& each, Blank blank = Blank::kEmpty) {
+    open(key);
+    if (blank == Blank::kAbsent || (blank == Blank::kDash && items.empty())) {
+      out_ += '-';
+      return;
+    }
+    for (std::size_t i = 0; i < items.size(); ++i) {
+      if (i > 0) out_ += sep;
+      first_ = true;
+      each(items[i]);
+    }
+  }
+  /// The points appended since `mark`, which advances.
+  void timeline(std::string_view key, const obs::Timeline* timeline,
+                obs::TimelineMark& mark) {
+    open(key);
+    if (timeline != nullptr)
+      timeline->write_delta(out_, mark);
+    else
+      out_ += '-';
+  }
+  /// The current entry's next fields.
+  template <typename... Fields>
+  void operator()(const Fields&... fields) {
+    (field(fields), ...);
+  }
 
-std::string_view tok(const Tokens& m, std::string_view key) {
-  const auto it = m.find(key);
-  CLIP_REQUIRE(it != m.end(),
-               "snapshot is missing token '" + std::string(key) + "'");
-  return it->second;
-}
+ private:
+  void open(std::string_view key) {
+    if (!out_.empty()) out_ += ' ';
+    out_ += key;
+    out_ += '=';
+    first_ = true;
+  }
+  template <typename T>
+  void field(const T& v) {
+    if (!first_) out_ += ':';
+    first_ = false;
+    write(v);
+  }
+  template <typename T>
+  void write(const T& v) {  // doubles and integers, as journal payloads
+    put(out_, v);
+  }
+  void write(bool v) { out_ += v ? '1' : '0'; }
+  void write(Watts v) { put(out_, v.value()); }
+  void write(const std::vector<bool>& bits) {
+    for (const bool b : bits) out_ += b ? '1' : '0';
+  }
+  template <typename T>
+  void write(const Ranged<T>& r) {
+    put(out_, static_cast<long long>(r.value));
+  }
+
+  std::string& out_;
+  bool first_ = true;
+};
+
+/// Restores a snapshot, looking each token up by key. Errors name the token
+/// and the field's position in it; a Ranged field names itself.
+class SnapshotReader {
+ public:
+  static constexpr bool kReads = true;
+  explicit SnapshotReader(std::string_view payload) : payload_(payload) {}
+
+  template <typename... Fields>
+  void token(std::string_view key, Fields&&... fields) {
+    begin(key, value(key), 0);
+    (*this)(std::forward<Fields>(fields)...);
+    end();
+  }
+  template <typename T, typename Each>
+  void list(std::string_view key, char sep, std::vector<T>& items,
+            const Each& each, Blank blank = Blank::kEmpty) {
+    if (blank == Blank::kAbsent) return;
+    std::string_view entries = value(key);
+    items.clear();
+    if (blank == Blank::kDash && entries == "-") return;
+    for (std::size_t e = 1; !entries.empty(); ++e) {
+      const std::size_t at = entries.find(sep);
+      begin(key, entries.substr(0, at), e);
+      entries.remove_prefix(at == std::string_view::npos ? entries.size()
+                                                         : at + 1);
+      each(items.emplace_back());
+      end();
+    }
+  }
+  void timeline(std::string_view key, obs::Timeline* timeline,
+                const obs::TimelineMark&) {
+    if (timeline == nullptr) return;
+    const std::string_view delta = value(key);
+    CLIP_REQUIRE(delta != "-", "snapshot has no timeline but one is attached");
+    timeline->apply_delta(delta);
+  }
+  template <typename... Fields>
+  void operator()(Fields&&... fields) {
+    (get(std::forward<Fields>(fields)), ...);
+  }
+
+ private:
+  std::string_view value(std::string_view key) const {
+    // Values hold no spaces, so " key=" can only start a token.
+    std::size_t at = 0;
+    if (!payload_.starts_with(key) || payload_.substr(key.size(), 1) != "=") {
+      std::string needle(" ");
+      needle.append(key).push_back('=');
+      at = payload_.find(needle);
+      CLIP_REQUIRE(at != std::string_view::npos,
+                   "snapshot is missing token '" + std::string(key) + "'");
+      ++at;
+    }
+    const std::size_t from = at + key.size() + 1;
+    return payload_.substr(from, payload_.find(' ', from) - from);
+  }
+  void begin(std::string_view key, std::string_view entry, std::size_t e) {
+    key_ = key;
+    rest_ = entry;
+    entry_ = e;
+    field_ = 0;
+    done_ = false;
+  }
+  void end() {
+    ++field_;
+    CLIP_REQUIRE(done_, "malformed snapshot " + where() + ": unexpected");
+  }
+  std::string where() const {
+    return "token '" + std::string(key_) + "'" +
+           (entry_ > 0 ? " entry " + std::to_string(entry_) : "") +
+           " field " + std::to_string(field_);
+  }
+  std::string_view field() {
+    ++field_;
+    CLIP_REQUIRE(!done_, "malformed snapshot " + where() + ": missing");
+    const std::size_t at = rest_.find(':');
+    done_ = at == std::string_view::npos;
+    const std::string_view f = rest_.substr(0, at);
+    rest_.remove_prefix(done_ ? rest_.size() : at + 1);
+    return f;
+  }
+  template <typename T>
+  void parse(T& v) {
+    const std::string_view s = field();
+    const auto r = std::from_chars(s.data(), s.data() + s.size(), v);
+    CLIP_REQUIRE(!s.empty() && r.ec == std::errc() &&
+                     r.ptr == s.data() + s.size(),
+                 "bad snapshot " + where() + ": '" + std::string(s) + "'");
+  }
+  template <typename T>
+  void get(T& v) {  // doubles and integers
+    parse(v);
+  }
+  void get(bool& v) {
+    const std::string_view s = field();
+    CLIP_REQUIRE(s == "0" || s == "1",
+                 "bad snapshot " + where() + ": '" + std::string(s) + "'");
+    v = s == "1";
+  }
+  void get(Watts& v) {
+    double w = 0.0;
+    parse(w);
+    v = Watts(w);
+  }
+  void get(std::vector<bool>& bits) {
+    const std::string_view s = field();
+    CLIP_REQUIRE(s.size() == bits.size() &&
+                     s.find_first_not_of("01") == std::string_view::npos,
+                 "bad snapshot " + where() + ": '" + std::string(s) +
+                     "' is not " + std::to_string(bits.size()) + " bits");
+    for (std::size_t i = 0; i < bits.size(); ++i) bits[i] = s[i] == '1';
+  }
+  template <typename T>
+  void get(Ranged<T> r) {
+    long long v = 0;
+    parse(v);
+    CLIP_REQUIRE(v >= r.lo && v <= r.hi,
+                 std::string("snapshot ") + r.name + " out of range: " +
+                     std::to_string(v) + " not in [" + std::to_string(r.lo) +
+                     ", " + std::to_string(r.hi) + "]");
+    r.value = static_cast<T>(v);
+  }
+
+  std::string_view payload_;
+  std::string_view key_;
+  std::string_view rest_;
+  std::size_t entry_ = 0;
+  int field_ = 0;
+  bool done_ = false;
+};
 
 /// The journal's snapshot encoding, named in every `begin` record:
 /// snapshots carry job-row and timeline deltas that recovery folds in
-/// order. A journal without it was written with whole-state snapshots.
-constexpr std::string_view kSnapshotFormat = "snapfmt=2";
+/// order, and the fault plan as one cursor. A journal without it was
+/// written in an earlier encoding.
+constexpr std::string_view kSnapshotFormat = "snapfmt=3";
 
 }  // namespace
 
@@ -320,8 +465,10 @@ double QueueEventLoop::true_cluster_power(double t) const {
 
 // Fault windows active at `t` for the flight recorder's `fault.active`
 // series (crashes and degrades are permanent; meter faults, cap violations,
-// blackouts and budget cuts are windowed — claw-backs truncate the cap
-// violations in place).
+// blackouts and budget cuts are windowed). The windows are the plan's: a
+// claw-back truncates a cap violation only in the injector
+// (FaultInjector::violation_ends), so a clawed-back violation counts here
+// until its planned end.
 int QueueEventLoop::faults_active_at(double t) const {
   int active = 0;
   for (const auto& c : plan_->crashes)
@@ -512,101 +659,86 @@ void QueueEventLoop::start_eligible() {
 }
 
 // Announce fault events whose time has arrived: counters/spans once per
-// event, crashes also retire the node from the pool.
+// event, crashes also retire the node from the pool. The due events are the
+// next run of the time-sorted cursor. One batch can span several instants
+// (while nothing runs or waits, the loop skips injector wake-ups, so a
+// redistribution claw-back can carry time past planned events), and it is
+// announced by kind, then in plan order — never in time order.
 void QueueEventLoop::apply_fault_events() {
-  bool fired = false;
-  for (std::size_t i = 0; i < crash_seen_.size(); ++i) {
-    const auto& c = plan_->crashes[i];
-    if (crash_seen_[i] || c.at_s > now_) continue;
-    crash_seen_[i] = true;
-    fired = true;
-    obs::ScopedSpan span(action_obs(), "fault.inject", "fault");
-    span.arg("kind", "crash");
-    span.arg("node", c.node);
-    obs::count(action_obs(), "fault.injected");
-    obs::count(action_obs(), "fault.crashes");
-    if (timeline_ != nullptr)
-      timeline_->event("fault", now_,
-                       "crash node=" + std::to_string(c.node));
-    if (node_alive_[static_cast<std::size_t>(c.node)]) {
-      node_alive_[static_cast<std::size_t>(c.node)] = false;
-      report_.crashed_nodes.push_back(c.node);
-    }
-  }
-  for (std::size_t i = 0; i < degrade_seen_.size(); ++i) {
-    const auto& d = plan_->degrades[i];
-    if (degrade_seen_[i] || d.at_s > now_) continue;
-    degrade_seen_[i] = true;
-    fired = true;
-    obs::ScopedSpan span(action_obs(), "fault.inject", "fault");
-    span.arg("kind", "degrade");
-    span.arg("node", d.node);
-    obs::count(action_obs(), "fault.injected");
-    obs::count(action_obs(), "fault.degrades");
-    if (timeline_ != nullptr)
-      timeline_->event("fault", now_,
-                       "degrade node=" + std::to_string(d.node));
-  }
-  for (std::size_t i = 0; i < meter_seen_.size(); ++i) {
-    const auto& f = plan_->meter_faults[i];
-    if (meter_seen_[i] || f.at_s > now_) continue;
-    meter_seen_[i] = true;
-    fired = true;
-    obs::ScopedSpan span(action_obs(), "fault.inject", "fault");
-    span.arg("kind", std::string("meter-") + to_string(f.kind));
-    span.arg("node", f.node);
-    obs::count(action_obs(), "fault.injected");
-    obs::count(action_obs(), "fault.meter_faults");
-    if (timeline_ != nullptr)
-      timeline_->event("fault", now_,
-                       std::string("meter-") + to_string(f.kind) +
-                           " node=" + std::to_string(f.node));
-  }
-  for (std::size_t i = 0; i < capviol_seen_.size(); ++i) {
-    const auto& v = plan_->cap_violations[i];
-    if (capviol_seen_[i] || v.at_s > now_) continue;
-    capviol_seen_[i] = true;
-    fired = true;
-    obs::ScopedSpan span(action_obs(), "fault.inject", "fault");
-    span.arg("kind", "cap-violation");
-    span.arg("node", v.node);
-    obs::count(action_obs(), "fault.injected");
-    obs::count(action_obs(), "fault.cap_violations");
-    if (timeline_ != nullptr)
-      timeline_->event("fault", now_,
-                       "cap-violation node=" + std::to_string(v.node));
-  }
-  for (std::size_t i = 0; i < blackout_seen_.size(); ++i) {
-    const auto& b = plan_->meter_blackouts[i];
-    if (blackout_seen_[i] || b.at_s > now_) continue;
-    blackout_seen_[i] = true;
-    fired = true;
-    obs::ScopedSpan span(action_obs(), "fault.inject", "fault");
-    span.arg("kind", "meter-blackout");
-    obs::count(action_obs(), "fault.injected");
-    obs::count(action_obs(), "fault.blackouts");
-    if (timeline_ != nullptr)
-      timeline_->event("fault", now_,
-                       "meter-blackout for " +
-                           format_double(b.duration_s, 1) + "s");
-  }
-  for (std::size_t i = 0; i < cut_seen_.size(); ++i) {
-    const auto& c = plan_->budget_cuts[i];
-    if (cut_seen_[i] || c.at_s > now_) continue;
-    cut_seen_[i] = true;
-    fired = true;
-    obs::ScopedSpan span(action_obs(), "fault.inject", "fault");
-    span.arg("kind", "budget-cut");
-    obs::count(action_obs(), "fault.injected");
-    obs::count(action_obs(), "fault.budget_cuts");
-    if (timeline_ != nullptr)
-      timeline_->event("fault", now_,
-                       "budget-cut to " + format_double(c.factor, 2) +
-                           "x for " + format_double(c.duration_s, 1) + "s");
-  }
-  if (timeline_ != nullptr && fired)
+  const auto first =
+      fault_events_.begin() + static_cast<std::ptrdiff_t>(fault_idx_);
+  const auto last =
+      std::find_if(first, fault_events_.end(),
+                   [this](const FaultEvent& e) { return e.at_s > now_; });
+  if (first == last) return;
+  std::vector<FaultEvent> due(first, last);
+  fault_idx_ += due.size();
+  std::sort(due.begin(), due.end(),
+            [](const FaultEvent& a, const FaultEvent& b) {
+              return a.kind != b.kind ? a.kind < b.kind : a.index < b.index;
+            });
+  for (const FaultEvent& e : due) announce_fault(e);
+  if (timeline_ != nullptr)
     timeline_->record("fault.active", now_,
                       static_cast<double>(faults_active_at(now_)));
+}
+
+void QueueEventLoop::announce_fault(const FaultEvent& e) {
+  std::string what;  // the span's kind, and the label's first word
+  std::string detail;
+  int node = -1;
+  switch (e.kind) {
+    case FaultKind::kCrash:
+      node = plan_->crashes[e.index].node;
+      what = "crash";
+      obs::count(action_obs(), "fault.crashes");
+      break;
+    case FaultKind::kDegrade:
+      node = plan_->degrades[e.index].node;
+      what = "degrade";
+      obs::count(action_obs(), "fault.degrades");
+      break;
+    case FaultKind::kMeter: {
+      const fault::MeterFault& f = plan_->meter_faults[e.index];
+      node = f.node;
+      what = std::string("meter-") + to_string(f.kind);
+      obs::count(action_obs(), "fault.meter_faults");
+      break;
+    }
+    case FaultKind::kCapViolation:
+      node = plan_->cap_violations[e.index].node;
+      what = "cap-violation";
+      obs::count(action_obs(), "fault.cap_violations");
+      break;
+    case FaultKind::kBlackout:
+      what = "meter-blackout";
+      detail = " for " +
+               format_double(plan_->meter_blackouts[e.index].duration_s, 1) +
+               "s";
+      obs::count(action_obs(), "fault.blackouts");
+      break;
+    case FaultKind::kBudgetCut: {
+      const fault::BudgetCut& c = plan_->budget_cuts[e.index];
+      what = "budget-cut";
+      detail = " to " + format_double(c.factor, 2) + "x for " +
+               format_double(c.duration_s, 1) + "s";
+      obs::count(action_obs(), "fault.budget_cuts");
+      break;
+    }
+  }
+  obs::ScopedSpan span(action_obs(), "fault.inject", "fault");
+  span.arg("kind", what);
+  if (node >= 0) {
+    span.arg("node", node);
+    detail = " node=" + std::to_string(node);
+  }
+  obs::count(action_obs(), "fault.injected");
+  if (timeline_ != nullptr) timeline_->event("fault", now_, what + detail);
+  if (e.kind == FaultKind::kCrash &&
+      node_alive_[static_cast<std::size_t>(node)]) {
+    node_alive_[static_cast<std::size_t>(node)] = false;
+    report_.crashed_nodes.push_back(node);
+  }
 }
 
 // Claw back a violated cap on `node` (re-coordination took effect).
@@ -1007,14 +1139,22 @@ void QueueEventLoop::prepare_run() {
                "QueueEventLoop is single-shot: construct a fresh loop per run");
   started_ = true;
   plan_ = injector_ != nullptr ? &injector_->plan() : nullptr;
-  crash_seen_.assign(plan_ != nullptr ? plan_->crashes.size() : 0, false);
-  degrade_seen_.assign(plan_ != nullptr ? plan_->degrades.size() : 0, false);
-  meter_seen_.assign(plan_ != nullptr ? plan_->meter_faults.size() : 0, false);
-  capviol_seen_.assign(plan_ != nullptr ? plan_->cap_violations.size() : 0,
-                       false);
-  blackout_seen_.assign(plan_ != nullptr ? plan_->meter_blackouts.size() : 0,
-                        false);
-  cut_seen_.assign(plan_ != nullptr ? plan_->budget_cuts.size() : 0, false);
+  if (plan_ != nullptr) {
+    const auto add = [this](FaultKind kind, const auto& events) {
+      for (std::size_t i = 0; i < events.size(); ++i)
+        fault_events_.push_back({events[i].at_s, kind, i});
+    };
+    add(FaultKind::kCrash, plan_->crashes);
+    add(FaultKind::kDegrade, plan_->degrades);
+    add(FaultKind::kMeter, plan_->meter_faults);
+    add(FaultKind::kCapViolation, plan_->cap_violations);
+    add(FaultKind::kBlackout, plan_->meter_blackouts);
+    add(FaultKind::kBudgetCut, plan_->budget_cuts);
+    std::stable_sort(fault_events_.begin(), fault_events_.end(),
+                     [](const FaultEvent& a, const FaultEvent& b) {
+                       return a.at_s < b.at_s;
+                     });
+  }
   wakeups_ =
       injector_ != nullptr ? injector_->wakeups() : std::vector<double>{};
   wakeup_idx_ = 0;
@@ -1080,8 +1220,8 @@ QueueReport QueueEventLoop::recover(Journal& journal) {
                  "journal snapshot format is '" + std::string(format) +
                      "' but this build reads only " +
                      std::string(kSnapshotFormat) +
-                     " (delta snapshots); recover it with the build that "
-                     "wrote it");
+                     " (delta snapshots with a fault cursor); recover it "
+                     "with the build that wrote it");
     CLIP_REQUIRE(records[0].kind == "begin" &&
                      records[0].payload == begin_payload(),
                  "journal was written by a different run configuration");
@@ -1369,7 +1509,11 @@ void QueueEventLoop::append_or_verify(std::string_view kind,
 
 void QueueEventLoop::emit_snapshot() {
   if (journal_ == nullptr) return;
-  append_or_verify("snapshot", serialize_state());
+  std::string snapshot;
+  snapshot.reserve(1024 + 224 * running_.size());
+  SnapshotWriter out(snapshot);
+  snapshot_fields(out);
+  append_or_verify("snapshot", std::move(snapshot));
   records_since_snapshot_ = 0;
   obs::count(obs_, "journal.snapshots");
 }
@@ -1439,292 +1583,155 @@ QueueEventLoop::JobRow QueueEventLoop::job_row(std::size_t j) const {
   return job_row(state_[j], attempts_[j], eligible_s_[j], report_.jobs[j]);
 }
 
-std::string QueueEventLoop::serialize_state() {
-  // Snapshots fire every JournalOptions::snapshot_every records, making this
-  // the journal's hot path; build the payload with direct appends into one
-  // reserved string (ostringstream's << machinery dominated the journal-on
-  // overhead priced by bench/recovery.cpp). The job table and the flight
-  // record go in as deltas against the previous snapshot, so a snapshot
-  // costs what changed rather than the whole run so far.
-  std::string os;
-  os.reserve(1024 + 224 * running_.size());
-  const auto num = [&os](long long v) { os += std::to_string(v); };
-  const auto dbl = [&os](double v) { obs::append_exact(os, v); };
-  os += "init=";
-  os += init_done_ ? '1' : '0';
-  os += " now=";
-  dbl(now_);
-  os += " mode=";
-  num(static_cast<int>(mode_));
-  os += " ebud=";
-  dbl(effective_budget_);
-  os += " factor=";
-  dbl(applied_factor_);
-  os += " dark=";
-  os += meters_dark_ ? '1' : '0';
-  os += " pause=";
-  os += admission_paused_ ? '1' : '0';
-  os += " alive=";
-  os += bits(node_alive_);
-  os += " busy=";
-  os += bits(node_busy_);
-  os += " pend=";
-  os += bits(enforcement_pending_);
-  os += " seen.crash=";
-  os += bits(crash_seen_);
-  os += " seen.degrade=";
-  os += bits(degrade_seen_);
-  os += " seen.meter=";
-  os += bits(meter_seen_);
-  os += " seen.capviol=";
-  os += bits(capviol_seen_);
-  os += " seen.blackout=";
-  os += bits(blackout_seen_);
-  os += " seen.cut=";
-  os += bits(cut_seen_);
-  os += " widx=";
-  num(static_cast<long long>(wakeup_idx_));
-  os += " tick=";
-  dbl(next_tick_s_);
-  os += " enf=";
-  for (std::size_t i = 0; i < enforcements_.size(); ++i) {
-    if (i > 0) os += ',';
-    dbl(enforcements_[i].at_s);
-    os += ':';
-    num(enforcements_[i].node);
+template <typename IO>
+void QueueEventLoop::snapshot_fields(IO& io) {
+  const long long last_node = total_nodes_ - 1;
+  const auto last_job = static_cast<long long>(jobs_.size()) - 1;
+  io.token("init", init_done_);
+  io.token("now", now_);
+  io.token("mode",
+           ranged(mode_, 0, static_cast<int>(DegradedMode::kBudgetBrownout),
+                  "mode"));
+  io.token("ebud", effective_budget_);
+  io.token("factor", applied_factor_);
+  io.token("dark", meters_dark_);
+  io.token("pause", admission_paused_);
+  io.token("alive", node_alive_);
+  io.token("busy", node_busy_);
+  io.token("pend", enforcement_pending_);
+  io.token("faults", ranged(fault_idx_, 0,
+                            static_cast<long long>(fault_events_.size()),
+                            "fault cursor"));
+  io.token("widx", ranged(wakeup_idx_, 0,
+                          static_cast<long long>(wakeups_.size()),
+                          "wakeup index"));
+  io.token("tick", next_tick_s_);
+  io.list("enf", ',', enforcements_, [&](Enforcement& e) {
+    io(e.at_s, ranged(e.node, 0, last_node, "enforcement node"));
+  });
+  io.list("retry", ',', retry_wakeups_, [&](double& t) { io(t); });
+  io.list("claw", ',', pending_claws_, [&](PendingClaw& c) {
+    io(c.at_s, ranged(c.job, 0, last_job, "claw job index"), c.attempt,
+       c.watts);
+  });
+  std::size_t run_n = running_.size();
+  io.token("run.n", ranged(run_n, 0, total_nodes_, "running count"));
+  // clip-lint: allow(J1) sizes running_ to the count just read (a write leaves it as it is); restoring rebuilds state from the journal, so appending to it here would recurse
+  running_.resize(run_n);
+  for (std::size_t k = 0; k < run_n; ++k) {
+    Running& r = running_[k];
+    sim::NodeConfig& node = r.config.node;
+    const std::string n = std::to_string(k);
+    io.token("run." + n,
+             ranged(r.job_index, 0, last_job, "running job index"),
+             r.start_s, r.end_s, r.power_w, r.true_power_w, r.energy_j,
+             r.crashed, r.crashed_node, r.prof_s, r.full_energy_j,
+             r.frac_done, r.change_s, r.ff_remaining);
+    io.list("ids." + n, '/', r.node_ids,
+            [&](int& id) { io(ranged(id, 0, last_node, "node id")); });
+    io.token("cfg." + n, r.config.nodes, node.threads,
+             ranged(node.affinity, 0,
+                    static_cast<int>(parallel::AffinityPolicy::kScatter),
+                    "config affinity"),
+             ranged(node.mem_level, 0,
+                    static_cast<int>(sim::MemPowerLevel::kL3),
+                    "config mem level"),
+             node.cpu_cap, node.mem_cap);
+    io.list("ovr." + n, ';', r.config.cpu_cap_overrides,
+            [&](Watts& w) { io(w); }, Blank::kDash);
   }
-  os += " retry=";
-  for (std::size_t i = 0; i < retry_wakeups_.size(); ++i) {
-    if (i > 0) os += ',';
-    dbl(retry_wakeups_[i]);
+  row_delta(io);
+  io.token("acc", report_.total_energy_j, report_.node_seconds_used);
+  io.token("racc", report_.retries, report_.jobs_failed,
+           report_.caps_reprogrammed);
+  io.list("cn", '/', report_.crashed_nodes,
+          [&](int& id) { io(ranged(id, 0, last_node, "crashed node")); },
+          Blank::kDash);
+  io.token("racc2", report_.redist_claw_backs, report_.redist_regrants,
+           report_.redist_subsystem_shifts, report_.redist_reclaimed_w,
+           report_.redist_granted_w);
+
+  // The guard, the injector and the detector keep their state private: it
+  // travels through locals, filled from them to write, handed back once
+  // read.
+  double violation_s = guard_.violation_s();
+  double violation_ws = guard_.violation_ws();
+  std::uint64_t rejected_reads = guard_.rejected_reads();
+  std::uint64_t regrants_rejected = guard_.regrants_rejected();
+  double guard_budget = guard_.budget_w();
+  io.token("guard", violation_s, violation_ws, rejected_reads,
+           regrants_rejected, guard_budget);
+  std::vector<double> violation_ends;
+  if (!IO::kReads && injector_ != nullptr)
+    violation_ends = injector_->violation_ends();
+  io.list("vends", ',', violation_ends, [&](double& end) { io(end); },
+          injector_ != nullptr ? Blank::kEmpty : Blank::kAbsent);
+  struct Sample {
+    int node;
+    double t_s;
+    double draw_w;
+  };
+  std::vector<Sample> samples;
+  if (!IO::kReads && redist_on_)
+    for (const std::string& name : detector_.samples().series_names())
+      for (const auto& p : detector_.samples().samples(name))
+        // Series are named node<N>.power_w: the node id is embedded.
+        samples.push_back({std::atoi(name.c_str() + 4), p.t_s, p.value});
+  io.list("det", ',', samples,
+          [&](Sample& d) { io(d.node, d.t_s, d.draw_w); },
+          redist_on_ ? Blank::kEmpty : Blank::kAbsent);
+  io.timeline("tl", timeline_, snap_mark_);
+  if (IO::kReads) {
+    guard_.restore_counters(violation_s, violation_ws, rejected_reads,
+                            regrants_rejected);
+    guard_.set_budget(Watts(guard_budget));
+    if (injector_ != nullptr) injector_->restore_violation_ends(violation_ends);
+    for (const Sample& d : samples)
+      detector_.observe(d.node, d.t_s, d.draw_w);
   }
-  os += " claw=";
-  for (std::size_t i = 0; i < pending_claws_.size(); ++i) {
-    if (i > 0) os += ',';
-    dbl(pending_claws_[i].at_s);
-    os += ':';
-    num(static_cast<long long>(pending_claws_[i].job));
-    os += ':';
-    num(pending_claws_[i].attempt);
-    os += ':';
-    dbl(pending_claws_[i].watts);
-  }
-  os += " run.n=";
-  num(static_cast<long long>(running_.size()));
-  for (std::size_t k = 0; k < running_.size(); ++k) {
-    const Running& r = running_[k];
-    os += " run.";
-    num(static_cast<long long>(k));
-    os += '=';
-    num(static_cast<long long>(r.job_index));
-    os += ':';
-    dbl(r.start_s);
-    os += ':';
-    dbl(r.end_s);
-    os += ':';
-    dbl(r.power_w);
-    os += ':';
-    dbl(r.true_power_w);
-    os += ':';
-    dbl(r.energy_j);
-    os += ':';
-    os += r.crashed ? '1' : '0';
-    os += ':';
-    num(r.crashed_node);
-    os += ':';
-    dbl(r.prof_s);
-    os += ':';
-    dbl(r.full_energy_j);
-    os += ':';
-    dbl(r.frac_done);
-    os += ':';
-    dbl(r.change_s);
-    os += ':';
-    dbl(r.ff_remaining);
-    os += " ids.";
-    num(static_cast<long long>(k));
-    os += '=';
-    os += join_ints(r.node_ids, '/');
-    os += " cfg.";
-    num(static_cast<long long>(k));
-    os += '=';
-    num(r.config.nodes);
-    os += ':';
-    num(r.config.node.threads);
-    os += ':';
-    num(static_cast<int>(r.config.node.affinity));
-    os += ':';
-    num(static_cast<int>(r.config.node.mem_level));
-    os += ':';
-    dbl(r.config.node.cpu_cap.value());
-    os += ':';
-    dbl(r.config.node.mem_cap.value());
-    os += " ovr.";
-    num(static_cast<long long>(k));
-    os += '=';
-    if (r.config.cpu_cap_overrides.empty()) {
-      os += '-';
-    } else {
-      for (std::size_t i = 0; i < r.config.cpu_cap_overrides.size(); ++i) {
-        if (i > 0) os += ';';
-        dbl(r.config.cpu_cap_overrides[i].value());
-      }
-    }
-  }
-  // Rows of the jobs whose state, attempts, eligibility or report row
+}
+
+template <typename IO>
+void QueueEventLoop::row_delta(IO& io) {
+  // Written: the jobs whose state, attempts, eligibility or report row
   // changed since the previous snapshot, against a baseline that starts as
-  // the constructor left every job: the state recovery's fold starts from.
-  if (snap_rows_.empty())
-    snap_rows_.assign(jobs_.size(),
-                      job_row(State::kPending, 0, 0.0, QueuedJobResult{}));
-  os += " rows=";
-  const std::size_t rows_at = os.size();
-  for (std::size_t j = 0; j < jobs_.size(); ++j) {
-    const JobRow row = job_row(j);
-    if (row == snap_rows_[j]) continue;
-    snap_rows_[j] = row;
-    const QueuedJobResult& out = report_.jobs[j];
-    if (os.size() > rows_at) os += ',';
-    num(static_cast<long long>(j));
-    os += ':';
-    os += static_cast<char>('0' + static_cast<int>(state_[j]));
-    os += ':';
-    num(attempts_[j]);
-    os += ':';
-    dbl(eligible_s_[j]);
-    os += ':';
-    dbl(out.submit_s);
-    os += ':';
-    dbl(out.start_s);
-    os += ':';
-    dbl(out.end_s);
-    os += ':';
-    num(out.nodes);
-    os += ':';
-    dbl(out.budget_w);
-    os += ':';
-    dbl(out.power_w);
-    os += ':';
-    num(out.attempts);
-    os += ':';
-    os += out.completed ? '1' : '0';
-    os += ':';
-    num(out.crashed_node);
-  }
-  if (os.size() == rows_at) os += '-';
-  os += " acc=";
-  dbl(report_.total_energy_j);
-  os += ':';
-  dbl(report_.node_seconds_used);
-  os += " racc=";
-  num(report_.retries);
-  os += ':';
-  num(report_.jobs_failed);
-  os += ':';
-  num(report_.caps_reprogrammed);
-  os += " cn=";
-  if (report_.crashed_nodes.empty())
-    os += '-';
-  else
-    os += join_ints(report_.crashed_nodes, '/');
-  os += " racc2=";
-  num(report_.redist_claw_backs);
-  os += ':';
-  num(report_.redist_regrants);
-  os += ':';
-  num(report_.redist_subsystem_shifts);
-  os += ':';
-  dbl(report_.redist_reclaimed_w);
-  os += ':';
-  dbl(report_.redist_granted_w);
-  os += " guard=";
-  dbl(guard_.violation_s());
-  os += ':';
-  dbl(guard_.violation_ws());
-  os += ':';
-  num(guard_.rejected_reads());
-  os += ':';
-  num(guard_.regrants_rejected());
-  os += ':';
-  dbl(guard_.budget_w());
-  os += " vends=";
-  if (injector_ == nullptr) {
-    os += '-';
-  } else {
-    const std::vector<double>& ends = injector_->violation_ends();
-    for (std::size_t i = 0; i < ends.size(); ++i) {
-      if (i > 0) os += ',';
-      dbl(ends[i]);
+  // the constructor left every job — the state recovery's fold starts from.
+  std::vector<std::size_t> changed;
+  if (!IO::kReads) {
+    if (snap_rows_.empty())
+      snap_rows_.assign(jobs_.size(),
+                        job_row(State::kPending, 0, 0.0, QueuedJobResult{}));
+    for (std::size_t j = 0; j < jobs_.size(); ++j) {
+      const JobRow row = job_row(j);
+      if (row == snap_rows_[j]) continue;
+      snap_rows_[j] = row;
+      changed.push_back(j);
     }
   }
-  os += " det=";
-  if (!redist_on_) {
-    os += '-';
-  } else {
-    bool first = true;
-    for (const std::string& name : detector_.samples().series_names()) {
-      // Series are named node<N>.power_w — the node id is embedded.
-      const int node = std::atoi(name.c_str() + 4);
-      for (const auto& p : detector_.samples().samples(name)) {
-        if (!first) os += ',';
-        first = false;
-        num(node);
-        os += ':';
-        dbl(p.t_s);
-        os += ':';
-        dbl(p.value);
-      }
-    }
-  }
-  os += " tl=";
-  if (timeline_ != nullptr)
-    timeline_->write_delta(os, snap_mark_);
-  else
-    os += '-';
-  return os;
+  const auto last_job = static_cast<long long>(jobs_.size()) - 1;
+  io.list("rows", ',', changed, [&](std::size_t& j) {
+    io(ranged(j, 0, last_job, "job row index"));
+    QueuedJobResult& out = report_.jobs[j];
+    io(ranged(state_[j], 0, static_cast<int>(State::kFailed), "job state"),
+       attempts_[j], eligible_s_[j], out.submit_s, out.start_s, out.end_s,
+       out.nodes, out.budget_w, out.power_w, out.attempts, out.completed,
+       out.crashed_node);
+  }, Blank::kDash);
 }
 
 void QueueEventLoop::restore_state(std::size_t snap) {
+  // The job table and the flight record: the deltas of every snapshot
+  // before the latest, folded in order onto the state the constructor
+  // left; the latest one's come back with the rest of its state.
   const std::vector<JournalRecord>& records = journal_->records();
-  const long long last_job = static_cast<long long>(jobs_.size()) - 1;
-  const long long last_node = total_nodes_ - 1;
-
-  // The job table and the flight record: every snapshot's deltas, folded in
-  // order onto the state the constructor left.
-  Tokens m;
-  for (std::size_t i = 0; i <= snap; ++i) {
+  for (std::size_t i = 0; i < snap; ++i) {
     if (records[i].kind != "snapshot") continue;
-    m = parse_tokens(records[i].payload);
-    std::string_view rows = tok(m, "rows");
-    if (rows == "-") rows = {};
-    for (const std::string_view row : split(rows, ',')) {
-      const std::vector<std::string_view> f = split(row, ':');
-      CLIP_REQUIRE(f.size() == 13, "malformed snapshot job row: '" +
-                                       std::string(row) + "'");
-      const auto j = static_cast<std::size_t>(
-          parse_bounded(f[0], 0, last_job, "job row index"));
-      // clip-lint: allow(J1) restore_state is the journal's inverse: it rebuilds state FROM snapshot records during recover(), so journaling here would recurse
-      state_[j] = static_cast<State>(parse_bounded(f[1], 0, 3, "job state"));
-      attempts_[j] = static_cast<int>(parse_int(f[2], "attempts"));
-      eligible_s_[j] = parse_double(f[3], "eligible_s");
-      QueuedJobResult& out = report_.jobs[j];
-      out.submit_s = parse_double(f[4], "report submit");
-      out.start_s = parse_double(f[5], "report start");
-      out.end_s = parse_double(f[6], "report end");
-      out.nodes = static_cast<int>(parse_int(f[7], "report nodes"));
-      out.budget_w = parse_double(f[8], "report budget");
-      out.power_w = parse_double(f[9], "report power");
-      out.attempts = static_cast<int>(parse_int(f[10], "report attempts"));
-      out.completed = parse_int(f[11], "report completed") != 0;
-      out.crashed_node =
-          static_cast<int>(parse_int(f[12], "report crash node"));
-    }
-    if (timeline_ != nullptr) {
-      const std::string_view tl = tok(m, "tl");
-      CLIP_REQUIRE(tl != "-", "snapshot has no timeline but one is attached");
-      timeline_->apply_delta(tl);
-    }
+    SnapshotReader in(records[i].payload);
+    row_delta(in);
+    in.timeline("tl", timeline_, snap_mark_);
   }
+  SnapshotReader in(records[snap].payload);
+  snapshot_fields(in);
   for (std::size_t j = 0; j < jobs_.size(); ++j) {
     // Strings are re-derived, not serialized: a job has its names set from
     // the instant its first placement started.
@@ -1737,172 +1744,6 @@ void QueueEventLoop::restore_state(std::size_t snap) {
   snap_rows_.resize(jobs_.size());
   for (std::size_t j = 0; j < jobs_.size(); ++j) snap_rows_[j] = job_row(j);
   if (timeline_ != nullptr) snap_mark_ = timeline_->mark();
-
-  // Everything else the latest snapshot (whose tokens `m` holds) carries
-  // whole.
-  init_done_ = parse_int(tok(m, "init"), "init flag") != 0;
-  now_ = parse_double(tok(m, "now"), "now");
-  mode_ = static_cast<DegradedMode>(parse_bounded(
-      tok(m, "mode"), 0, static_cast<int>(DegradedMode::kBudgetBrownout),
-      "mode"));
-  effective_budget_ = parse_double(tok(m, "ebud"), "effective budget");
-  applied_factor_ = parse_double(tok(m, "factor"), "budget factor");
-  meters_dark_ = parse_int(tok(m, "dark"), "dark flag") != 0;
-  admission_paused_ = parse_int(tok(m, "pause"), "pause flag") != 0;
-
-  restore_bits(node_alive_, tok(m, "alive"), "alive");
-  restore_bits(node_busy_, tok(m, "busy"), "busy");
-  restore_bits(enforcement_pending_, tok(m, "pend"), "pend");
-  restore_bits(crash_seen_, tok(m, "seen.crash"), "seen.crash");
-  restore_bits(degrade_seen_, tok(m, "seen.degrade"), "seen.degrade");
-  restore_bits(meter_seen_, tok(m, "seen.meter"), "seen.meter");
-  restore_bits(capviol_seen_, tok(m, "seen.capviol"), "seen.capviol");
-  restore_bits(blackout_seen_, tok(m, "seen.blackout"), "seen.blackout");
-  restore_bits(cut_seen_, tok(m, "seen.cut"), "seen.cut");
-
-  wakeup_idx_ =
-      static_cast<std::size_t>(parse_int(tok(m, "widx"), "wakeup index"));
-  next_tick_s_ = parse_double(tok(m, "tick"), "next tick");
-
-  enforcements_.clear();
-  for (const std::string_view e : split(tok(m, "enf"), ',')) {
-    const std::vector<std::string_view> f = split(e, ':');
-    CLIP_REQUIRE(f.size() == 2, "malformed snapshot enforcement: '" +
-                                    std::string(e) + "'");
-    enforcements_.push_back(
-        {parse_double(f[0], "enforcement at"),
-         static_cast<int>(
-             parse_bounded(f[1], 0, last_node, "enforcement node"))});
-  }
-  retry_wakeups_.clear();
-  for (const std::string_view w : split(tok(m, "retry"), ','))
-    retry_wakeups_.push_back(parse_double(w, "retry wakeup"));
-  pending_claws_.clear();
-  for (const std::string_view c : split(tok(m, "claw"), ',')) {
-    const std::vector<std::string_view> f = split(c, ':');
-    CLIP_REQUIRE(f.size() == 4,
-                 "malformed snapshot claw: '" + std::string(c) + "'");
-    pending_claws_.push_back(
-        {parse_double(f[0], "claw at"),
-         static_cast<std::size_t>(parse_int(f[1], "claw job")),
-         static_cast<int>(parse_int(f[2], "claw attempt")),
-         parse_double(f[3], "claw watts")});
-  }
-
-  running_.clear();
-  const std::size_t run_n =
-      static_cast<std::size_t>(parse_int(tok(m, "run.n"), "running count"));
-  for (std::size_t k = 0; k < run_n; ++k) {
-    const std::string key = std::to_string(k);
-    const std::vector<std::string_view> f = split(tok(m, "run." + key), ':');
-    CLIP_REQUIRE(f.size() == 13, "malformed snapshot running record");
-    Running r;
-    r.job_index = static_cast<std::size_t>(
-        parse_bounded(f[0], 0, last_job, "running job index"));
-    r.start_s = parse_double(f[1], "running start");
-    r.end_s = parse_double(f[2], "running end");
-    r.power_w = parse_double(f[3], "running slice");
-    r.true_power_w = parse_double(f[4], "running draw");
-    r.energy_j = parse_double(f[5], "running energy");
-    r.crashed = parse_int(f[6], "running crashed") != 0;
-    r.crashed_node = static_cast<int>(parse_int(f[7], "running crash node"));
-    r.prof_s = parse_double(f[8], "running prof_s");
-    r.full_energy_j = parse_double(f[9], "running full energy");
-    r.frac_done = parse_double(f[10], "running frac");
-    r.change_s = parse_double(f[11], "running change_s");
-    r.ff_remaining = parse_double(f[12], "running ff_remaining");
-    for (const std::string_view id : split(tok(m, "ids." + key), '/'))
-      r.node_ids.push_back(
-          static_cast<int>(parse_bounded(id, 0, last_node, "node id")));
-    const std::vector<std::string_view> cf = split(tok(m, "cfg." + key), ':');
-    CLIP_REQUIRE(cf.size() == 6, "malformed snapshot running config");
-    r.config.nodes = static_cast<int>(parse_int(cf[0], "config nodes"));
-    r.config.node.threads =
-        static_cast<int>(parse_int(cf[1], "config threads"));
-    r.config.node.affinity =
-        static_cast<parallel::AffinityPolicy>(parse_bounded(
-            cf[2], 0, static_cast<int>(parallel::AffinityPolicy::kScatter),
-            "config affinity"));
-    r.config.node.mem_level = static_cast<sim::MemPowerLevel>(
-        parse_bounded(cf[3], 0, static_cast<int>(sim::MemPowerLevel::kL3),
-                      "config mem level"));
-    r.config.node.cpu_cap = Watts(parse_double(cf[4], "config cpu cap"));
-    r.config.node.mem_cap = Watts(parse_double(cf[5], "config mem cap"));
-    const std::string_view ovr = tok(m, "ovr." + key);
-    if (ovr != "-")
-      for (const std::string_view o : split(ovr, ';'))
-        r.config.cpu_cap_overrides.push_back(
-            Watts(parse_double(o, "config cap override")));
-    running_.push_back(std::move(r));
-  }
-
-  {
-    const std::vector<std::string_view> f = split(tok(m, "acc"), ':');
-    CLIP_REQUIRE(f.size() == 2, "malformed snapshot accounting");
-    report_.total_energy_j = parse_double(f[0], "total energy");
-    report_.node_seconds_used = parse_double(f[1], "node seconds");
-  }
-  {
-    const std::vector<std::string_view> f = split(tok(m, "racc"), ':');
-    CLIP_REQUIRE(f.size() == 3, "malformed snapshot resilience accounting");
-    report_.retries = static_cast<int>(parse_int(f[0], "retries"));
-    report_.jobs_failed = static_cast<int>(parse_int(f[1], "jobs failed"));
-    report_.caps_reprogrammed =
-        static_cast<int>(parse_int(f[2], "caps reprogrammed"));
-  }
-  report_.crashed_nodes.clear();
-  {
-    const std::string_view cn = tok(m, "cn");
-    if (cn != "-")
-      for (const std::string_view n : split(cn, '/'))
-        report_.crashed_nodes.push_back(
-            static_cast<int>(parse_int(n, "crashed node")));
-  }
-  {
-    const std::vector<std::string_view> f = split(tok(m, "racc2"), ':');
-    CLIP_REQUIRE(f.size() == 5,
-                 "malformed snapshot redistribution accounting");
-    report_.redist_claw_backs =
-        static_cast<int>(parse_int(f[0], "claw backs"));
-    report_.redist_regrants = static_cast<int>(parse_int(f[1], "regrants"));
-    report_.redist_subsystem_shifts =
-        static_cast<int>(parse_int(f[2], "shifts"));
-    report_.redist_reclaimed_w = parse_double(f[3], "reclaimed watts");
-    report_.redist_granted_w = parse_double(f[4], "granted watts");
-  }
-  {
-    const std::vector<std::string_view> f = split(tok(m, "guard"), ':');
-    CLIP_REQUIRE(f.size() == 5, "malformed snapshot guard state");
-    guard_.restore_counters(
-        parse_double(f[0], "violation_s"), parse_double(f[1], "violation_ws"),
-        static_cast<std::uint64_t>(parse_int(f[2], "rejected reads")),
-        static_cast<std::uint64_t>(parse_int(f[3], "rejected regrants")));
-    guard_.set_budget(Watts(parse_double(f[4], "guard budget")));
-  }
-  {
-    const std::string_view ve = tok(m, "vends");
-    if (injector_ != nullptr) {
-      CLIP_REQUIRE(ve != "-",
-                   "snapshot has no injector state but one is attached");
-      std::vector<double> ends;
-      for (const std::string_view v : split(ve, ','))
-        ends.push_back(parse_double(v, "violation end"));
-      injector_->restore_violation_ends(ends);
-    }
-  }
-  if (redist_on_) {
-    const std::string_view det = tok(m, "det");
-    CLIP_REQUIRE(det != "-",
-                 "snapshot has no detector samples but redistribution is on");
-    for (const std::string_view entry : split(det, ',')) {
-      const std::vector<std::string_view> f = split(entry, ':');
-      CLIP_REQUIRE(f.size() == 3, "malformed snapshot detector sample: '" +
-                                      std::string(entry) + "'");
-      detector_.observe(static_cast<int>(parse_int(f[0], "detector node")),
-                        parse_double(f[1], "detector t"),
-                        parse_double(f[2], "detector draw"));
-    }
-  }
 }
 
 // In-flight placements were resolved against the fault plan when they

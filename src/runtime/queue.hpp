@@ -48,7 +48,9 @@
 // With a Journal attached (runtime/journal.hpp) every state-changing event
 // is journaled and the state is periodically snapshotted: each snapshot
 // carries the job rows and flight-recorder points that changed since the
-// previous one, plus the rest of the loop state whole.
+// previous one, plus the rest of the loop state whole — the fault plan as
+// one cursor into its time-sorted events. One field list
+// (QueueEventLoop::snapshot_fields) both writes and restores a snapshot.
 // QueueEventLoop::recover takes a journal whose tail was lost with the
 // dying coordinator, folds its snapshots in order, restores the latest
 // one's state, replays the surviving suffix as verification, re-derives
@@ -294,6 +296,16 @@ class QueueEventLoop {
     int attempt;      ///< placement the claw targets; a retry invalidates it
     double watts;
   };
+  /// Fault-plan kinds, in the order simultaneous events are announced.
+  enum class FaultKind {
+    kCrash, kDegrade, kMeter, kCapViolation, kBlackout, kBudgetCut
+  };
+  /// One fault-plan entry: its kind and its index in that kind's list.
+  struct FaultEvent {
+    double at_s;
+    FaultKind kind;
+    std::size_t index;
+  };
 
   // --- the event loop (former PowerAwareJobQueue::run lambdas) ------------
   [[nodiscard]] int free_nodes() const;
@@ -307,6 +319,7 @@ class QueueEventLoop {
   bool try_start(std::size_t j, int nodes_avail, double watts_avail);
   void start_eligible();
   void apply_fault_events();
+  void announce_fault(const FaultEvent& e);
   void claw_back(int node);
   void guard_sample();
   [[nodiscard]] double frac_at(const Running& r, double t) const;
@@ -354,11 +367,17 @@ class QueueEventLoop {
   void maybe_snapshot();
   [[nodiscard]] std::string begin_payload() const;
   [[nodiscard]] std::string admits_payload() const;
-  /// The next snapshot's payload. Advances the delta baselines: replayed
-  /// and fresh snapshots alike go through here.
-  [[nodiscard]] std::string serialize_state();
-  /// Fold every snapshot in records [0, snap] in order, then restore
-  /// record `snap`'s other state.
+  /// Every snapshot token, in order: a SnapshotWriter renders the next
+  /// snapshot (advancing the delta baselines, for replayed and fresh
+  /// snapshots alike), a SnapshotReader restores one.
+  template <typename IO>
+  void snapshot_fields(IO& io);
+  /// The `rows` token: the job rows that changed since the previous
+  /// snapshot.
+  template <typename IO>
+  void row_delta(IO& io);
+  /// Fold the row and timeline deltas of every snapshot before record
+  /// `snap` in order, then restore record `snap` whole.
   void restore_state(std::size_t snap);
   [[nodiscard]] static JobRow job_row(State state, int attempts,
                                       double eligible_s,
@@ -392,12 +411,8 @@ class QueueEventLoop {
   std::vector<bool> node_busy_;
   double now_ = 0.0;
   const fault::FaultPlan* plan_ = nullptr;
-  std::vector<bool> crash_seen_;
-  std::vector<bool> degrade_seen_;
-  std::vector<bool> meter_seen_;
-  std::vector<bool> capviol_seen_;
-  std::vector<bool> blackout_seen_;
-  std::vector<bool> cut_seen_;
+  std::vector<FaultEvent> fault_events_;  ///< the plan, stable-sorted by time
+  std::size_t fault_idx_ = 0;             ///< events announced so far
   std::vector<Enforcement> enforcements_;  ///< scheduled cap claw-backs
   std::vector<double> retry_wakeups_;      ///< backoff expiry instants
   std::vector<bool> enforcement_pending_;

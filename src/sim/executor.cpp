@@ -274,8 +274,7 @@ FrontierResult SimExecutor::run_batch(const workloads::WorkloadSignature& w,
   if (variability_.uniform()) {
     std::vector<OperatingPoint> ops(unique);
     rapl_.solve_frontier(w, prep, cpu_caps.data(), mem_caps.data(), unique,
-                         variability_.cpu_multiplier(0), ops.data(),
-                         batch_simd_);
+                         variability_.cpu_multiplier(0), ops.data());
     for (std::size_t u = 0; u < unique; ++u)
       (*out)[compute_idx[u]] = assemble(ops[u]);
   } else {
@@ -287,8 +286,7 @@ FrontierResult SimExecutor::run_batch(const workloads::WorkloadSignature& w,
     for (int i = 0; i < base.nodes; ++i)
       rapl_.solve_frontier(w, prep, cpu_caps.data(), mem_caps.data(), unique,
                            variability_.cpu_multiplier(i),
-                           per_node[static_cast<std::size_t>(i)].data(),
-                           batch_simd_);
+                           per_node[static_cast<std::size_t>(i)].data());
     for (std::size_t u = 0; u < unique; ++u) {
       Measurement m;
       m.nodes.reserve(static_cast<std::size_t>(base.nodes));

@@ -85,8 +85,7 @@ class SimExecutor {
   /// `run_exact(w, base with caps[i] substituted)` bit for bit, but the
   /// cap-independent work (placement, perf/power/comm subexpressions,
   /// frequency-ladder terms, cache key prefix) is hoisted and done once for
-  /// the frontier, per-cap state is laid out contiguously (optionally
-  /// walked two points per SSE2 instruction — see set_batch_simd), exact
+  /// the frontier, per-cap state is laid out contiguously, exact
   /// duplicates within the frontier are computed once, and the cache is
   /// probed/filled at *frontier* granularity: one lookup serves the whole
   /// call, a miss inserts the computed vector by move, and a hit returns
@@ -104,12 +103,6 @@ class SimExecutor {
   /// setup (prefix encoding, shard grouping, hoisting) and takes the plain
   /// scalar path. Pinned by tests/test_batch.cpp.
   static constexpr std::size_t kMinBatchFrontier = 4;
-
-  /// Toggle the SSE2 frontier kernel (no-op unless compiled in — see
-  /// RaplSolver::simd_compiled). On by default when available; the scalar
-  /// fallback is bit-identical, so this only exists for A/B tests.
-  void set_batch_simd(bool on) { batch_simd_ = on; }
-  [[nodiscard]] bool batch_simd() const { return batch_simd_; }
 
   /// Execute a phased workload with per-phase node configurations over one
   /// node allocation (exact, noise-free). At each phase boundary the node
@@ -136,7 +129,6 @@ class SimExecutor {
   obs::ObsSession* obs_ = nullptr;
   ExactRunCache* cache_ = nullptr;
   std::string cache_prefix_;  ///< encoded spec, computed once on attach
-  bool batch_simd_ = RaplSolver::simd_compiled();
   /// Metric handles resolved by set_observer (null iff obs_ is null).
   struct Metrics {
     obs::Counter* runs = nullptr;

@@ -3,10 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#if defined(CLIP_SIM_SIMD)
-#include <emmintrin.h>
-#endif
-
 #include "util/check.hpp"
 
 namespace clip::sim {
@@ -221,179 +217,13 @@ OperatingPoint RaplSolver::solve(const workloads::WorkloadSignature& w,
                         cpu_multiplier);
 }
 
-bool RaplSolver::simd_compiled() {
-#if defined(CLIP_SIM_SIMD)
-  return true;
-#else
-  return false;
-#endif
-}
-
 void RaplSolver::solve_frontier(const workloads::WorkloadSignature& w,
                                 const Prepared& p, const Watts* cpu_caps,
                                 const Watts* mem_caps, std::size_t count,
-                                double cpu_multiplier, OperatingPoint* out,
-                                bool use_simd) const {
-#if defined(CLIP_SIM_SIMD)
-  if (use_simd && count >= 2) {
-    solve_frontier_sse2(w, p, cpu_caps, mem_caps, count, cpu_multiplier, out);
-    return;
-  }
-#else
-  (void)use_simd;
-#endif
+                                double cpu_multiplier,
+                                OperatingPoint* out) const {
   for (std::size_t i = 0; i < count; ++i)
     out[i] = solve_prepared(w, p, cpu_caps[i], mem_caps[i], cpu_multiplier);
 }
-
-#if defined(CLIP_SIM_SIMD)
-
-// Two cap points per SSE2 lane pair, states walked in lockstep. Every vector
-// op mirrors the scalar expression tree of solve_prepared one-for-one
-// (mul/add/div/min in the same order), and SSE2 double arithmetic is
-// IEEE-754-exact with no FMA contraction — so extracted lanes equal the
-// scalar path bit for bit. Acceptance, ENSURE checks and operating-point
-// recording happen on extracted scalars, exactly as the scalar walk would,
-// and lanes that accepted early have their later (discarded) state values
-// neither checked nor recorded — matching the scalar walk's visited-state
-// set. tests/test_batch.cpp pins the SIMD/scalar bit-identity.
-void RaplSolver::solve_frontier_sse2(const workloads::WorkloadSignature& w,
-                                     const Prepared& p, const Watts* cpu_caps,
-                                     const Watts* mem_caps, std::size_t count,
-                                     double cpu_multiplier,
-                                     OperatingPoint* out) const {
-  const double m = w.memory_boundedness;
-  const double ci = w.compute_intensity;
-  const double floor_w = spec_->core_power_floor;
-  const __m128d ones = _mm_set1_pd(1.0);
-
-  std::size_t i = 0;
-  for (; i + 1 < count; i += 2) {
-    double bw_eff_lane[2];
-    double cpu_cap_lane[2];
-    for (int lane = 0; lane < 2; ++lane) {
-      const std::size_t e = i + static_cast<std::size_t>(lane);
-      CLIP_REQUIRE(cpu_caps[e].value() > 0.0 && mem_caps[e].value() > 0.0,
-                   "caps must be positive");
-      CLIP_REQUIRE(cpu_multiplier > 0.0,
-                   "variability multiplier must be > 0");
-      const double headroom_w = mem_caps[e].value() - p.mem_base_w;
-      const double cap_bw =
-          headroom_w <= 0.0 ? 0.0 : headroom_w / p.w_per_gbps;
-      const double bw_cap = std::min(p.level_bw_gbps, cap_bw);
-      CLIP_REQUIRE(w.memory_boundedness == 0.0 || bw_cap > 0.0,
-                   "memory-bound workload with zero bandwidth budget — DRAM "
-                   "cap below base power");
-      bw_eff_lane[lane] = bw_cap * p.numa_factor;
-      cpu_cap_lane[lane] = cpu_caps[e].value();
-    }
-    const __m128d bw_eff_v = _mm_set_pd(bw_eff_lane[1], bw_eff_lane[0]);
-
-    bool done[2] = {false, false};
-    bool fitted[2] = {false, false};
-    for (std::size_t k = 0; k < p.states.size() && !(done[0] && done[1]);
-         ++k) {
-      const Prepared::State& st = p.states[k];
-      // sat = demand > 0 ? min(1, bw_eff / demand) : 1  (branch is uniform
-      // across lanes: demand is a per-state scalar).
-      const __m128d sat_v =
-          st.demand_gbps > 0.0
-              ? _mm_min_pd(_mm_div_pd(bw_eff_v, _mm_set1_pd(st.demand_gbps)),
-                           ones)
-              : ones;
-      // util = (1 - m) + m * sat
-      const __m128d util_v = _mm_add_pd(
-          _mm_set1_pd(p.one_minus_m), _mm_mul_pd(_mm_set1_pd(m), sat_v));
-      // memory_t = m > 0 ? mem_numerator / (nf * sat) : 0
-      const __m128d mem_t_v =
-          m > 0.0 ? _mm_div_pd(_mm_set1_pd(p.mem_numerator),
-                               _mm_mul_pd(_mm_set1_pd(st.nf), sat_v))
-                  : _mm_setzero_pd();
-      // time = work * (((serial + compute) + memory) + sync) + fork
-      const __m128d sum_v = _mm_add_pd(
-          _mm_add_pd(_mm_add_pd(_mm_set1_pd(st.serial_t),
-                                _mm_set1_pd(st.compute_t)),
-                     mem_t_v),
-          _mm_set1_pd(st.sync_t));
-      const __m128d time_v = _mm_add_pd(
-          _mm_mul_pd(_mm_set1_pd(p.work_s), sum_v), _mm_set1_pd(p.fork_s));
-      // activity = floor + ((1 - floor) * util) * ci
-      const __m128d act_v = _mm_add_pd(
-          _mm_set1_pd(floor_w),
-          _mm_mul_pd(_mm_mul_pd(_mm_set1_pd(1.0 - floor_w), util_v),
-                     _mm_set1_pd(ci)));
-      // per_core = (core_max * activity) * pow_f
-      const __m128d per_core_v =
-          _mm_mul_pd(_mm_mul_pd(_mm_set1_pd(spec_->core_max_w), act_v),
-                     _mm_set1_pd(st.pow_f));
-      // cpu_w = Σ_sockets base + (threads * per_core) * multiplier
-      __m128d cpu_v = _mm_setzero_pd();
-      for (int threads : p.placement.threads_per_socket) {
-        if (threads > 0) {
-          cpu_v = _mm_add_pd(
-              cpu_v,
-              _mm_add_pd(
-                  _mm_set1_pd(spec_->socket_base_w),
-                  _mm_mul_pd(
-                      _mm_mul_pd(_mm_set1_pd(static_cast<double>(threads)),
-                                 per_core_v),
-                      _mm_set1_pd(cpu_multiplier))));
-        } else {
-          cpu_v = _mm_add_pd(cpu_v, _mm_set1_pd(spec_->socket_parked_w));
-        }
-      }
-
-      double sat_lane[2], util_lane[2], time_lane[2], cpu_lane[2];
-      _mm_storeu_pd(sat_lane, sat_v);
-      _mm_storeu_pd(util_lane, util_v);
-      _mm_storeu_pd(time_lane, time_v);
-      _mm_storeu_pd(cpu_lane, cpu_v);
-
-      for (int lane = 0; lane < 2; ++lane) {
-        if (done[lane]) continue;
-        const std::size_t e = i + static_cast<std::size_t>(lane);
-        CLIP_ENSURE(m == 0.0 || sat_lane[lane] > 0.0,
-                    "memory-bound work with zero usable bandwidth");
-        CLIP_ENSURE(time_lane[lane] > 0.0 && std::isfinite(time_lane[lane]),
-                    "non-physical node time");
-        CLIP_REQUIRE(util_lane[lane] >= 0.0 && util_lane[lane] <= 1.0,
-                     "utilization in [0,1]");
-        if (cpu_lane[lane] <= cpu_cap_lane[lane] ||
-            k + 1 == p.states.size()) {
-          OperatingPoint& op = out[e];
-          op.placement = p.placement;
-          op.duty_factor = 1.0;
-          op.frequency = st.freq;
-          op.f_rel = st.f_rel;
-          op.perf.time = Seconds(time_lane[lane]);
-          op.perf.saturation = sat_lane[lane];
-          op.perf.utilization = util_lane[lane];
-          op.perf.achieved_bw_gbps =
-              std::min(st.demand_gbps, bw_eff_lane[lane]);
-          op.perf.bw_eff_gbps = bw_eff_lane[lane];
-          op.perf.remote_fraction = p.remote_fraction;
-          op.cpu_power = Watts(cpu_lane[lane]);
-          op.mem_power = mem_power_prepared(p, op.perf.achieved_bw_gbps);
-          fitted[lane] = cpu_lane[lane] <= cpu_cap_lane[lane];
-          done[lane] = true;
-        }
-      }
-    }
-    for (int lane = 0; lane < 2; ++lane) {
-      const std::size_t e = i + static_cast<std::size_t>(lane);
-      CLIP_ENSURE(out[e].frequency.value() > 0.0,
-                  "ladder walk found no state");
-      if (!fitted[lane])
-        apply_duty_cycle(w, cpu_caps[e], cpu_multiplier, out[e]);
-      CLIP_ENSURE(out[e].mem_power <= mem_caps[e] + Watts(1e-9) ||
-                      out[e].perf.achieved_bw_gbps <= 1e-12,
-                  "memory enforcement exceeded the DRAM cap");
-    }
-  }
-  if (i < count)  // odd tail
-    out[i] = solve_prepared(w, p, cpu_caps[i], mem_caps[i], cpu_multiplier);
-}
-
-#endif  // CLIP_SIM_SIMD
 
 }  // namespace clip::sim

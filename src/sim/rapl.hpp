@@ -84,18 +84,12 @@ class RaplSolver {
       Watts mem_cap, double cpu_multiplier = 1.0) const;
 
   /// Solve a whole cap frontier (parallel arrays of PKG/DRAM caps) against
-  /// one prepared context. With `use_simd` and the CMake SSE2 probe passed
-  /// (CLIP_SIM_SIMD), the ladder walk evaluates two cap points per
-  /// instruction; the scalar fallback is always compiled and produces
-  /// bit-identical OperatingPoints (the kernel mirrors the scalar operation
-  /// trees with IEEE-exact SSE2 ops — no FMA contraction, no reassociation).
+  /// one prepared context: one solve_prepared per point, so every
+  /// OperatingPoint is bit-identical to the scalar path's.
   void solve_frontier(const workloads::WorkloadSignature& w, const Prepared& p,
                       const Watts* cpu_caps, const Watts* mem_caps,
                       std::size_t count, double cpu_multiplier,
-                      OperatingPoint* out, bool use_simd) const;
-
-  /// True when the SSE2 frontier kernel was compiled in (CLIP_SIM_SIMD).
-  [[nodiscard]] static bool simd_compiled();
+                      OperatingPoint* out) const;
 
   /// Solve the operating point of a node executing `work_s` 1-core-seconds
   /// of `w` under `cfg`, with manufacturing multiplier `cpu_multiplier`.
@@ -119,13 +113,6 @@ class RaplSolver {
   /// PowerModel::mem_power at the same activity.
   [[nodiscard]] Watts mem_power_prepared(const Prepared& p,
                                          double achieved_bw_gbps) const;
-
-#if defined(CLIP_SIM_SIMD)
-  void solve_frontier_sse2(const workloads::WorkloadSignature& w,
-                           const Prepared& p, const Watts* cpu_caps,
-                           const Watts* mem_caps, std::size_t count,
-                           double cpu_multiplier, OperatingPoint* out) const;
-#endif
 
   const MachineSpec* spec_;
   PowerModel power_;

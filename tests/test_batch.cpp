@@ -1,7 +1,7 @@
 // Property tests for the batch-vectorized simulator core
 // (SimExecutor::run_batch). The contract under test is *bit* identity:
 // evaluating a whole cap frontier in one call — with subexpression
-// hoisting, SoA state, optional SIMD, in-frontier deduplication and
+// hoisting, SoA state, in-frontier deduplication and
 // frontier-granular caching — must reproduce the scalar run_exact loop to
 // the last mantissa bit, for every field of every Measurement. Anything
 // weaker would let batching change figure bytes.
@@ -174,15 +174,13 @@ TEST(BatchIdentity, MatchesScalarWithCacheAttached) {
 
 TEST(BatchIdentity, PhasedExecutionUnaffectedByBatchMachinery) {
   // run_phased_exact composes the same node model the batch kernel hoists;
-  // attaching a cache/observer or toggling the SIMD kernel must not perturb
-  // phased results by a bit.
+  // attaching a cache/observer must not perturb phased results by a bit.
   sim::SimExecutor plain(sim::MachineSpec{}, no_noise());
   sim::SimExecutor tooled(sim::MachineSpec{}, no_noise());
   sim::ExactRunCache cache;
   obs::ObsSession session;
   tooled.set_exact_cache(&cache);
   tooled.set_observer(&session);
-  tooled.set_batch_simd(!tooled.batch_simd());
 
   Rng rng(0x44u);
   for (const workloads::PhasedWorkload& w : workloads::phased_benchmarks()) {
@@ -204,31 +202,6 @@ TEST(BatchIdentity, PhasedExecutionUnaffectedByBatchMachinery) {
     for (std::size_t p = 0; p < a.phases.size(); ++p)
       expect_bits(a.phases[p].time.value(), b.phases[p].time.value(),
                   "phase.time");
-  }
-}
-
-// ------------------------------------------------------------ SIMD kernel ----
-
-TEST(BatchSimd, KernelAndScalarFallbackAgreeBitForBit) {
-  // When the SSE2 kernel is compiled in, A/B the same frontiers through
-  // both paths. When it is not, set_batch_simd must be an inert toggle.
-  sim::SimExecutor simd_ex(sim::MachineSpec{}, no_noise());
-  sim::SimExecutor scalar_ex(sim::MachineSpec{}, no_noise());
-  EXPECT_EQ(simd_ex.batch_simd(), sim::RaplSolver::simd_compiled());
-  simd_ex.set_batch_simd(true);
-  scalar_ex.set_batch_simd(false);
-
-  Rng rng(0x55u);
-  for (int t = 0; t < 20; ++t) {
-    const workloads::WorkloadSignature w = random_workload(rng);
-    const sim::ClusterConfig base = random_base(rng, simd_ex.spec());
-    const std::vector<sim::CapPoint> caps =
-        random_caps(rng, static_cast<std::size_t>(rng.uniform_int(4, 48)));
-    const sim::FrontierResult a = simd_ex.run_batch(w, base, caps);
-    const sim::FrontierResult b = scalar_ex.run_batch(w, base, caps);
-    ASSERT_EQ(a->size(), b->size());
-    for (std::size_t i = 0; i < a->size(); ++i)
-      expect_bit_identical((*a)[i], (*b)[i]);
   }
 }
 

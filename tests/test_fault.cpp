@@ -735,6 +735,69 @@ TEST(FlightRecorder, FaultEventsLandOnTheTimeline) {
   EXPECT_GE(job_crashes, 1u);
 }
 
+/// The `fault` event stream ("<t> <label>", t rendered exactly) of the ten
+/// paper jobs at 700 W with redistribution reacting after 30 s, on a warm
+/// knowledge DB.
+std::vector<std::string> fault_stream(const fault::FaultPlan& plan) {
+  sim::SimExecutor ex{sim::MachineSpec{}, no_noise()};
+  core::ClipScheduler sched{ex, workloads::training_benchmarks()};
+  runtime::QueueOptions opt;
+  opt.cluster_budget = Watts(700.0);
+  opt.redist.enabled = true;
+  opt.redist.reaction_s = 30.0;
+  const auto jobs = workloads::paper_benchmarks();
+  {
+    runtime::PowerAwareJobQueue warm(ex, sched, opt);
+    (void)warm.run(jobs);
+  }
+  runtime::PowerAwareJobQueue queue(ex, sched, opt);
+  obs::Timeline timeline;
+  queue.set_timeline(&timeline);
+  fault::FaultInjector injector(plan, ex.spec().nodes);
+  queue.set_fault_injector(&injector);
+  (void)queue.run(jobs);
+  std::vector<std::string> out;
+  for (const auto& e : timeline.events("fault"))
+    out.push_back(obs::format_exact(e.t_s) + " " + e.label);
+  return out;
+}
+
+TEST(FlightRecorder, SimultaneousFaultsAnnounceInKindOrder) {
+  // Events that fall due together are announced by kind (crash, degrade,
+  // meter fault, cap violation, blackout, budget cut), then in plan order.
+  fault::FaultPlan at_once;
+  at_once.crashes = {{5, 10.0}, {2, 10.0}};
+  at_once.degrades = {{4, 10.0, 0.8}};
+  at_once.meter_faults = {{6, 10.0, 5.0, fault::MeterFaultKind::kSpike, 2.0}};
+  at_once.cap_violations = {{0, 10.0, 5.0, 30.0}};
+  at_once.meter_blackouts = {{10.0, 5.0}};
+  at_once.budget_cuts = {{10.0, 5.0, 0.8}};
+  EXPECT_EQ(fault_stream(at_once),
+            (std::vector<std::string>{
+                "1e+01 crash node=5", "1e+01 crash node=2",
+                "1e+01 degrade node=4", "1e+01 meter-spike node=6",
+                "1e+01 cap-violation node=0",
+                "1e+01 meter-blackout for 5.0s",
+                "1e+01 budget-cut to 0.80x for 5.0s"}));
+
+  // One batch can span several instants: once every job is done, a pending
+  // claw-back carries time from 63.6 s to 90 s past three planned events
+  // (cap violation at 85.2 s, meter faults at 86.7 and 88.4 s). They are
+  // announced at 90 s by kind, not in time order.
+  EXPECT_EQ(fault_stream(fault::FaultPlan::random(269, 8, 120.0,
+                                                  {1, 3, 3, 2, 1, 1})),
+            (std::vector<std::string>{
+                "5.046153181379092 degrade node=2",
+                "10.496031301105218 degrade node=0",
+                "28.991784403072614 meter-dropout node=1",
+                "39.681216611206935 degrade node=0",
+                "46.06117572743665 meter-blackout for 10.6s",
+                "52.16816266131328 crash node=1",
+                "58.65406357250352 budget-cut to 0.83x for 21.8s",
+                "9e+01 meter-stuck-at node=2", "9e+01 meter-dropout node=5",
+                "9e+01 cap-violation node=3"}));
+}
+
 TEST(FlightRecorder, ArchivesRunRecordIntoFlightDirWhenSet) {
   FlightRecordedRun run;
   run_crash_scenario(run);

@@ -569,23 +569,31 @@ TEST(Recovery, RejectsAJournalWithoutTheSnapshotFormatByName) {
   runtime::Journal journal(jopt);
   (void)c.run({}, &journal);
   const std::string& begin = journal.records().front().payload;
-  ASSERT_EQ(begin.rfind("snapfmt=2 ", 0), 0u) << begin;
+  ASSERT_EQ(begin.rfind("snapfmt=3 ", 0), 0u) << begin;
+  const std::string rest = begin.substr(std::string("snapfmt=3 ").size());
 
-  // The same run as an older build wrote it: no format token in `begin`.
-  runtime::Journal old(jopt);
-  old.append("begin", begin.substr(std::string("snapfmt=2 ").size()));
-  for (std::size_t i = 1; i < journal.size(); ++i)
-    old.append(journal.records()[i].kind, journal.records()[i].payload);
-  runtime::QueueEventLoop loop(c.ex, c.sched, c.opt, c.jobs);
-  obs::Timeline timeline;
-  loop.set_timeline(&timeline);
-  try {
-    (void)loop.recover(old);
-    ADD_FAILURE() << "a journal without snapfmt=2 was recovered";
-  } catch (const PreconditionError& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("snapshot format"), std::string::npos) << what;
-    EXPECT_NE(what.find("snapfmt=2"), std::string::npos) << what;
+  // The same run as older builds wrote it: no format token in `begin`, and
+  // the previous format, whose snapshots carried the fault plan as bitmaps.
+  for (const std::string& old_begin : {rest, "snapfmt=2 " + rest}) {
+    runtime::Journal old(jopt);
+    old.append("begin", old_begin);
+    for (std::size_t i = 1; i < journal.size(); ++i)
+      old.append(journal.records()[i].kind, journal.records()[i].payload);
+    runtime::QueueEventLoop loop(c.ex, c.sched, c.opt, c.jobs);
+    obs::Timeline timeline;
+    loop.set_timeline(&timeline);
+    try {
+      (void)loop.recover(old);
+      ADD_FAILURE() << "a journal beginning '" << old_begin.substr(0, 10)
+                    << "' was recovered";
+    } catch (const PreconditionError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("snapshot format"), std::string::npos) << what;
+      EXPECT_NE(what.find("snapfmt=3"), std::string::npos) << what;
+      if (old_begin != rest) {
+        EXPECT_NE(what.find("'snapfmt=2'"), std::string::npos) << what;
+      }
+    }
   }
 }
 
@@ -694,6 +702,35 @@ TEST(SnapshotBounds, EnforcementNodeIsChecked) {
   const std::string what = refusal(
       "enf", [](const std::string&) { return "1.5:" + node_count(); });
   EXPECT_TRUE(names(what, "enforcement node")) << what;
+}
+
+TEST(SnapshotBounds, ClawJobIndexIsChecked) {
+  const std::string what = refusal(
+      "claw", [](const std::string&) { return "1.5:" + job_count() + ":1:8"; });
+  EXPECT_TRUE(names(what, "claw job index")) << what;
+}
+
+TEST(SnapshotBounds, RunningCountIsChecked) {
+  const std::string over = std::to_string(cluster().ex.spec().nodes + 1);
+  const std::string what = refusal("run.n", set_field(':', 0, over));
+  EXPECT_TRUE(names(what, "running count")) << what;
+}
+
+TEST(SnapshotBounds, WakeupIndexIsChecked) {
+  Cluster& c = cluster();
+  const fault::FaultPlan plan = recovery_scenarios(c.horizon_s)[1].plan;
+  const fault::FaultInjector injector(plan, c.ex.spec().nodes);
+  const std::string past = std::to_string(injector.wakeups().size() + 1);
+  const std::string what = refusal("widx", set_field(':', 0, past));
+  EXPECT_TRUE(names(what, "wakeup index")) << what;
+}
+
+TEST(SnapshotBounds, FaultCursorIsChecked) {
+  Cluster& c = cluster();
+  const fault::FaultPlan plan = recovery_scenarios(c.horizon_s)[1].plan;
+  const std::string past = std::to_string(plan.size() + 1);
+  const std::string what = refusal("faults", set_field(':', 0, past));
+  EXPECT_TRUE(names(what, "fault cursor")) << what;
 }
 
 TEST(SnapshotBounds, EnumFieldsAreChecked) {

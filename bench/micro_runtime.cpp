@@ -58,6 +58,29 @@ void BM_SimExecutorRun(benchmark::State& state) {
 }
 BENCHMARK(BM_SimExecutorRun)->Arg(1)->Arg(4)->Arg(8);
 
+// The exact-run cache's own cost: construct it, insert n distinct points
+// (one 8-node measurement each), destroy it. n = 2636 is
+// ablation_dimensions' probe count, the most any bench makes of one cache.
+void BM_ExactRunCacheFill(benchmark::State& state) {
+  const auto w = *workloads::find_benchmark("TeaLeaf");
+  sim::ClusterConfig cfg;
+  cfg.nodes = 8;
+  cfg.node.threads = 12;
+  const sim::Measurement m = executor().run_exact(w, cfg);
+  const int n = static_cast<int>(state.range(0));
+  for (auto _ : state) {
+    sim::ExactRunCache cache;
+    const std::uint64_t id = cache.intern_prefix("fill");
+    for (int i = 0; i < n; ++i)
+      cache.insert(sim::CacheKey{id, 40.0 + i, 20.0}, m);
+    benchmark::DoNotOptimize(cache.stats().entries);
+  }
+}
+BENCHMARK(BM_ExactRunCacheFill)
+    ->Arg(0)
+    ->Arg(2636)
+    ->Unit(benchmark::kMicrosecond);
+
 void BM_MlrFit(benchmark::State& state) {
   Rng rng(3);
   std::vector<std::vector<double>> x;
@@ -177,8 +200,12 @@ BENCHMARK(BM_ClipScheduleCachedObserved);
 void BM_OraclePlan(benchmark::State& state) {
   baselines::OracleScheduler oracle(executor());
   const auto w = *workloads::find_benchmark("SP-MZ");
-  for (auto _ : state)
+  for (auto _ : state) {
+    // Drop the plan memo so every iteration searches; the bound memo stays
+    // warm, as in a budget sweep.
+    oracle.set_options(baselines::OracleOptions{});
     benchmark::DoNotOptimize(oracle.plan(w, Watts(800.0)));
+  }
 }
 BENCHMARK(BM_OraclePlan);
 

@@ -62,6 +62,20 @@ sim::ClusterConfig OracleScheduler::plan(
     const workloads::WorkloadSignature& app, Watts cluster_budget) {
   app.validate();
   CLIP_REQUIRE(cluster_budget.value() > 0.0, "budget must be positive");
+  // The workload's full canonical encoding keys both memos, so two
+  // signatures that differ in any model input never share an entry.
+  std::string app_key;
+  if (options_.prune) {
+    app_key = sim::ExactRunCache::encode_batch_prefix(std::string(), app,
+                                                      sim::ClusterConfig{});
+    const std::lock_guard<std::mutex> lock(bound_memo_mu_);
+    const auto it = plan_memo_.find({app_key, cluster_budget.value()});
+    if (it != plan_memo_.end()) {
+      last_search_cost_.store(it->second.search_cost,
+                              std::memory_order_relaxed);
+      return it->second.plan;
+    }
+  }
   const auto& spec = executor_->spec();
   const int all_cores = spec.shape.total_cores();
 
@@ -199,13 +213,14 @@ sim::ClusterConfig OracleScheduler::plan(
       caps[static_cast<std::size_t>(j)].cpu_cap =
           Watts(combo.node_share - mem_w);
     }
-    const sim::FrontierResult ms = executor_->run_batch(app, combo.base, caps);
+    const std::vector<sim::Measurement> ms =
+        executor_->run_batch(app, combo.base, caps);
     last_search_cost_.fetch_add(static_cast<int>(caps.size()),
                                 std::memory_order_relaxed);
     double local_best = kInf;
-    times[ci].resize(ms->size());
-    for (std::size_t j = 0; j < ms->size(); ++j) {
-      times[ci][j] = (*ms)[j].time.value();
+    times[ci].resize(ms.size());
+    for (std::size_t j = 0; j < ms.size(); ++j) {
+      times[ci][j] = ms[j].time.value();
       local_best = std::min(local_best, times[ci][j]);
     }
     update_min(best_seen, local_best);
@@ -224,10 +239,9 @@ sim::ClusterConfig OracleScheduler::plan(
     // and never itself a candidate (its caps ignore the budget) — so bounds
     // are memoized per workload across plan() calls: a budget sweep pays
     // the scalar executor path (cache-key encoding and all) once per combo
-    // instead of once per budget. The workload key is its full canonical
-    // encoding, so two signatures that differ in any model input can never
-    // share bounds. last_search_cost_ counts every requested bound either
-    // way, keeping reported evaluation counts sweep-order independent.
+    // instead of once per budget. last_search_cost_ counts every requested
+    // bound either way, keeping reported evaluation counts sweep-order
+    // independent.
     const auto key_of = [&](std::size_t ci) {
       return BoundKey{combos[ci].base.nodes, combos[ci].base.node.threads,
                       static_cast<int>(combos[ci].base.node.affinity),
@@ -236,8 +250,6 @@ sim::ClusterConfig OracleScheduler::plan(
     // Every bound is "requested" whether memoized or not.
     last_search_cost_.fetch_add(static_cast<int>(combos.size()),
                                 std::memory_order_relaxed);
-    const std::string app_key = sim::ExactRunCache::encode_batch_prefix(
-        std::string(), app, sim::ClusterConfig{});
     std::vector<std::size_t> missing;
     {
       const std::lock_guard<std::mutex> lock(bound_memo_mu_);
@@ -320,6 +332,11 @@ sim::ClusterConfig OracleScheduler::plan(
     }
   }
   CLIP_ENSURE(best_time < kInf, "oracle found no feasible configuration");
+  if (options_.prune) {
+    const std::lock_guard<std::mutex> lock(bound_memo_mu_);
+    plan_memo_.try_emplace({std::move(app_key), cluster_budget.value()},
+                           PlanMemo{best, last_search_cost()});
+  }
   return best;
 }
 

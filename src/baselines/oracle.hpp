@@ -23,13 +23,17 @@
 //    whose bound cannot strictly beat the incumbent is skipped wholesale;
 //  * each combo's cap grid is evaluated as one SimExecutor::run_batch
 //    frontier (the caps are the only thing varying under a shared
-//    (workload, placement) prefix), and the per-level grid is deduplicated
-//    (the demand-tight point often coincides with a grid point);
+//    (workload, placement) prefix), computed fresh rather than cached, and
+//    the per-level grid is deduplicated (the demand-tight point often
+//    coincides with a grid point);
 //  * the uncapped bound runs are budget-independent, so the scheduler
 //    memoizes them per workload across plan() calls — a budget sweep pays
 //    for each combo's bound exactly once (last_search_cost still counts
 //    every bound a search *requests*, memoized or not, so reported
-//    evaluation counts are sweep-order independent).
+//    evaluation counts are sweep-order independent);
+//  * with pruning on, each (workload, budget) plan is memoized with its
+//    search cost: replaying a plan costs no simulator run and reports the
+//    same last_search_cost as its first search.
 #pragma once
 
 #include <array>
@@ -37,6 +41,7 @@
 #include <map>
 #include <mutex>
 #include <string>
+#include <utility>
 
 #include "baselines/scheduler_iface.hpp"
 #include "parallel/thread_pool.hpp"
@@ -63,7 +68,13 @@ class OracleScheduler final : public PowerScheduler {
   /// is borrowed, not owned, and must outlive the scheduler's plan() calls.
   void set_pool(parallel::ThreadPool* pool) { pool_ = pool; }
 
-  void set_options(OracleOptions options) { options_ = options; }
+  /// Replace the options. Drops the plan memo, whose plans were searched
+  /// under the old ones (bounds do not depend on the options and stay).
+  void set_options(OracleOptions options) {
+    options_ = options;
+    const std::lock_guard<std::mutex> lock(bound_memo_mu_);
+    plan_memo_.clear();
+  }
 
   [[nodiscard]] sim::ClusterConfig plan(
       const workloads::WorkloadSignature& app,
@@ -79,6 +90,11 @@ class OracleScheduler final : public PowerScheduler {
  private:
   /// One pruning-bound combo: the knob tuple the uncapped time depends on.
   using BoundKey = std::array<int, 4>;  ///< nodes, threads, affinity, level
+  /// A pruned search's answer and the cost last_search_cost reported.
+  struct PlanMemo {
+    sim::ClusterConfig plan;
+    int search_cost = 0;
+  };
 
   sim::SimExecutor* executor_;
   OracleOptions options_;
@@ -90,6 +106,12 @@ class OracleScheduler final : public PowerScheduler {
   /// `bound_memo_mu_` (bounds evaluate concurrently under set_pool).
   std::mutex bound_memo_mu_;
   std::map<std::string, std::map<BoundKey, double>> bound_memo_;
+  /// Pruned plans, (workload bytes, budget) → plan and search cost. A
+  /// serial search is a pure function of both, so a replay returns what a
+  /// fresh search would (under a pool, at worst an equally fast plan on an
+  /// exact tie). Only the pruned path reads or fills it, under
+  /// `bound_memo_mu_`.
+  std::map<std::pair<std::string, double>, PlanMemo> plan_memo_;
 };
 
 }  // namespace clip::baselines

@@ -32,29 +32,14 @@ std::size_t ExactRunCache::KeyHash::operator()(const CacheKey& k) const {
   return static_cast<std::size_t>(h);
 }
 
-std::size_t ExactRunCache::FrontierKeyHash::operator()(
-    const FrontierKey& k) const {
-  std::uint64_t h = mix64(k.prefix);
-  for (const CapPoint& p : k.caps) {
-    h = mix64(h ^ bits_of(p.cpu_cap.value()));
-    h = mix64(h ^ bits_of(p.mem_cap.value()));
-  }
-  return static_cast<std::size_t>(h);
-}
-
 ExactRunCache::ExactRunCache(ExactCacheOptions options) {
   const int shards = std::max(1, options.shards);
-  frontier_cap_ = std::max<std::size_t>(options.max_frontier_entries, 1);
   const std::size_t max_entries = std::max<std::size_t>(
       options.max_entries, static_cast<std::size_t>(shards));
   per_shard_cap_ =
       (max_entries + static_cast<std::size_t>(shards) - 1) /
       static_cast<std::size_t>(shards);
   shards_ = std::vector<Shard>(static_cast<std::size_t>(shards));
-  // Pre-size the buckets (bounded at 64 Ki per shard) so the hot insert
-  // path never pays an incremental rehash walk.
-  for (Shard& shard : shards_)
-    shard.map.reserve(std::min<std::size_t>(per_shard_cap_, 1u << 16));
 }
 
 std::uint64_t ExactRunCache::intern_prefix(const std::string& prefix) {
@@ -95,31 +80,6 @@ void ExactRunCache::insert(const CacheKey& key, const Measurement& m) {
   }
 }
 
-FrontierResult ExactRunCache::lookup_frontier(
-    const FrontierKey& key) const {
-  std::lock_guard<std::mutex> lock(frontier_mu_);
-  const auto it = frontiers_.find(key);
-  if (it == frontiers_.end()) {
-    misses_.fetch_add(key.caps.size(), std::memory_order_relaxed);
-    return nullptr;
-  }
-  hits_.fetch_add(key.caps.size(), std::memory_order_relaxed);
-  return it->second;
-}
-
-void ExactRunCache::insert_frontier(FrontierKey key, FrontierResult result) {
-  std::lock_guard<std::mutex> lock(frontier_mu_);
-  const auto [it, inserted] =
-      frontiers_.try_emplace(std::move(key), std::move(result));
-  if (!inserted) return;  // a concurrent miss already filled it — identical
-  frontier_fifo_.push_back(it->first);
-  if (frontier_fifo_.size() > frontier_cap_) {
-    frontiers_.erase(frontier_fifo_.front());
-    frontier_fifo_.pop_front();
-    evictions_.fetch_add(1, std::memory_order_relaxed);
-  }
-}
-
 ExactCacheStats ExactRunCache::stats() const {
   ExactCacheStats s;
   s.hits = hits_.load(std::memory_order_relaxed);
@@ -128,10 +88,6 @@ ExactCacheStats ExactRunCache::stats() const {
   for (const Shard& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard.mu);
     s.entries += shard.map.size();
-  }
-  {
-    std::lock_guard<std::mutex> lock(frontier_mu_);
-    s.frontier_entries = frontiers_.size();
   }
   return s;
 }
@@ -142,9 +98,6 @@ void ExactRunCache::clear() {
     shard.map.clear();
     shard.fifo.clear();
   }
-  std::lock_guard<std::mutex> lock(frontier_mu_);
-  frontiers_.clear();
-  frontier_fifo_.clear();
 }
 
 void ExactRunCache::encode(std::string& out, double v) {

@@ -4,38 +4,31 @@
 // signature, cluster configuration): two identical exact runs return
 // bit-identical measurements. That makes memoization *exact*, not
 // approximate — a cache hit returns precisely what the model would have
-// computed. The evaluation engine leans on this everywhere the paper's §V
-// harnesses brute-force the simulator: the oracle's exhaustive grid, the
-// comparison harness's per-cell timings, and every bench binary that sweeps
-// budgets over the same configurations.
+// computed. The benches lean on this wherever they re-run a configuration
+// they already ran: the comparison harness's per-cell timings, CLIP's
+// profiling runs, and the scalar sweeps of ablation_dimensions and
+// scale_cluster.
 //
 // Keys are split to match how the engine sweeps: everything cap-independent
 // (spec, workload, placement, overrides) is canonically byte-encoded once
 // and *interned* to a 64-bit id; the per-point key is that id plus the two
-// caps — a 24-byte POD. A frontier of N cap points therefore pays one
-// ~450-byte encode + intern for the whole batch, instead of N string builds
-// and N long-string hashes. The interner stores and compares the full
-// encoded bytes, so distinct configurations can never alias; ids are
-// per-cache and must not cross cache instances.
+// caps — a 24-byte POD. The interner stores and compares the full encoded
+// bytes, so distinct configurations can never alias; ids are per-cache and
+// must not cross cache instances.
 //
-// The cache stores at two granularities, matching the two executor entry
-// points. Scalar run_exact keys single Measurements on (prefix id, caps).
-// run_batch keys the *whole frontier* — (prefix id, cap array) — and the
-// stored value is a shared, immutable vector of Measurements: a batch miss
-// inserts its freshly computed results by move, and a batch hit hands the
-// stored vector back without copying a single Measurement. That matters
-// because batched computes are so cheap (~0.4 µs/point) that per-point
-// fills would cost more than the recomputes they avoid.
+// The cache stores single Measurements, one per scalar run_exact. Wide
+// run_batch frontiers consult no cache: their recurrences were too rare to
+// pay for storing every frontier (docs/performance.md).
 //
-// Both stores are sharded/bounded; insertion beyond the bound evicts in
-// FIFO order — eviction only costs a recompute, never correctness. See
-// docs/performance.md for the design rationale.
+// The store is sharded and bounded; its shards grow from empty, and
+// insertion beyond the bound evicts in FIFO order — eviction only costs a
+// recompute, never correctness. See docs/performance.md for the design
+// rationale.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <unordered_map>
@@ -52,9 +45,6 @@ struct ExactCacheOptions {
   /// shard count). One entry holds one Measurement (~a few hundred bytes on
   /// the 8-node testbed).
   std::size_t max_entries = 1u << 20;
-  /// Bound on stored frontiers (each holds one Measurement per cap point —
-  /// ~20 KiB for a width-20 frontier on the 8-node testbed).
-  std::size_t max_frontier_entries = 1u << 12;
   /// Shard count (clamped to >= 1). More shards = less lock contention.
   int shards = 16;
 };
@@ -63,32 +53,18 @@ struct ExactCacheStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
   std::uint64_t evictions = 0;
-  std::size_t entries = 0;           ///< scalar entries
-  std::size_t frontier_entries = 0;  ///< whole-frontier entries
+  std::size_t entries = 0;
 };
 
 /// Fixed-size lookup key: an interned cap-independent prefix id plus the
-/// two caps — the only fields that vary within a batch frontier. Obtain the
-/// id from intern_prefix(); a key is only meaningful against the cache that
-/// interned it.
+/// two caps. Obtain the id from intern_prefix(); a key is only meaningful
+/// against the cache that interned it.
 struct CacheKey {
   std::uint64_t prefix = 0;
   double cpu_cap_w = 0.0;
   double mem_cap_w = 0.0;
   friend bool operator==(const CacheKey&, const CacheKey&) = default;
 };
-
-/// Whole-frontier key: interned prefix id plus the exact cap array (stored
-/// and compared in full — hash collisions can never alias two frontiers).
-struct FrontierKey {
-  std::uint64_t prefix = 0;
-  std::vector<CapPoint> caps;
-  friend bool operator==(const FrontierKey&, const FrontierKey&) = default;
-};
-
-/// Shared immutable batch result: one Measurement per cap point, in the cap
-/// array's order. Shared so cache hits and inserts never copy Measurements.
-using FrontierResult = std::shared_ptr<const std::vector<Measurement>>;
 
 class ExactRunCache {
  public:
@@ -107,16 +83,6 @@ class ExactRunCache {
   /// Insert (first writer wins; a concurrent duplicate insert is dropped).
   /// Evicts the shard's oldest entry when the shard is full.
   void insert(const CacheKey& key, const Measurement& m);
-
-  /// Whole-frontier lookup: non-null iff this exact (prefix, cap array) was
-  /// inserted before. A hit bumps the hit statistic by the frontier width
-  /// (every point is served from cache); a miss bumps the miss statistic by
-  /// the width.
-  [[nodiscard]] FrontierResult lookup_frontier(const FrontierKey& key) const;
-
-  /// Insert a computed frontier (first writer wins; FIFO eviction beyond
-  /// the frontier bound). The result is shared, not copied.
-  void insert_frontier(FrontierKey key, FrontierResult result);
 
   [[nodiscard]] ExactCacheStats stats() const;
 
@@ -157,15 +123,14 @@ class ExactRunCache {
 
   /// The cap-independent part of encode_key: spec prefix, workload
   /// signature, and every config field except the caps and overrides.
-  /// run_batch encodes this once per frontier; append_overrides completes
-  /// the intern input.
+  /// run_exact completes it with append_overrides to form the intern input;
+  /// the Oracle keys its per-workload memos on it.
   [[nodiscard]] static std::string encode_batch_prefix(
       const std::string& prefix, const workloads::WorkloadSignature& w,
       const ClusterConfig& cfg);
 
-  /// Append the per-node cap overrides (cap-independent within a frontier —
-  /// run_batch requires them empty; scalar configs intern them as part of
-  /// the prefix).
+  /// Append the per-node cap overrides (scalar configs intern them as part
+  /// of the prefix).
   static void append_overrides(std::string& key,
                                const std::vector<Watts>& cpu_cap_overrides);
 
@@ -178,9 +143,6 @@ class ExactRunCache {
   struct KeyHash {
     std::size_t operator()(const CacheKey& k) const;
   };
-  struct FrontierKeyHash {
-    std::size_t operator()(const FrontierKey& k) const;
-  };
   struct Shard {
     mutable std::mutex mu;
     // clip-lint: allow(D2) hot-path lookup/insert only; eviction walks `fifo` (insertion order), never the map
@@ -191,15 +153,10 @@ class ExactRunCache {
   [[nodiscard]] Shard& shard_for(const CacheKey& key) const;
 
   std::size_t per_shard_cap_;
-  std::size_t frontier_cap_;
   mutable std::vector<Shard> shards_;
   mutable std::mutex intern_mu_;
   // clip-lint: allow(D2) id assignment table — looked up by key, never iterated
   std::unordered_map<std::string, std::uint64_t> intern_;
-  mutable std::mutex frontier_mu_;
-  // clip-lint: allow(D2) hot-path lookup/insert only; eviction walks the fifo (insertion order), never the map
-  std::unordered_map<FrontierKey, FrontierResult, FrontierKeyHash> frontiers_;
-  std::deque<FrontierKey> frontier_fifo_;  ///< frontier keys in insertion order
   mutable std::atomic<std::uint64_t> hits_{0};
   mutable std::atomic<std::uint64_t> misses_{0};
   std::atomic<std::uint64_t> evictions_{0};

@@ -145,32 +145,27 @@ Measurement SimExecutor::compute_exact(const workloads::WorkloadSignature& w,
   return m;
 }
 
-FrontierResult SimExecutor::run_batch(const workloads::WorkloadSignature& w,
-                                      const ClusterConfig& base,
-                                      const std::vector<CapPoint>& caps)
-    const {
+std::vector<Measurement> SimExecutor::run_batch(
+    const workloads::WorkloadSignature& w, const ClusterConfig& base,
+    const std::vector<CapPoint>& caps) const {
   CLIP_REQUIRE(base.cpu_cap_overrides.empty(),
                "run_batch shares one (workload, placement) prefix — per-node "
                "cap overrides are scalar-only");
   CLIP_REQUIRE(base.nodes >= 1 && base.nodes <= spec_.nodes,
                "node count outside the cluster");
 
-  if (caps.empty()) return std::make_shared<std::vector<Measurement>>();
-
-  const auto scalar_point = [&](std::size_t i) {
-    ClusterConfig cfg = base;
-    cfg.node.cpu_cap = caps[i].cpu_cap;
-    cfg.node.mem_cap = caps[i].mem_cap;
-    return run_exact(w, cfg);
-  };
   // Small frontiers: the scalar path is cheaper than the batch setup (the
   // fig7 small-frontier regression in BENCH_eval_engine.json was exactly
   // this bookkeeping with nothing to amortize it over).
   if (caps.size() < kMinBatchFrontier) {
-    auto out = std::make_shared<std::vector<Measurement>>();
-    out->reserve(caps.size());
-    for (std::size_t i = 0; i < caps.size(); ++i)
-      out->push_back(scalar_point(i));
+    std::vector<Measurement> out;
+    out.reserve(caps.size());
+    for (const CapPoint& p : caps) {
+      ClusterConfig cfg = base;
+      cfg.node.cpu_cap = p.cpu_cap;
+      cfg.node.mem_cap = p.mem_cap;
+      out.push_back(run_exact(w, cfg));
+    }
     return out;
   }
 
@@ -180,24 +175,6 @@ FrontierResult SimExecutor::run_batch(const workloads::WorkloadSignature& w,
   if (obs_ != nullptr) {
     metrics_.batch_runs->add();
     metrics_.batch_width->record(static_cast<double>(caps.size()));
-  }
-
-  // Probe the cache at frontier granularity: one lookup serves the whole
-  // call, and a hit shares the stored vector — zero Measurement copies.
-  // (Per-point probes are a net loss here: a batched compute costs ~0.4 µs
-  // while a point insert costs ~0.7 µs.)
-  FrontierKey fkey;
-  if (cache_ != nullptr) {
-    std::string prefix =
-        ExactRunCache::encode_batch_prefix(cache_prefix_, w, base);
-    ExactRunCache::append_overrides(prefix, base.cpu_cap_overrides);
-    fkey.prefix = cache_->intern_prefix(prefix);
-    fkey.caps = caps;
-    if (FrontierResult cached = cache_->lookup_frontier(fkey)) {
-      if (obs_ != nullptr)
-        metrics_.cache_hits->add(static_cast<std::uint64_t>(caps.size()));
-      return cached;
-    }
   }
 
   // Dedupe within the frontier: distinct planner cells regularly collapse
@@ -234,14 +211,12 @@ FrontierResult SimExecutor::run_batch(const workloads::WorkloadSignature& w,
     }
   }
 
-  auto out = std::make_shared<std::vector<Measurement>>(caps.size());
+  std::vector<Measurement> out(caps.size());
   const std::size_t unique = compute_idx.size();
   if (obs_ != nullptr) {
     metrics_.runs->add(static_cast<std::uint64_t>(unique));
     metrics_.node_solves->add(static_cast<std::uint64_t>(unique) *
                               static_cast<std::uint64_t>(base.nodes));
-    if (cache_ != nullptr)
-      metrics_.cache_misses->add(static_cast<std::uint64_t>(unique));
   }
   w.validate();
 
@@ -276,7 +251,7 @@ FrontierResult SimExecutor::run_batch(const workloads::WorkloadSignature& w,
     rapl_.solve_frontier(w, prep, cpu_caps.data(), mem_caps.data(), unique,
                          variability_.cpu_multiplier(0), ops.data());
     for (std::size_t u = 0; u < unique; ++u)
-      (*out)[compute_idx[u]] = assemble(ops[u]);
+      out[compute_idx[u]] = assemble(ops[u]);
   } else {
     // Per-node multipliers: one frontier solve per node index, assembled
     // in node order so every accumulation matches the scalar loop.
@@ -304,23 +279,12 @@ FrontierResult SimExecutor::run_batch(const workloads::WorkloadSignature& w,
         watts += nm.cpu_power.value() + nm.mem_power.value();
       m.avg_power = Watts(watts);
       m.energy = m.avg_power * m.time;
-      (*out)[compute_idx[u]] = m;
+      out[compute_idx[u]] = std::move(m);
     }
   }
 
-  // Copy in-frontier duplicates; with a cache they would have been hits on
-  // the scalar path (first point inserts, later points hit), so the counter
-  // keeps that meaning.
-  std::uint64_t alias_hits = 0;
-  for (std::size_t i = 0; i < caps.size(); ++i) {
-    if (alias_of[i] == caps.size()) continue;
-    (*out)[i] = (*out)[alias_of[i]];
-    ++alias_hits;
-  }
-  if (cache_ != nullptr && alias_hits > 0 && obs_ != nullptr)
-    metrics_.cache_hits->add(alias_hits);
-
-  if (cache_ != nullptr) cache_->insert_frontier(std::move(fkey), out);
+  for (std::size_t i = 0; i < caps.size(); ++i)
+    if (alias_of[i] != caps.size()) out[i] = out[alias_of[i]];
   return out;
 }
 

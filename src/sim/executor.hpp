@@ -52,8 +52,9 @@ class SimExecutor {
 
   /// Attach a memoization cache for exact runs (nullptr detaches; not
   /// owned). The exact path is a pure function of (spec, workload, config),
-  /// so hits return bit-identical measurements. Hits bump
-  /// `sim.exact_cache_hits` and skip `sim.runs`; misses bump
+  /// so hits return bit-identical measurements. run_exact probes it (and so
+  /// do run() and narrow run_batch frontiers; wide frontiers do not). Hits
+  /// bump `sim.exact_cache_hits` and skip `sim.runs`; misses bump
   /// `sim.exact_cache_misses` and compute as before. One cache may be shared
   /// by several executors — keys embed the full machine spec.
   void set_exact_cache(ExactRunCache* cache);
@@ -81,27 +82,27 @@ class SimExecutor {
   [[nodiscard]] Measurement run_exact_uncached(
       const workloads::WorkloadSignature& w, const ClusterConfig& cfg) const;
 
-  /// Evaluate a whole cap frontier in one call: `(*result)[i]` equals
+  /// Evaluate a whole cap frontier in one call: `result[i]` equals
   /// `run_exact(w, base with caps[i] substituted)` bit for bit, but the
   /// cap-independent work (placement, perf/power/comm subexpressions,
-  /// frequency-ladder terms, cache key prefix) is hoisted and done once for
-  /// the frontier, per-cap state is laid out contiguously, exact
-  /// duplicates within the frontier are computed once, and the cache is
-  /// probed/filled at *frontier* granularity: one lookup serves the whole
-  /// call, a miss inserts the computed vector by move, and a hit returns
-  /// the stored vector without copying a Measurement (hence the shared_ptr
-  /// return). Requires empty cpu_cap_overrides (per-node overrides are
-  /// scalar-only). Frontiers smaller than `kMinBatchFrontier` skip the
-  /// batch machinery entirely and loop run_exact — below that width the
-  /// setup costs more than it saves.
-  [[nodiscard]] FrontierResult run_batch(const workloads::WorkloadSignature& w,
-                                         const ClusterConfig& base,
-                                         const std::vector<CapPoint>& caps)
-      const;
+  /// frequency-ladder terms) is hoisted and done once for the frontier,
+  /// per-cap state is laid out contiguously, and exact duplicates within
+  /// the frontier are computed once and copied to their aliases. The
+  /// frontier encodes no cache key and consults no cache (like
+  /// run_exact_uncached, it leaves the hit/miss counters flat): whole
+  /// frontiers almost never recur, and a batched point is cheaper to
+  /// recompute than to store. Requires empty cpu_cap_overrides (per-node
+  /// overrides are scalar-only). Frontiers smaller than
+  /// `kMinBatchFrontier` skip the batch machinery entirely and loop
+  /// run_exact, cache probes included — below that width the setup costs
+  /// more than it saves.
+  [[nodiscard]] std::vector<Measurement> run_batch(
+      const workloads::WorkloadSignature& w, const ClusterConfig& base,
+      const std::vector<CapPoint>& caps) const;
 
   /// Frontier width below which run_batch bypasses every gram of batch
-  /// setup (prefix encoding, shard grouping, hoisting) and takes the plain
-  /// scalar path. Pinned by tests/test_batch.cpp.
+  /// setup (dedupe, hoisting) and takes the plain scalar path. Pinned by
+  /// tests/test_batch.cpp.
   static constexpr std::size_t kMinBatchFrontier = 4;
 
   /// Execute a phased workload with per-phase node configurations over one

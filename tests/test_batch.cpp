@@ -1,10 +1,9 @@
 // Property tests for the batch-vectorized simulator core
 // (SimExecutor::run_batch). The contract under test is *bit* identity:
 // evaluating a whole cap frontier in one call — with subexpression
-// hoisting, SoA state, in-frontier deduplication and
-// frontier-granular caching — must reproduce the scalar run_exact loop to
-// the last mantissa bit, for every field of every Measurement. Anything
-// weaker would let batching change figure bytes.
+// hoisting, SoA state and in-frontier deduplication — must reproduce the
+// scalar run_exact loop to the last mantissa bit, for every field of every
+// Measurement. Anything weaker would let batching change figure bytes.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -131,13 +130,13 @@ void check_batch_equals_scalar(sim::SimExecutor& ex, Rng& rng, int trials) {
         static_cast<std::size_t>(rng.uniform_int(4, 64));
     const std::vector<sim::CapPoint> caps = random_caps(rng, width);
 
-    const sim::FrontierResult batch = ex.run_batch(w, base, caps);
-    ASSERT_EQ(batch->size(), caps.size());
+    const std::vector<sim::Measurement> batch = ex.run_batch(w, base, caps);
+    ASSERT_EQ(batch.size(), caps.size());
     for (std::size_t i = 0; i < caps.size(); ++i) {
       sim::ClusterConfig point = base;
       point.node.cpu_cap = caps[i].cpu_cap;
       point.node.mem_cap = caps[i].mem_cap;
-      expect_bit_identical((*batch)[i], ex.run_exact(w, point));
+      expect_bit_identical(batch[i], ex.run_exact(w, point));
     }
   }
 }
@@ -162,14 +161,12 @@ TEST(BatchIdentity, MatchesScalarUnderNodeVariability) {
 }
 
 TEST(BatchIdentity, MatchesScalarWithCacheAttached) {
-  // The frontier cache must be invisible to results: probe/fill at frontier
-  // granularity, same bytes out.
+  // An attached cache must be invisible to results: same bytes out.
   sim::SimExecutor ex(sim::MachineSpec{}, no_noise());
   sim::ExactRunCache cache;
   ex.set_exact_cache(&cache);
   Rng rng(0x33u);
   check_batch_equals_scalar(ex, rng, 15);
-  EXPECT_GT(cache.stats().frontier_entries, 0u);
 }
 
 TEST(BatchIdentity, PhasedExecutionUnaffectedByBatchMachinery) {
@@ -222,7 +219,7 @@ TEST(BatchThreshold, SmallFrontiersBypassBatchMachinery) {
 
   const std::vector<sim::CapPoint> narrow =
       random_caps(rng, sim::SimExecutor::kMinBatchFrontier - 1);
-  const sim::FrontierResult a = ex.run_batch(w, base, narrow);
+  const std::vector<sim::Measurement> a = ex.run_batch(w, base, narrow);
   EXPECT_EQ(counter(session, "sim.batch_runs"), 0u);
   EXPECT_EQ(counter(session, "sim.runs"), narrow.size());
   // The bypass still honors the result contract.
@@ -230,7 +227,7 @@ TEST(BatchThreshold, SmallFrontiersBypassBatchMachinery) {
     sim::ClusterConfig point = base;
     point.node.cpu_cap = narrow[i].cpu_cap;
     point.node.mem_cap = narrow[i].mem_cap;
-    expect_bit_identical((*a)[i], ex.run_exact(w, point));
+    expect_bit_identical(a[i], ex.run_exact(w, point));
   }
 
   const std::vector<sim::CapPoint> wide =
@@ -244,8 +241,9 @@ TEST(BatchThreshold, EmptyFrontierIsANoOp) {
   obs::ObsSession session;
   ex.set_observer(&session);
   const auto w = *workloads::find_benchmark("CoMD");
-  const sim::FrontierResult r = ex.run_batch(w, sim::ClusterConfig{}, {});
-  EXPECT_TRUE(r->empty());
+  const std::vector<sim::Measurement> r =
+      ex.run_batch(w, sim::ClusterConfig{}, {});
+  EXPECT_TRUE(r.empty());
   EXPECT_EQ(counter(session, "sim.runs"), 0u);
   EXPECT_EQ(counter(session, "sim.batch_runs"), 0u);
 }
@@ -263,7 +261,9 @@ TEST(BatchThreshold, PerNodeOverridesAreScalarOnly) {
 
 // ------------------------------------------------- cache + counter wiring ----
 
-TEST(BatchCache, ReplayServesTheWholeFrontierWithoutRecompute) {
+TEST(BatchCache, ReplayedFrontierIsRecomputedNotStored) {
+  // A wide frontier consults no cache: a replay computes every point again,
+  // bit-identically, and the attached cache sees neither probe nor fill.
   sim::SimExecutor ex(sim::MachineSpec{}, no_noise());
   sim::ExactRunCache cache;
   obs::ObsSession session;
@@ -275,21 +275,18 @@ TEST(BatchCache, ReplayServesTheWholeFrontierWithoutRecompute) {
   const sim::ClusterConfig base = random_base(rng, ex.spec());
   const std::vector<sim::CapPoint> caps = random_caps(rng, 16);
 
-  const sim::FrontierResult first = ex.run_batch(w, base, caps);
-  EXPECT_EQ(counter(session, "sim.runs"), caps.size());
-  EXPECT_EQ(counter(session, "sim.exact_cache_misses"), caps.size());
-  EXPECT_EQ(cache.stats().frontier_entries, 1u);
-
-  const sim::FrontierResult replay = ex.run_batch(w, base, caps);
-  // A hit hands back the stored vector — same object, zero copies.
-  EXPECT_EQ(replay.get(), first.get());
-  EXPECT_EQ(counter(session, "sim.runs"), caps.size());
-  EXPECT_EQ(counter(session, "sim.exact_cache_hits"), caps.size());
-  EXPECT_GE(cache.stats().hits, caps.size());
-
-  // A different frontier under the same prefix is its own entry.
-  (void)ex.run_batch(w, base, random_caps(rng, 16));
-  EXPECT_EQ(cache.stats().frontier_entries, 2u);
+  const std::vector<sim::Measurement> first = ex.run_batch(w, base, caps);
+  const std::vector<sim::Measurement> replay = ex.run_batch(w, base, caps);
+  ASSERT_EQ(replay.size(), first.size());
+  for (std::size_t i = 0; i < first.size(); ++i)
+    expect_bit_identical(replay[i], first[i]);
+  EXPECT_EQ(counter(session, "sim.runs"), 2 * caps.size());
+  EXPECT_EQ(counter(session, "sim.exact_cache_hits"), 0u);
+  EXPECT_EQ(counter(session, "sim.exact_cache_misses"), 0u);
+  const sim::ExactCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.hits, 0u);
+  EXPECT_EQ(stats.misses, 0u);
+  EXPECT_EQ(stats.entries, 0u);
 }
 
 TEST(BatchCache, InFrontierDuplicatesComputeOnce) {
@@ -309,27 +306,13 @@ TEST(BatchCache, InFrontierDuplicatesComputeOnce) {
   caps.push_back(caps[2]);
   caps.push_back(caps[0]);
 
-  const sim::FrontierResult r = ex.run_batch(w, base, caps);
+  const std::vector<sim::Measurement> r = ex.run_batch(w, base, caps);
   EXPECT_EQ(counter(session, "sim.runs"), 6u);
-  EXPECT_EQ(counter(session, "sim.exact_cache_misses"), 6u);
-  EXPECT_EQ(counter(session, "sim.exact_cache_hits"), 3u);
-  expect_bit_identical((*r)[6], (*r)[0]);
-  expect_bit_identical((*r)[7], (*r)[2]);
-  expect_bit_identical((*r)[8], (*r)[0]);
-}
-
-TEST(BatchCache, FrontierStoreEvictsFifoAtCapacity) {
-  sim::ExactCacheOptions opt;
-  opt.max_frontier_entries = 2;
-  sim::ExactRunCache cache(opt);
-  sim::SimExecutor ex(sim::MachineSpec{}, no_noise());
-  ex.set_exact_cache(&cache);
-
-  const auto w = *workloads::find_benchmark("TeaLeaf");
-  Rng rng(0xAAu);
-  const sim::ClusterConfig base = random_base(rng, ex.spec());
-  for (int i = 0; i < 5; ++i) (void)ex.run_batch(w, base, random_caps(rng, 8));
-  EXPECT_EQ(cache.stats().frontier_entries, 2u);
+  EXPECT_EQ(counter(session, "sim.exact_cache_misses"), 0u);
+  EXPECT_EQ(counter(session, "sim.exact_cache_hits"), 0u);
+  expect_bit_identical(r[6], r[0]);
+  expect_bit_identical(r[7], r[2]);
+  expect_bit_identical(r[8], r[0]);
 }
 
 }  // namespace

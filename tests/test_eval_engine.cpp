@@ -219,7 +219,7 @@ TEST(OracleEngine, PrunedParallelCachedSearchMatchesLegacyOptimum) {
   }
 }
 
-TEST(OracleEngine, CacheMakesBudgetSweepsCheaper) {
+TEST(OracleEngine, MemosMakeBudgetSweepsCheaper) {
   const auto w = *workloads::find_benchmark("miniAero");
   sim::SimExecutor ex(sim::MachineSpec{}, no_noise());
   sim::ExactRunCache cache;
@@ -228,7 +228,8 @@ TEST(OracleEngine, CacheMakesBudgetSweepsCheaper) {
   ex.set_observer(&session);
   baselines::OracleScheduler oracle(ex);
 
-  (void)oracle.plan(w, Watts(900.0));
+  const sim::ClusterConfig first = oracle.plan(w, Watts(900.0));
+  const int first_cost = oracle.last_search_cost();
   const std::uint64_t runs_first = counter(session, "sim.runs");
   (void)oracle.plan(w, Watts(1000.0));
   const std::uint64_t runs_second = counter(session, "sim.runs") - runs_first;
@@ -237,12 +238,34 @@ TEST(OracleEngine, CacheMakesBudgetSweepsCheaper) {
   // less.
   EXPECT_LT(runs_second, runs_first);
 
-  // Re-planning an identical budget replays the exact same cap frontiers,
-  // which the cache now serves wholesale: zero new model evaluations.
+  // Re-planning an identical budget is served by the plan memo: zero new
+  // model evaluations, the same plan and the same reported search cost.
   const std::uint64_t runs_before_replay = counter(session, "sim.runs");
-  (void)oracle.plan(w, Watts(900.0));
+  const sim::ClusterConfig replay = oracle.plan(w, Watts(900.0));
   EXPECT_EQ(counter(session, "sim.runs"), runs_before_replay);
-  EXPECT_GT(cache.stats().hits, 0u);
+  EXPECT_EQ(replay.nodes, first.nodes);
+  EXPECT_EQ(replay.node.threads, first.node.threads);
+  EXPECT_EQ(replay.node.affinity, first.node.affinity);
+  EXPECT_EQ(replay.node.mem_level, first.node.mem_level);
+  EXPECT_EQ(replay.node.cpu_cap.value(), first.node.cpu_cap.value());
+  EXPECT_EQ(replay.node.mem_cap.value(), first.node.mem_cap.value());
+  EXPECT_EQ(replay.cpu_cap_overrides.size(), first.cpu_cap_overrides.size());
+  EXPECT_EQ(oracle.last_search_cost(), first_cost);
+
+  // set_options drops the plan memo, so the next replay searches again.
+  oracle.set_options(baselines::OracleOptions{});
+  const std::uint64_t runs_before_reset = counter(session, "sim.runs");
+  (void)oracle.plan(w, Watts(900.0));
+  EXPECT_GT(counter(session, "sim.runs"), runs_before_reset);
+
+  // The memo is the pruned path's alone: an unpruned oracle's replay
+  // searches again.
+  baselines::OracleScheduler unpruned(ex, baselines::OracleOptions{false});
+  (void)unpruned.plan(w, Watts(900.0));
+  const std::uint64_t runs_before_unpruned_replay =
+      counter(session, "sim.runs");
+  (void)unpruned.plan(w, Watts(900.0));
+  EXPECT_GT(counter(session, "sim.runs"), runs_before_unpruned_replay);
 }
 
 // ------------------------------------------------- the comparison result ----

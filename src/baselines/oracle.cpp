@@ -2,10 +2,11 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <cstddef>
 #include <iterator>
 #include <limits>
-#include <numeric>
+#include <utility>
 #include <vector>
 
 #include "parallel/parallel_for.hpp"
@@ -33,6 +34,7 @@ struct GridCombo {
   bool has_demand = false;       ///< demand-tight point appended?
   double demand_w = 0.0;
   double node_share = 0.0;
+  std::size_t first = 0;         ///< offset of cap 0 in the plan's time buffer
 
   [[nodiscard]] int n_caps() const { return n_grid + (has_demand ? 1 : 0); }
   [[nodiscard]] double cap(int j) const {
@@ -46,6 +48,10 @@ struct LevelGrid {
   double level_bw = 0.0;
   std::vector<double> caps;  ///< strictly increasing when act_max > 0
 };
+
+/// Bound-memo value of a combo whose bound has not been computed (an exact
+/// time is never NaN).
+constexpr double kUnknownBound = std::numeric_limits<double>::quiet_NaN();
 
 /// Atomic running minimum (relaxed; used only to tighten pruning — the
 /// final winner comes from a deterministic serial-order scan).
@@ -135,10 +141,35 @@ sim::ClusterConfig OracleScheduler::plan(
     }
   }
 
+  // Bound-memo slot of a (nodes, threads, affinity, level) combo.
+  const std::size_t n_threads = static_cast<std::size_t>(all_cores / 2);
+  const auto memo_slot = [&](const sim::ClusterConfig& c) {
+    return ((static_cast<std::size_t>(c.nodes - 1) * n_threads +
+             static_cast<std::size_t>(c.node.threads / 2 - 1)) *
+                2 +
+            (c.node.affinity == parallel::AffinityPolicy::kCompact ? 0 : 1)) *
+               n_levels +
+           static_cast<std::size_t>(c.node.mem_level);
+  };
+
   std::vector<GridCombo> combos;
   combos.reserve(node_counts.size() * active_sockets.size() * 2 * n_levels);
+  std::size_t n_times = 0;
+  std::vector<int> feasible(level_grids.size());
   for (int nodes : node_counts) {
     const double node_share = cluster_budget.value() / nodes;
+    // Keep feasible caps only. Each grid is non-decreasing, so feasibility
+    // (`node_share - cap > 1.0` — evaluated exactly as the historical
+    // per-cap check did) holds on a prefix, which depends only on the node
+    // count and the grid.
+    for (std::size_t g = 0; g < level_grids.size(); ++g) {
+      const std::vector<double>& caps = level_grids[g].caps;
+      int n = 0;
+      while (n < static_cast<int>(caps.size()) &&
+             node_share - caps[static_cast<std::size_t>(n)] > 1.0)
+        ++n;
+      feasible[g] = n;
+    }
     for (int threads = 2; threads <= all_cores; threads += 2) {
       for (parallel::AffinityPolicy affinity :
            {parallel::AffinityPolicy::kCompact,
@@ -148,9 +179,9 @@ sim::ClusterConfig OracleScheduler::plan(
                           [affinity == parallel::AffinityPolicy::kCompact ? 0
                                                                           : 1];
         for (std::size_t li = 0; li < n_levels; ++li) {
-          const LevelGrid& g =
-              level_grids[static_cast<std::size_t>(active - 1) * n_levels +
-                          li];
+          const std::size_t gi =
+              static_cast<std::size_t>(active - 1) * n_levels + li;
+          const LevelGrid& g = level_grids[gi];
           // Two DRAM budgets per level: the worst-case draw (full level
           // bandwidth) and a demand-tight budget — the oracle may peek at
           // the workload's true per-core demand, which is the whole point
@@ -164,18 +195,11 @@ sim::ClusterConfig OracleScheduler::plan(
           combo.base.node.threads = threads;
           combo.base.node.affinity = affinity;
           combo.base.node.mem_level = sim::kAllMemLevels[li];
-          // Keep feasible caps only. The grid is non-decreasing, so
-          // feasibility (`node_share - cap > 1.0` — evaluated exactly as
-          // the historical per-cap check did) holds on a prefix; only the
-          // appended demand-tight point can land on a grid point, so it
-          // alone pays a duplicate scan (re-running it would waste an
-          // exact execution).
           combo.grid = g.caps.data();
-          int n = 0;
-          while (n < static_cast<int>(g.caps.size()) &&
-                 node_share - g.caps[static_cast<std::size_t>(n)] > 1.0)
-            ++n;
-          combo.n_grid = n;
+          combo.n_grid = feasible[gi];
+          // Only the appended demand-tight point can land on a grid point,
+          // so it alone pays a duplicate scan (re-running it would waste an
+          // exact execution).
           const double demand_w = g.base_w + std::min(demand_bw, g.level_bw) *
                                                  spec.mem_w_per_gbps();
           if (node_share - demand_w > 1.0 &&
@@ -184,7 +208,11 @@ sim::ClusterConfig OracleScheduler::plan(
             combo.has_demand = true;
             combo.demand_w = demand_w;
           }
-          if (combo.n_caps() > 0) combos.push_back(combo);
+          if (combo.n_caps() > 0) {
+            combo.first = n_times;
+            n_times += static_cast<std::size_t>(combo.n_caps());
+            combos.push_back(combo);
+          }
         }
       }
     }
@@ -192,19 +220,21 @@ sim::ClusterConfig OracleScheduler::plan(
   CLIP_ENSURE(!combos.empty(), "oracle found no feasible configuration");
 
   // ---- evaluate -----------------------------------------------------------
-  // Exact times per (combo, cap); rows are allocated by evaluate_combo, so a
-  // pruned combo's row stays empty and the final scan skips it. All
-  // evaluations are exact (noise-free) runs, so the filled values are
-  // identical whatever the execution order — parallelism and pruning can
-  // only change *which* rows get filled, never their values.
+  // Exact times of every (combo, cap), one flat buffer with each combo's
+  // caps at its `first` offset. A pruned combo's slots stay +inf, which no
+  // exact (finite) time equals, so the final scan skips it. All evaluations
+  // are exact (noise-free) runs, so the filled values are identical
+  // whatever the execution order — parallelism and pruning can only change
+  // *which* slots get filled, never their values. Pool workers write
+  // disjoint slots.
   const double kInf = std::numeric_limits<double>::infinity();
-  std::vector<std::vector<double>> times(combos.size());
+  std::vector<double> times(n_times, kInf);
 
   std::atomic<double> best_seen{kInf};
   const auto evaluate_combo = [&](std::size_t ci) {
     const GridCombo& combo = combos[ci];
     // A combo's cap grid shares one (workload, placement) prefix — exactly
-    // the frontier shape run_batch vectorizes. The batch results are
+    // the frontier shape run_batch vectorizes. The batch times are
     // bit-identical to per-point run_exact calls.
     std::vector<sim::CapPoint> caps(static_cast<std::size_t>(combo.n_caps()));
     for (int j = 0; j < combo.n_caps(); ++j) {
@@ -213,62 +243,54 @@ sim::ClusterConfig OracleScheduler::plan(
       caps[static_cast<std::size_t>(j)].cpu_cap =
           Watts(combo.node_share - mem_w);
     }
-    const std::vector<sim::Measurement> ms =
-        executor_->run_batch(app, combo.base, caps);
+    const std::vector<Seconds> ts = executor_->run_batch(app, combo.base, caps);
     last_search_cost_.fetch_add(static_cast<int>(caps.size()),
                                 std::memory_order_relaxed);
     double local_best = kInf;
-    times[ci].resize(ms.size());
-    for (std::size_t j = 0; j < ms.size(); ++j) {
-      times[ci][j] = ms[j].time.value();
-      local_best = std::min(local_best, times[ci][j]);
+    for (std::size_t j = 0; j < ts.size(); ++j) {
+      times[combo.first + j] = ts[j].value();
+      local_best = std::min(local_best, ts[j].value());
     }
     update_min(best_seen, local_best);
   };
 
-  // Evaluation order over combos: with pruning, cheapest lower bound first
-  // so a near-optimal incumbent appears early and prunes the rest.
-  std::vector<std::size_t> order(combos.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::vector<double> bound(combos.size(), -kInf);
+  // Evaluation order over combos as (lower bound, canonical index) pairs:
+  // with pruning, cheapest bound first so a near-optimal incumbent appears
+  // early and prunes the rest. The indices are unique, so sorting the pairs
+  // orders equal bounds canonically — a stable sort by bound.
+  std::vector<std::pair<double, std::size_t>> order(combos.size());
+  for (std::size_t ci = 0; ci < combos.size(); ++ci) order[ci] = {-kInf, ci};
 
   if (options_.prune) {
     // One uncapped run per combo: caps at the NodeConfig defaults (1e9 W)
-    // dominate every grid point of the combo, so this time is a valid lower
+    // dominate every grid point of the combo, so its time is a valid lower
     // bound for all of them. The uncapped config is budget-independent —
     // and never itself a candidate (its caps ignore the budget) — so bounds
-    // are memoized per workload across plan() calls: a budget sweep pays
-    // the scalar executor path (cache-key encoding and all) once per combo
-    // instead of once per budget. last_search_cost_ counts every requested
-    // bound either way, keeping reported evaluation counts sweep-order
-    // independent.
-    const auto key_of = [&](std::size_t ci) {
-      return BoundKey{combos[ci].base.nodes, combos[ci].base.node.threads,
-                      static_cast<int>(combos[ci].base.node.affinity),
-                      static_cast<int>(combos[ci].base.node.mem_level)};
-    };
-    // Every bound is "requested" whether memoized or not.
+    // are memoized per workload across plan() calls, and a budget sweep
+    // computes each combo's bound once instead of once per budget. The
+    // bound runs are time-only and uncached: this memo is their only
+    // consumer. last_search_cost_ counts every requested bound either way,
+    // keeping reported evaluation counts sweep-order independent.
     last_search_cost_.fetch_add(static_cast<int>(combos.size()),
                                 std::memory_order_relaxed);
     std::vector<std::size_t> missing;
     {
       const std::lock_guard<std::mutex> lock(bound_memo_mu_);
-      const std::map<BoundKey, double>& memo = bound_memo_[app_key];
+      std::vector<double>& memo = bound_memo_[app_key];
+      if (memo.empty())
+        memo.assign(static_cast<std::size_t>(spec.nodes) * n_threads * 2 *
+                        n_levels,
+                    kUnknownBound);
       for (std::size_t ci = 0; ci < combos.size(); ++ci) {
-        const auto it = memo.find(key_of(ci));
-        if (it != memo.end())
-          bound[ci] = it->second;
-        else
+        const double b = memo[memo_slot(combos[ci].base)];
+        if (std::isnan(b))
           missing.push_back(ci);
+        else
+          order[ci].first = b;
       }
     }
     const auto evaluate_bound = [&](std::size_t ci) {
-      // Uncached: the memo above is the only consumer of bound times, and
-      // no candidate ever reuses the uncapped config, so filling the
-      // per-point cache would buy nothing and cost key encoding per run.
-      const sim::Measurement m =
-          executor_->run_exact_uncached(app, combos[ci].base);
-      bound[ci] = m.time.value();
+      order[ci].first = executor_->exact_time(app, combos[ci].base).value();
     };
     if (pool_ != nullptr) {
       parallel::parallel_for_chunks(
@@ -283,34 +305,34 @@ sim::ClusterConfig OracleScheduler::plan(
     }
     if (!missing.empty()) {
       const std::lock_guard<std::mutex> lock(bound_memo_mu_);
-      std::map<BoundKey, double>& memo = bound_memo_[app_key];
-      for (const std::size_t ci : missing) memo.emplace(key_of(ci), bound[ci]);
+      std::vector<double>& memo = bound_memo_[app_key];
+      for (const std::size_t ci : missing)
+        memo[memo_slot(combos[ci].base)] = order[ci].first;
     }
-    std::stable_sort(order.begin(), order.end(),
-                     [&](std::size_t a, std::size_t b) {
-                       return bound[a] < bound[b];
-                     });
+    std::sort(order.begin(), order.end());
   }
 
   // A combo whose lower bound cannot *strictly* beat the incumbent cannot
   // contain the winner (the final scan also uses strict <), so skipping it
-  // is lossless. The incumbent only tightens over time; a stale read just
-  // prunes less.
-  const auto visit = [&](std::size_t ci) {
-    if (options_.prune &&
-        bound[ci] >= best_seen.load(std::memory_order_relaxed))
-      return;
-    evaluate_combo(ci);
+  // is lossless. The incumbent only tightens over time; on the pool a stale
+  // read just prunes less. Serially, the first such combo ends the search:
+  // every later bound is at least as large and the incumbent no larger.
+  const auto visit = [&](const std::pair<double, std::size_t>& o) {
+    if (options_.prune && o.first >= best_seen.load(std::memory_order_relaxed))
+      return false;
+    evaluate_combo(o.second);
+    return true;
   };
   if (pool_ != nullptr) {
     parallel::parallel_for(*pool_, 0,
                            static_cast<std::int64_t>(order.size()),
                            [&](std::int64_t i) {
-                             visit(order[static_cast<std::size_t>(i)]);
+                             (void)visit(order[static_cast<std::size_t>(i)]);
                            },
                            parallel::Schedule::kDynamic, 1);
   } else {
-    for (std::size_t i = 0; i < order.size(); ++i) visit(order[i]);
+    for (const auto& o : order)
+      if (!visit(o)) break;
   }
 
   // ---- deterministic winner selection ------------------------------------
@@ -319,15 +341,16 @@ sim::ClusterConfig OracleScheduler::plan(
   // configuration matches the legacy oracle bit for bit.
   sim::ClusterConfig best;
   double best_time = kInf;
-  for (std::size_t ci = 0; ci < combos.size(); ++ci) {
-    if (times[ci].empty()) continue;  // pruned — cannot contain the winner
-    for (int j = 0; j < combos[ci].n_caps(); ++j) {
-      if (times[ci][static_cast<std::size_t>(j)] < best_time) {
-        best_time = times[ci][static_cast<std::size_t>(j)];
-        best = combos[ci].base;
-        const double mem_w = combos[ci].cap(j);
+  for (const GridCombo& combo : combos) {
+    const double* t = times.data() + combo.first;
+    if (t[0] == kInf) continue;  // pruned — cannot contain the winner
+    for (int j = 0; j < combo.n_caps(); ++j) {
+      if (t[j] < best_time) {
+        best_time = t[j];
+        best = combo.base;
+        const double mem_w = combo.cap(j);
         best.node.mem_cap = Watts(mem_w);
-        best.node.cpu_cap = Watts(combos[ci].node_share - mem_w);
+        best.node.cpu_cap = Watts(combo.node_share - mem_w);
       }
     }
   }

@@ -20,28 +20,33 @@
 //  * dominated cap grids are pruned: one uncapped run per (nodes, threads,
 //    affinity, level) combo lower-bounds every capped point of that combo
 //    (execution time is monotone non-increasing in either cap), so a combo
-//    whose bound cannot strictly beat the incumbent is skipped wholesale;
-//  * each combo's cap grid is evaluated as one SimExecutor::run_batch
-//    frontier (the caps are the only thing varying under a shared
-//    (workload, placement) prefix), computed fresh rather than cached, and
-//    the per-level grid is deduplicated (the demand-tight point often
-//    coincides with a grid point);
-//  * the uncapped bound runs are budget-independent, so the scheduler
-//    memoizes them per workload across plan() calls — a budget sweep pays
-//    for each combo's bound exactly once (last_search_cost still counts
-//    every bound a search *requests*, memoized or not, so reported
-//    evaluation counts are sweep-order independent);
+//    whose bound cannot strictly beat the incumbent is skipped wholesale.
+//    Combos are visited as sorted (bound, canonical index) pairs, and a
+//    serial search stops at the first bound that cannot beat the incumbent
+//    (every later one is at least as large);
+//  * each combo's cap grid is evaluated as one time-only
+//    SimExecutor::run_batch frontier (the caps are the only thing varying
+//    under a shared (workload, placement) prefix), computed fresh rather
+//    than cached, and the per-level grid is deduplicated (the demand-tight
+//    point often coincides with a grid point); the times land in one flat
+//    per-plan buffer;
+//  * the uncapped bound runs (SimExecutor::exact_time) are
+//    budget-independent, so the scheduler memoizes them per workload in one
+//    flat table across plan() calls — a budget sweep pays for each combo's
+//    bound exactly once (last_search_cost still counts every bound a search
+//    *requests*, memoized or not, so reported evaluation counts are
+//    sweep-order independent);
 //  * with pruning on, each (workload, budget) plan is memoized with its
 //    search cost: replaying a plan costs no simulator run and reports the
 //    same last_search_cost as its first search.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <map>
 #include <mutex>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "baselines/scheduler_iface.hpp"
 #include "parallel/thread_pool.hpp"
@@ -88,8 +93,6 @@ class OracleScheduler final : public PowerScheduler {
   }
 
  private:
-  /// One pruning-bound combo: the knob tuple the uncapped time depends on.
-  using BoundKey = std::array<int, 4>;  ///< nodes, threads, affinity, level
   /// A pruned search's answer and the cost last_search_cost reported.
   struct PlanMemo {
     sim::ClusterConfig plan;
@@ -100,12 +103,13 @@ class OracleScheduler final : public PowerScheduler {
   OracleOptions options_;
   parallel::ThreadPool* pool_ = nullptr;
   std::atomic<int> last_search_cost_{0};
-  /// Uncapped bound times, workload (canonical encoded bytes) → combo →
-  /// exact time. Bounds are budget-independent and the exact model is pure,
+  /// Uncapped bound times, workload (canonical encoded bytes) → one flat
+  /// table over (nodes, threads, affinity, level), NaN where no search has
+  /// asked yet. Bounds are budget-independent and the exact model is pure,
   /// so memoized values are bit-identical to recomputed ones. Guarded by
   /// `bound_memo_mu_` (bounds evaluate concurrently under set_pool).
   std::mutex bound_memo_mu_;
-  std::map<std::string, std::map<BoundKey, double>> bound_memo_;
+  std::map<std::string, std::vector<double>> bound_memo_;
   /// Pruned plans, (workload bytes, budget) → plan and search cost. A
   /// serial search is a pure function of both, so a replay returns what a
   /// fresh search would (under a pool, at worst an equally fast plan on an

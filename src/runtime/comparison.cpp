@@ -179,11 +179,11 @@ ComparisonResult ComparisonHarness::run(
       caps[k].cpu_cap = result.cells[members[k]].plan.node.cpu_cap;
       caps[k].mem_cap = result.cells[members[k]].plan.node.mem_cap;
     }
-    const std::vector<sim::Measurement> ms =
+    const std::vector<Seconds> ts =
         executor_->run_batch(apps[cell_app[members.front()]], base, caps);
     for (std::size_t k = 0; k < members.size(); ++k) {
       ComparisonCell& cell = result.cells[members[k]];
-      cell.time_s = ms[k].time.value();
+      cell.time_s = ts[k].value();
       cell.relative_performance =
           reference_time[cell_app[members[k]]] / cell.time_s;
     }

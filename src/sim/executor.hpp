@@ -74,29 +74,31 @@ class SimExecutor {
   [[nodiscard]] Measurement run_exact(const workloads::WorkloadSignature& w,
                                       const ClusterConfig& cfg) const;
 
-  /// run_exact minus the cache: same bytes, but the attached ExactRunCache
-  /// is neither probed nor filled (and the hit/miss counters stay flat —
-  /// no cache was consulted). For callers that memoize results themselves,
-  /// like the oracle's bound memo: paying ~0.5 KiB of key encoding to
-  /// store an entry nobody will ever look up again is pure overhead.
-  [[nodiscard]] Measurement run_exact_uncached(
-      const workloads::WorkloadSignature& w, const ClusterConfig& cfg) const;
+  /// The execution time of run_exact(w, cfg), bit for bit, and nothing
+  /// else: no per-node measurements, event rates, power or energy are
+  /// built, and the attached ExactRunCache is neither probed nor filled
+  /// (its hit/miss counters stay flat). Each call counts one `sim.runs`
+  /// and `cfg.nodes` `sim.node_solves` under a "sim.run" span, as a
+  /// run_exact miss does. For callers that compare times and memoize them
+  /// themselves, like the oracle's bound memo.
+  [[nodiscard]] Seconds exact_time(const workloads::WorkloadSignature& w,
+                                   const ClusterConfig& cfg) const;
 
   /// Evaluate a whole cap frontier in one call: `result[i]` equals
-  /// `run_exact(w, base with caps[i] substituted)` bit for bit, but the
+  /// `run_exact(w, base with caps[i] substituted).time` bit for bit. The
   /// cap-independent work (placement, perf/power/comm subexpressions,
   /// frequency-ladder terms) is hoisted and done once for the frontier,
-  /// per-cap state is laid out contiguously, and exact duplicates within
-  /// the frontier are computed once and copied to their aliases. The
-  /// frontier encodes no cache key and consults no cache (like
-  /// run_exact_uncached, it leaves the hit/miss counters flat): whole
-  /// frontiers almost never recur, and a batched point is cheaper to
-  /// recompute than to store. Requires empty cpu_cap_overrides (per-node
-  /// overrides are scalar-only). Frontiers smaller than
-  /// `kMinBatchFrontier` skip the batch machinery entirely and loop
-  /// run_exact, cache probes included — below that width the setup costs
-  /// more than it saves.
-  [[nodiscard]] std::vector<Measurement> run_batch(
+  /// exact duplicates within the frontier are computed once, and each point
+  /// solves its nodes, takes the slowest and adds the frontier's one
+  /// communication term — no Measurement is built. The frontier encodes no
+  /// cache key and consults no cache (like exact_time, it leaves the
+  /// hit/miss counters flat): whole frontiers almost never recur, and a
+  /// batched point is cheaper to recompute than to store. Requires empty
+  /// cpu_cap_overrides (per-node overrides are scalar-only). Frontiers
+  /// smaller than `kMinBatchFrontier` skip the batch machinery entirely and
+  /// loop run_exact, cache probes included — below that width the setup
+  /// costs more than it saves.
+  [[nodiscard]] std::vector<Seconds> run_batch(
       const workloads::WorkloadSignature& w, const ClusterConfig& base,
       const std::vector<CapPoint>& caps) const;
 
@@ -113,9 +115,21 @@ class SimExecutor {
       const PhasedClusterConfig& cfg) const;
 
  private:
-  /// The uncached model evaluation (the pre-memoization run_exact body).
-  [[nodiscard]] Measurement compute_exact(const workloads::WorkloadSignature& w,
-                                          const ClusterConfig& cfg) const;
+  /// run_exact's argument checks, shared with exact_time.
+  void require_runnable(const ClusterConfig& cfg) const;
+
+  /// The uncached model evaluation: returns the run's time and, when `full`
+  /// is non-null, fills that (empty) measurement — the pre-memoization
+  /// run_exact body.
+  Seconds compute_exact(const workloads::WorkloadSignature& w,
+                        const ClusterConfig& cfg, Measurement* full) const;
+
+  /// Solve every node of `cfg` against `prep` in node order — once when the
+  /// nodes are identical — and return the slowest node's time. `nodes`,
+  /// when non-null, receives each node's measurement.
+  [[nodiscard]] Seconds solve_nodes(
+      const workloads::WorkloadSignature& w, const RaplSolver::Prepared& prep,
+      const ClusterConfig& cfg, std::vector<NodeMeasurement>* nodes) const;
 
   /// NodeMeasurement (events included) from one solved operating point.
   [[nodiscard]] NodeMeasurement node_measurement(

@@ -29,6 +29,34 @@ double RaplSolver::bandwidth_ceiling(const parallel::Placement& placement,
   return std::min(level_bw, cap_bw);
 }
 
+RaplSolver::RaplSolver(const MachineSpec& spec) : spec_(&spec) {
+  spec.validate();
+  const auto& states = spec.ladder.states();
+  ladder_.reserve(states.size());
+  for (auto it = states.rbegin(); it != states.rend(); ++it) {
+    LadderState st;
+    st.freq = *it;
+    st.f_rel = spec.ladder.relative(*it);
+    CLIP_REQUIRE(st.f_rel > 0.0 && st.f_rel <= 1.5, "f_rel out of range");
+    st.pow_f = std::pow(st.f_rel, spec.power_exponent);
+    ladder_.push_back(st);
+  }
+  const int all = spec.shape.total_cores();
+  placements_.reserve(static_cast<std::size_t>(all) * 2);
+  for (int threads = 1; threads <= all; ++threads) {
+    for (const parallel::AffinityPolicy policy :
+         {parallel::AffinityPolicy::kCompact,
+          parallel::AffinityPolicy::kScatter}) {
+      placements_.push_back(
+          parallel::place_threads(spec.shape, threads, policy));
+      CLIP_REQUIRE(threads == placements_.back().total_threads(),
+                   "placement/thread count mismatch");
+      CLIP_REQUIRE(placements_.back().active_sockets() > 0,
+                   "need at least one active socket");
+    }
+  }
+}
+
 RaplSolver::Prepared RaplSolver::prepare(const workloads::WorkloadSignature& w,
                                          double work_s,
                                          const NodeConfig& cfg) const {
@@ -37,15 +65,13 @@ RaplSolver::Prepared RaplSolver::prepare(const workloads::WorkloadSignature& w,
   CLIP_REQUIRE(work_s > 0.0, "work must be positive");
 
   Prepared p;
-  p.placement =
-      parallel::place_threads(spec_->shape, cfg.threads, cfg.affinity);
-  CLIP_REQUIRE(cfg.threads == p.placement.total_threads(),
-               "placement/thread count mismatch");
+  p.placement = &placements_[static_cast<std::size_t>(cfg.threads - 1) * 2 +
+                             (cfg.affinity == parallel::AffinityPolicy::kCompact
+                                  ? 0
+                                  : 1)];
   p.work_s = work_s;
-  p.threads = cfg.threads;
 
-  const int active = p.placement.active_sockets();
-  CLIP_REQUIRE(active > 0, "need at least one active socket");
+  const int active = p.placement->active_sockets();
   p.level_bw_gbps =
       active * spec_->socket_bw_gbps * bw_fraction(cfg.mem_level);
   const int parked = spec_->shape.sockets - active;
@@ -54,7 +80,7 @@ RaplSolver::Prepared RaplSolver::prepare(const workloads::WorkloadSignature& w,
   p.w_per_gbps = spec_->mem_w_per_gbps();
 
   p.remote_fraction =
-      w.shared_data_fraction * p.placement.cross_socket_factor();
+      w.shared_data_fraction * p.placement->cross_socket_factor();
   p.numa_factor = 1.0 - spec_->remote_numa_penalty * p.remote_fraction;
 
   const double n = cfg.threads;
@@ -63,26 +89,21 @@ RaplSolver::Prepared RaplSolver::prepare(const workloads::WorkloadSignature& w,
   p.one_minus_m = 1.0 - m;
   p.mem_numerator = (1.0 - s) * m;
   p.fork_s = w.fork_overhead_s * (n - 1.0);
-  // pow() is by far the hottest cap-independent term: one sync pow and one
-  // power-law pow per state, amortized over the whole frontier.
+  // The sync pow() is the one cap-independent pow left per frontier; the
+  // power-law pow of every state is in the ladder table.
   const double kp_sync = w.sync_coeff_s * std::pow(n - 1.0, w.sync_exponent);
   const double nb_demand = n * w.bw_per_core_gbps;
   const double compute_num = (1.0 - s) * (1.0 - m);
 
-  const auto& states = spec_->ladder.states();
-  p.states.reserve(states.size());
-  for (auto it = states.rbegin(); it != states.rend(); ++it) {
-    Prepared::State st;
-    st.freq = *it;
-    st.f_rel = spec_->ladder.relative(*it);
-    CLIP_REQUIRE(st.f_rel > 0.0 && st.f_rel <= 1.5, "f_rel out of range");
-    st.pow_f = std::pow(st.f_rel, spec_->power_exponent);
-    st.demand_gbps = nb_demand * st.f_rel;
-    st.serial_t = s / st.f_rel;
-    st.nf = n * st.f_rel;
+  p.states.resize(ladder_.size());
+  for (std::size_t k = 0; k < ladder_.size(); ++k) {
+    const double f_rel = ladder_[k].f_rel;
+    Prepared::State& st = p.states[k];
+    st.demand_gbps = nb_demand * f_rel;
+    st.serial_t = s / f_rel;
+    st.nf = n * f_rel;
     st.compute_t = compute_num / st.nf;
-    st.sync_t = kp_sync / st.f_rel;
-    p.states.push_back(st);
+    st.sync_t = kp_sync / f_rel;
   }
   return p;
 }
@@ -90,10 +111,10 @@ RaplSolver::Prepared RaplSolver::prepare(const workloads::WorkloadSignature& w,
 Watts RaplSolver::mem_power_prepared(const Prepared& p,
                                      double achieved_bw_gbps) const {
   double total = 0.0;
-  const int active = p.placement.active_sockets();
+  const int active = p.placement->active_sockets();
   CLIP_ENSURE(active > 0, "memory power needs at least one active socket");
   const double activity_w = achieved_bw_gbps * p.w_per_gbps;
-  for (int threads : p.placement.threads_per_socket) {
+  for (int threads : p.placement->threads_per_socket) {
     if (threads > 0) {
       total += spec_->mem_base_w_per_socket + activity_w / active;
     } else {
@@ -103,8 +124,7 @@ Watts RaplSolver::mem_power_prepared(const Prepared& p,
   return Watts(total);
 }
 
-void RaplSolver::apply_duty_cycle(const workloads::WorkloadSignature& w,
-                                  Watts cpu_cap, double cpu_multiplier,
+void RaplSolver::apply_duty_cycle(const Prepared& p, Watts cpu_cap,
                                   OperatingPoint& op) const {
   // Even the lowest state exceeds the PKG cap: clock modulation (T-states)
   // duty-cycles the pipeline. Gating stops the *dynamic* power; the socket
@@ -113,7 +133,7 @@ void RaplSolver::apply_duty_cycle(const workloads::WorkloadSignature& w,
   // A cap at/below the base power is physically unenforceable by clock
   // gating; the node floors at the deepest modulation step.
   double base_w = 0.0;
-  for (int t : op.placement.threads_per_socket)
+  for (int t : p.placement->threads_per_socket)
     base_w += t > 0 ? spec_->socket_base_w : spec_->socket_parked_w;
   const double load_w = op.cpu_power.value() - base_w;
   CLIP_ENSURE(load_w > 0.0, "no dynamic power to modulate");
@@ -123,13 +143,7 @@ void RaplSolver::apply_duty_cycle(const workloads::WorkloadSignature& w,
   op.perf.time = Seconds(op.perf.time.value() / op.duty_factor);
   op.perf.achieved_bw_gbps *= op.duty_factor;
   op.cpu_power = Watts(base_w + load_w * op.duty_factor);
-  NodeActivity throttled{.placement = op.placement,
-                         .f_rel = op.f_rel,
-                         .utilization = op.perf.utilization,
-                         .compute_intensity = w.compute_intensity,
-                         .achieved_bw_gbps = op.perf.achieved_bw_gbps,
-                         .cpu_load_multiplier = cpu_multiplier};
-  op.mem_power = power_.mem_power(throttled);
+  op.mem_power = mem_power_prepared(p, op.perf.achieved_bw_gbps);
 }
 
 OperatingPoint RaplSolver::solve_prepared(const workloads::WorkloadSignature& w,
@@ -154,10 +168,10 @@ OperatingPoint RaplSolver::solve_prepared(const workloads::WorkloadSignature& w,
   const double ci = w.compute_intensity;
 
   OperatingPoint op;
-  op.placement = p.placement;
   bool fitted = false;
   // Walk the DVFS ladder downward; take the fastest state under the cap.
-  for (std::size_t k = 0; k < p.states.size(); ++k) {
+  for (std::size_t k = 0; k < ladder_.size(); ++k) {
+    const LadderState& ls = ladder_[k];
     const Prepared::State& st = p.states[k];
     const double sat =
         st.demand_gbps > 0.0 ? std::min(1.0, bw_eff / st.demand_gbps) : 1.0;
@@ -174,9 +188,9 @@ OperatingPoint RaplSolver::solve_prepared(const workloads::WorkloadSignature& w,
     const double activity =
         spec_->core_power_floor +
         (1.0 - spec_->core_power_floor) * util * ci;
-    const double per_core = spec_->core_max_w * activity * st.pow_f;
+    const double per_core = spec_->core_max_w * activity * ls.pow_f;
     double total = 0.0;
-    for (int threads : p.placement.threads_per_socket) {
+    for (int threads : p.placement->threads_per_socket) {
       if (threads > 0) {
         total += spec_->socket_base_w + threads * per_core * cpu_multiplier;
       } else {
@@ -184,9 +198,9 @@ OperatingPoint RaplSolver::solve_prepared(const workloads::WorkloadSignature& w,
       }
     }
     const Watts cpu_w{total};
-    if (cpu_w <= cpu_cap || k + 1 == p.states.size()) {
-      op.frequency = st.freq;
-      op.f_rel = st.f_rel;
+    if (cpu_w <= cpu_cap || k + 1 == ladder_.size()) {
+      op.frequency = ls.freq;
+      op.f_rel = ls.f_rel;
       op.perf.time = Seconds(time);
       op.perf.saturation = sat;
       op.perf.utilization = util;
@@ -201,7 +215,7 @@ OperatingPoint RaplSolver::solve_prepared(const workloads::WorkloadSignature& w,
   }
   CLIP_ENSURE(op.frequency.value() > 0.0, "ladder walk found no state");
 
-  if (!fitted) apply_duty_cycle(w, cpu_cap, cpu_multiplier, op);
+  if (!fitted) apply_duty_cycle(p, cpu_cap, op);
   // The DRAM cap bounds *activity* power; base power is irreducible (DIMMs
   // stay powered), so a cap below base floors at the base draw.
   CLIP_ENSURE(op.mem_power <= mem_cap + Watts(1e-9) ||
@@ -215,15 +229,6 @@ OperatingPoint RaplSolver::solve(const workloads::WorkloadSignature& w,
                                  double cpu_multiplier) const {
   return solve_prepared(w, prepare(w, work_s, cfg), cfg.cpu_cap, cfg.mem_cap,
                         cpu_multiplier);
-}
-
-void RaplSolver::solve_frontier(const workloads::WorkloadSignature& w,
-                                const Prepared& p, const Watts* cpu_caps,
-                                const Watts* mem_caps, std::size_t count,
-                                double cpu_multiplier,
-                                OperatingPoint* out) const {
-  for (std::size_t i = 0; i < count; ++i)
-    out[i] = solve_prepared(w, p, cpu_caps[i], mem_caps[i], cpu_multiplier);
 }
 
 }  // namespace clip::sim

@@ -9,13 +9,11 @@
 // power clamped at the cap.
 #pragma once
 
-#include <cstddef>
 #include <vector>
 
 #include "sim/config.hpp"
 #include "sim/machine.hpp"
 #include "sim/perf_model.hpp"
-#include "sim/power_model.hpp"
 #include "workloads/signature.hpp"
 
 namespace clip::sim {
@@ -28,13 +26,15 @@ struct OperatingPoint {
   NodePerfOutput perf;
   Watts cpu_power{0.0};
   Watts mem_power{0.0};
-  parallel::Placement placement;
 };
 
 class RaplSolver {
  public:
-  explicit RaplSolver(const MachineSpec& spec)
-      : spec_(&spec), power_(spec) {}
+  /// Validates `spec` (as Variability does), then builds the per-machine
+  /// tables every prepare() reads: the DVFS ladder in walk order with each
+  /// state's pow(f_rel, power_exponent), and the placement of every
+  /// (threads, affinity). `spec` must outlive the solver.
+  explicit RaplSolver(const MachineSpec& spec);
 
   /// Cap-independent context of one (workload, work share, placement): every
   /// term the ladder walk reads that depends on neither cap, hoisted out of
@@ -42,11 +42,10 @@ class RaplSolver {
   /// scalar model, evaluated with the identical operation tree — reusing it
   /// across cap points cannot change a bit of any result, because no sum or
   /// product is reassociated (see docs/performance.md, "hoisting
-  /// invariants").
+  /// invariants"). Valid only while the solver that prepared it lives.
   struct Prepared {
-    parallel::Placement placement;
+    const parallel::Placement* placement = nullptr;  ///< the solver's table
     double work_s = 0.0;
-    int threads = 1;
     double level_bw_gbps = 0.0;  ///< active * socket_bw * bw_fraction(level)
     double mem_base_w = 0.0;     ///< DRAM base draw of the socket mix
     double w_per_gbps = 0.0;     ///< spec.mem_w_per_gbps()
@@ -55,12 +54,9 @@ class RaplSolver {
     double one_minus_m = 0.0;    ///< 1 - memory_boundedness
     double mem_numerator = 0.0;  ///< (1 - s) * m
     double fork_s = 0.0;         ///< fork_overhead_s * (n - 1)
-    /// Per-DVFS-state terms, stored in ladder *walk* order (highest state
-    /// first) and laid out contiguously so the frontier kernel streams them.
+    /// The workload's per-DVFS-state terms, in ladder *walk* order (highest
+    /// state first, as the solver's ladder table).
     struct State {
-      GHz freq{0.0};
-      double f_rel = 0.0;
-      double pow_f = 0.0;        ///< pow(f_rel, power_exponent)
       double demand_gbps = 0.0;  ///< (n * bw_per_core) * f_rel
       double serial_t = 0.0;     ///< s / f_rel
       double compute_t = 0.0;    ///< ((1-s)*(1-m)) / (n * f_rel)
@@ -83,14 +79,6 @@ class RaplSolver {
       const workloads::WorkloadSignature& w, const Prepared& p, Watts cpu_cap,
       Watts mem_cap, double cpu_multiplier = 1.0) const;
 
-  /// Solve a whole cap frontier (parallel arrays of PKG/DRAM caps) against
-  /// one prepared context: one solve_prepared per point, so every
-  /// OperatingPoint is bit-identical to the scalar path's.
-  void solve_frontier(const workloads::WorkloadSignature& w, const Prepared& p,
-                      const Watts* cpu_caps, const Watts* mem_caps,
-                      std::size_t count, double cpu_multiplier,
-                      OperatingPoint* out) const;
-
   /// Solve the operating point of a node executing `work_s` 1-core-seconds
   /// of `w` under `cfg`, with manufacturing multiplier `cpu_multiplier`.
   [[nodiscard]] OperatingPoint solve(const workloads::WorkloadSignature& w,
@@ -105,17 +93,25 @@ class RaplSolver {
 
  private:
   /// The clock-modulation fallback when even the lowest DVFS state exceeds
-  /// the PKG cap; shared by the scalar and frontier paths.
-  void apply_duty_cycle(const workloads::WorkloadSignature& w, Watts cpu_cap,
-                        double cpu_multiplier, OperatingPoint& op) const;
+  /// the PKG cap.
+  void apply_duty_cycle(const Prepared& p, Watts cpu_cap,
+                        OperatingPoint& op) const;
 
   /// Memory-domain power from hoisted terms — value-identical to
-  /// PowerModel::mem_power at the same activity.
+  /// PowerModel::mem_power at the same activity (same operands, same order).
   [[nodiscard]] Watts mem_power_prepared(const Prepared& p,
                                          double achieved_bw_gbps) const;
 
+  /// One DVFS state of the machine's ladder.
+  struct LadderState {
+    GHz freq{0.0};
+    double f_rel = 0.0;
+    double pow_f = 0.0;  ///< pow(f_rel, power_exponent)
+  };
+
   const MachineSpec* spec_;
-  PowerModel power_;
+  std::vector<LadderState> ladder_;  ///< walk order: highest state first
+  std::vector<parallel::Placement> placements_;  ///< [(threads-1)*2 + policy]
 };
 
 }  // namespace clip::sim

@@ -1,9 +1,10 @@
 // Property tests for the batch-vectorized simulator core
-// (SimExecutor::run_batch). The contract under test is *bit* identity:
+// (SimExecutor::run_batch) and the time-only scalar entry point
+// (SimExecutor::exact_time). The contract under test is *bit* identity:
 // evaluating a whole cap frontier in one call — with subexpression
-// hoisting, SoA state and in-frontier deduplication — must reproduce the
-// scalar run_exact loop to the last mantissa bit, for every field of every
-// Measurement. Anything weaker would let batching change figure bytes.
+// hoisting and in-frontier deduplication — or one configuration without
+// building its measurement must reproduce run_exact's time to the last
+// mantissa bit. Anything weaker would let batching change figure bytes.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -36,42 +37,6 @@ std::uint64_t counter(obs::ObsSession& s, std::string_view name) {
 void expect_bits(double a, double b, const char* what) {
   EXPECT_EQ(std::bit_cast<std::uint64_t>(a), std::bit_cast<std::uint64_t>(b))
       << what << ": " << a << " vs " << b;
-}
-
-void expect_bit_identical(const sim::Measurement& a,
-                          const sim::Measurement& b) {
-  expect_bits(a.time.value(), b.time.value(), "time");
-  expect_bits(a.comm_time.value(), b.comm_time.value(), "comm_time");
-  expect_bits(a.avg_power.value(), b.avg_power.value(), "avg_power");
-  expect_bits(a.energy.value(), b.energy.value(), "energy");
-  ASSERT_EQ(a.nodes.size(), b.nodes.size());
-  for (std::size_t n = 0; n < a.nodes.size(); ++n) {
-    const sim::NodeMeasurement& x = a.nodes[n];
-    const sim::NodeMeasurement& y = b.nodes[n];
-    expect_bits(x.time.value(), y.time.value(), "node.time");
-    expect_bits(x.frequency.value(), y.frequency.value(), "node.frequency");
-    expect_bits(x.duty_factor, y.duty_factor, "node.duty_factor");
-    expect_bits(x.cpu_power.value(), y.cpu_power.value(), "node.cpu_power");
-    expect_bits(x.mem_power.value(), y.mem_power.value(), "node.mem_power");
-    expect_bits(x.achieved_bw_gbps, y.achieved_bw_gbps,
-                "node.achieved_bw_gbps");
-    expect_bits(x.saturation, y.saturation, "node.saturation");
-    expect_bits(x.events.icache_misses_per_s, y.events.icache_misses_per_s,
-                "events.icache");
-    expect_bits(x.events.read_bw_gbps, y.events.read_bw_gbps, "events.read");
-    expect_bits(x.events.write_bw_gbps, y.events.write_bw_gbps,
-                "events.write");
-    expect_bits(x.events.l3_miss_local_per_s, y.events.l3_miss_local_per_s,
-                "events.l3_local");
-    expect_bits(x.events.l3_miss_remote_per_s, y.events.l3_miss_remote_per_s,
-                "events.l3_remote");
-    expect_bits(x.events.cycles_active_per_s, y.events.cycles_active_per_s,
-                "events.cycles");
-    expect_bits(x.events.instructions_per_s, y.events.instructions_per_s,
-                "events.instructions");
-    expect_bits(x.events.perf_ratio_full_half, y.events.perf_ratio_full_half,
-                "events.perf_ratio");
-  }
 }
 
 /// A catalog signature with its continuous model inputs jittered — keeps
@@ -121,7 +86,8 @@ std::vector<sim::CapPoint> random_caps(Rng& rng, std::size_t width) {
   return caps;
 }
 
-/// The core property: run_batch == scalar run_exact loop, bit for bit.
+/// The core property: run_batch == the scalar run_exact loop's times, bit
+/// for bit.
 void check_batch_equals_scalar(sim::SimExecutor& ex, Rng& rng, int trials) {
   for (int t = 0; t < trials; ++t) {
     const workloads::WorkloadSignature w = random_workload(rng);
@@ -130,13 +96,14 @@ void check_batch_equals_scalar(sim::SimExecutor& ex, Rng& rng, int trials) {
         static_cast<std::size_t>(rng.uniform_int(4, 64));
     const std::vector<sim::CapPoint> caps = random_caps(rng, width);
 
-    const std::vector<sim::Measurement> batch = ex.run_batch(w, base, caps);
+    const std::vector<Seconds> batch = ex.run_batch(w, base, caps);
     ASSERT_EQ(batch.size(), caps.size());
     for (std::size_t i = 0; i < caps.size(); ++i) {
       sim::ClusterConfig point = base;
       point.node.cpu_cap = caps[i].cpu_cap;
       point.node.mem_cap = caps[i].mem_cap;
-      expect_bit_identical(batch[i], ex.run_exact(w, point));
+      expect_bits(batch[i].value(), ex.run_exact(w, point).time.value(),
+                  "time");
     }
   }
 }
@@ -219,7 +186,7 @@ TEST(BatchThreshold, SmallFrontiersBypassBatchMachinery) {
 
   const std::vector<sim::CapPoint> narrow =
       random_caps(rng, sim::SimExecutor::kMinBatchFrontier - 1);
-  const std::vector<sim::Measurement> a = ex.run_batch(w, base, narrow);
+  const std::vector<Seconds> a = ex.run_batch(w, base, narrow);
   EXPECT_EQ(counter(session, "sim.batch_runs"), 0u);
   EXPECT_EQ(counter(session, "sim.runs"), narrow.size());
   // The bypass still honors the result contract.
@@ -227,7 +194,7 @@ TEST(BatchThreshold, SmallFrontiersBypassBatchMachinery) {
     sim::ClusterConfig point = base;
     point.node.cpu_cap = narrow[i].cpu_cap;
     point.node.mem_cap = narrow[i].mem_cap;
-    expect_bit_identical(a[i], ex.run_exact(w, point));
+    expect_bits(a[i].value(), ex.run_exact(w, point).time.value(), "time");
   }
 
   const std::vector<sim::CapPoint> wide =
@@ -241,8 +208,7 @@ TEST(BatchThreshold, EmptyFrontierIsANoOp) {
   obs::ObsSession session;
   ex.set_observer(&session);
   const auto w = *workloads::find_benchmark("CoMD");
-  const std::vector<sim::Measurement> r =
-      ex.run_batch(w, sim::ClusterConfig{}, {});
+  const std::vector<Seconds> r = ex.run_batch(w, sim::ClusterConfig{}, {});
   EXPECT_TRUE(r.empty());
   EXPECT_EQ(counter(session, "sim.runs"), 0u);
   EXPECT_EQ(counter(session, "sim.batch_runs"), 0u);
@@ -275,11 +241,11 @@ TEST(BatchCache, ReplayedFrontierIsRecomputedNotStored) {
   const sim::ClusterConfig base = random_base(rng, ex.spec());
   const std::vector<sim::CapPoint> caps = random_caps(rng, 16);
 
-  const std::vector<sim::Measurement> first = ex.run_batch(w, base, caps);
-  const std::vector<sim::Measurement> replay = ex.run_batch(w, base, caps);
+  const std::vector<Seconds> first = ex.run_batch(w, base, caps);
+  const std::vector<Seconds> replay = ex.run_batch(w, base, caps);
   ASSERT_EQ(replay.size(), first.size());
   for (std::size_t i = 0; i < first.size(); ++i)
-    expect_bit_identical(replay[i], first[i]);
+    expect_bits(replay[i].value(), first[i].value(), "time");
   EXPECT_EQ(counter(session, "sim.runs"), 2 * caps.size());
   EXPECT_EQ(counter(session, "sim.exact_cache_hits"), 0u);
   EXPECT_EQ(counter(session, "sim.exact_cache_misses"), 0u);
@@ -306,13 +272,74 @@ TEST(BatchCache, InFrontierDuplicatesComputeOnce) {
   caps.push_back(caps[2]);
   caps.push_back(caps[0]);
 
-  const std::vector<sim::Measurement> r = ex.run_batch(w, base, caps);
+  const std::vector<Seconds> r = ex.run_batch(w, base, caps);
   EXPECT_EQ(counter(session, "sim.runs"), 6u);
   EXPECT_EQ(counter(session, "sim.exact_cache_misses"), 0u);
   EXPECT_EQ(counter(session, "sim.exact_cache_hits"), 0u);
-  expect_bit_identical(r[6], r[0]);
-  expect_bit_identical(r[7], r[2]);
-  expect_bit_identical(r[8], r[0]);
+  expect_bits(r[6].value(), r[0].value(), "alias time");
+  expect_bits(r[7].value(), r[2].value(), "alias time");
+  expect_bits(r[8].value(), r[0].value(), "alias time");
+}
+
+// ------------------------------------------------------------ exact_time ----
+
+TEST(ExactTime, MatchesRunExactTimeBitForBit) {
+  // exact_time must be run_exact's time without the measurement around it:
+  // over uniform and heterogeneous nodes, per-node cap overrides and PKG
+  // caps low enough to force clock modulation. Each call is one uncached
+  // model run — sim.runs moves by one, the cache sees nothing.
+  sim::MachineSpec varied;
+  varied.variability_sigma = 0.08;
+  varied.variability_seed = 7;
+  int duty_cycled = 0;
+  int overridden = 0;
+  for (const sim::MachineSpec& spec : {sim::MachineSpec{}, varied}) {
+    sim::SimExecutor ex(spec, no_noise());
+    sim::ExactRunCache cache;
+    obs::ObsSession session;
+    ex.set_exact_cache(&cache);
+    ex.set_observer(&session);
+    Rng rng(0xAAu + spec.variability_seed);
+    for (int t = 0; t < 60; ++t) {
+      const workloads::WorkloadSignature w = random_workload(rng);
+      sim::ClusterConfig cfg = random_base(rng, ex.spec());
+      // A third of the trials cap the PKG below the lowest state's draw
+      // (two socket bases alone are 32 W).
+      const bool starve = t % 3 == 0;
+      cfg.node.cpu_cap = Watts(starve ? rng.uniform(20.0, 40.0)
+                                      : rng.uniform(25.0, 130.0));
+      cfg.node.mem_cap = Watts(rng.uniform(12.0, 60.0));
+      if (t % 4 == 1) {
+        for (int i = 0; i < cfg.nodes; ++i)
+          cfg.cpu_cap_overrides.push_back(Watts(
+              starve ? rng.uniform(20.0, 40.0) : rng.uniform(25.0, 130.0)));
+        ++overridden;
+      }
+
+      const std::uint64_t runs = counter(session, "sim.runs");
+      const std::uint64_t hits = counter(session, "sim.exact_cache_hits");
+      const std::uint64_t misses = counter(session, "sim.exact_cache_misses");
+      const sim::ExactCacheStats before = cache.stats();
+      const Seconds time = ex.exact_time(w, cfg);
+      EXPECT_EQ(counter(session, "sim.runs"), runs + 1);
+      EXPECT_EQ(counter(session, "sim.exact_cache_hits"), hits);
+      EXPECT_EQ(counter(session, "sim.exact_cache_misses"), misses);
+      const sim::ExactCacheStats after = cache.stats();
+      EXPECT_EQ(after.hits, before.hits);
+      EXPECT_EQ(after.misses, before.misses);
+      EXPECT_EQ(after.entries, before.entries);
+
+      const sim::Measurement m = ex.run_exact(w, cfg);
+      expect_bits(time.value(), m.time.value(), "time");
+      for (const sim::NodeMeasurement& nm : m.nodes)
+        if (nm.duty_factor < 1.0) {
+          ++duty_cycled;
+          break;
+        }
+    }
+  }
+  EXPECT_GT(duty_cycled, 0) << "no trial reached the clock-modulation branch";
+  EXPECT_GT(overridden, 0);
 }
 
 }  // namespace

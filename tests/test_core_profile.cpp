@@ -11,6 +11,7 @@
 #include "sim/executor.hpp"
 #include "util/check.hpp"
 #include "workloads/catalog.hpp"
+#include "temp_path.hpp"
 
 namespace clip::core {
 namespace {
@@ -167,8 +168,7 @@ TEST_F(ProfilerTest, ClassificationRobustToMeasurementNoise) {
 
 class KnowledgeDbTest : public ::testing::Test {
  protected:
-  std::filesystem::path path_ =
-      std::filesystem::temp_directory_path() / "clip_kdb_test.csv";
+  std::filesystem::path path_ = unique_temp_path("clip_kdb_test", ".csv");
   void TearDown() override { std::filesystem::remove(path_); }
 
   KnowledgeRecord sample_record() {

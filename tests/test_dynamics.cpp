@@ -14,6 +14,7 @@
 #include "workloads/catalog.hpp"
 #include "workloads/kernels.hpp"
 #include "workloads/phases.hpp"
+#include "temp_path.hpp"
 
 namespace clip {
 namespace {
@@ -142,8 +143,7 @@ TEST_F(RaplControllerTest, InvalidOptionsRejected) {
 class TelemetryTest : public ::testing::Test {
  protected:
   sim::SimExecutor ex_{sim::MachineSpec{}, no_noise()};
-  std::filesystem::path path_ =
-      std::filesystem::temp_directory_path() / "clip_telemetry.csv";
+  std::filesystem::path path_ = unique_temp_path("clip_telemetry", ".csv");
   void TearDown() override { std::filesystem::remove(path_); }
 };
 

@@ -26,6 +26,7 @@
 #include "sim/power_meter.hpp"
 #include "util/check.hpp"
 #include "workloads/catalog.hpp"
+#include "temp_path.hpp"
 
 namespace clip {
 namespace {
@@ -95,13 +96,8 @@ std::uint64_t counter_of(obs::ObsSession& s, const char* name) {
   return c != nullptr ? c->value() : 0;
 }
 
-/// Unique per test case *and* process: ctest -j runs each gtest case as its
-/// own concurrent process, so a shared fixture path would race.
 std::filesystem::path temp_file(const std::string& stem) {
-  const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
-  return std::filesystem::temp_directory_path() /
-         (stem + "." + info->name() + "." + std::to_string(::getpid()) +
-          ".csv");
+  return unique_temp_path(stem, ".csv");
 }
 
 // ------------------------------------------------------------- fault plan ----

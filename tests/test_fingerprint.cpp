@@ -11,6 +11,7 @@
 #include "sim/executor.hpp"
 #include "sim/presets.hpp"
 #include "workloads/catalog.hpp"
+#include "temp_path.hpp"
 
 namespace clip::core {
 namespace {
@@ -42,8 +43,7 @@ TEST(Fingerprint, SensitiveToPowerParameters) {
 
 class FingerprintDbTest : public ::testing::Test {
  protected:
-  std::filesystem::path path_ =
-      std::filesystem::temp_directory_path() / "clip_fingerprint_db.csv";
+  std::filesystem::path path_ = unique_temp_path("clip_fingerprint_db", ".csv");
   void SetUp() override { std::filesystem::remove(path_); }
   void TearDown() override { std::filesystem::remove(path_); }
 };

@@ -21,6 +21,7 @@
 #include "sim/rapl_controller.hpp"
 #include "util/check.hpp"
 #include "workloads/catalog.hpp"
+#include "temp_path.hpp"
 
 namespace clip {
 namespace {
@@ -478,8 +479,7 @@ TEST(ChromeTraceTest, DeterministicWithFakeClock) {
 }
 
 TEST(JsonlFileSinkTest, OneParseableObjectPerLine) {
-  const std::filesystem::path path =
-      std::filesystem::temp_directory_path() / "clip_obs_test.jsonl";
+  const std::filesystem::path path = unique_temp_path("clip_obs_test", ".jsonl");
   {
     FakeClock clock;
     ObsSession session(obs::ObsOptions{.clock = &clock});

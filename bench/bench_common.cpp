@@ -8,67 +8,58 @@ namespace clip::bench {
 
 namespace {
 
-int parse_int(const std::string& flag, const std::string& value) {
-  try {
-    return std::stoi(value);
-  } catch (const std::exception&) {
-    CLIP_REQUIRE(false, "bad value for " + flag + ": " + value);
-    return 0;
-  }
+/// A command-line mistake: name it and exit 2, as clipctl does.
+[[noreturn]] void usage_error(const std::string& what) {
+  std::cerr << what
+            << "\nflags: --csv --json --stats --no-cache --no-prune "
+               "--budgets a,b,c\n";
+  std::exit(2);
 }
 
+/// Comma-separated cluster budgets, each a positive wattage in full.
 std::vector<double> parse_budgets(const std::string& value) {
   std::vector<double> budgets;
   for (const std::string& part : split(value, ',')) {
     if (part.empty()) continue;
+    std::size_t used = 0;
+    double watts = 0.0;
     try {
-      budgets.push_back(std::stod(part));
+      watts = std::stod(part, &used);
     } catch (const std::exception&) {
-      CLIP_REQUIRE(false, "bad value for --budgets: " + value);
+      used = 0;
     }
+    if (used != part.size() || !std::isfinite(watts) || watts <= 0.0)
+      usage_error("bad value for --budgets: '" + value + "'");
+    budgets.push_back(watts);
   }
-  CLIP_REQUIRE(!budgets.empty(), "empty --budgets list");
+  if (budgets.empty()) usage_error("empty --budgets list");
   return budgets;
 }
 
 }  // namespace
 
 BenchContext::BenchContext(int argc, char** argv) {
-  const auto take_value = [&](int& i, const std::string& arg,
-                              const std::string& flag,
-                              std::string& out) -> bool {
-    if (arg == flag) {
-      CLIP_REQUIRE(i + 1 < argc, flag + " needs a value");
-      out = argv[++i];
-      return true;
-    }
-    if (arg.rfind(flag + "=", 0) == 0) {
-      out = arg.substr(flag.size() + 1);
-      return true;
-    }
-    return false;
-  };
+  const std::string budgets_eq = "--budgets=";
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    std::string value;
     if (arg == "--csv") {
       csv = true;
+    } else if (arg == "--json") {
+      json = true;
     } else if (arg == "--stats") {
       stats = true;
     } else if (arg == "--no-cache") {
       use_cache = false;
     } else if (arg == "--no-prune") {
       prune = false;
-    } else if (take_value(i, arg, "--jobs", value)) {
-      jobs = parse_int("--jobs", value);
-      if (jobs <= 0) {
-        const unsigned hw = std::thread::hardware_concurrency();
-        jobs = hw > 0 ? static_cast<int>(hw) : 1;
-      }
-    } else if (take_value(i, arg, "--budgets", value)) {
-      budgets_override = parse_budgets(value);
+    } else if (arg == "--budgets") {
+      if (i + 1 >= argc) usage_error("--budgets needs a value");
+      budgets_override = parse_budgets(argv[++i]);
+    } else if (arg.rfind(budgets_eq, 0) == 0) {
+      budgets_override = parse_budgets(arg.substr(budgets_eq.size()));
+    } else {
+      usage_error("unknown flag '" + arg + "'");
     }
-    // Unknown arguments are left for the individual bench to interpret.
   }
 }
 
@@ -92,15 +83,7 @@ BenchContext::~BenchContext() {
             << " sim.exact_cache_hits=" << value("sim.exact_cache_hits")
             << " sim.exact_cache_misses=" << value("sim.exact_cache_misses")
             << " sim.batch_runs=" << value("sim.batch_runs")
-            << " sim.batch_width_p50=" << width_p50
-            << " jobs=" << jobs << '\n';
-}
-
-parallel::ThreadPool* BenchContext::pool() const {
-  if (jobs <= 1) return nullptr;
-  if (pool_ == nullptr)
-    pool_ = std::make_unique<parallel::ThreadPool>(jobs);
-  return pool_.get();
+            << " sim.batch_width_p50=" << width_p50 << '\n';
 }
 
 void BenchContext::attach(sim::SimExecutor& executor) const {
@@ -127,10 +110,8 @@ void register_all_methods(runtime::ComparisonHarness& harness,
       executor, workloads::training_benchmarks()));
   baselines::OracleOptions opts;
   if (ctx != nullptr) opts.prune = ctx->prune;
-  auto oracle =
-      std::make_shared<baselines::OracleScheduler>(executor, opts);
-  if (ctx != nullptr) oracle->set_pool(ctx->pool());
-  harness.add_method(std::move(oracle));
+  harness.add_method(
+      std::make_shared<baselines::OracleScheduler>(executor, opts));
 }
 
 Table render_method_comparison(

@@ -3,11 +3,12 @@
 // Every binary in bench/ regenerates one table or figure from the paper's
 // evaluation (§V) on the simulated testbed and prints the same rows/series
 // the paper plots. Common flags (parsed by BenchContext, shared by every
-// binary):
+// binary; any other argument, or a bad --budgets value, is named on stderr
+// and exits 2):
 //
 //   --csv           emit machine-readable CSV instead of the aligned table
-//   --jobs N        host threads for the evaluation engine (0 = all cores;
-//                   default 1 = serial). Output is identical at any N.
+//   --json          also write the bench's BENCH_*.json report into the cwd
+//                   (the benches that have one; the others ignore it)
 //   --budgets a,b,c override the bench's default cluster budget sweep (W)
 //   --stats         print evaluation-engine counters (sim.runs, cache
 //                   hits/misses) to stderr on exit
@@ -15,13 +16,13 @@
 //   --no-prune      disable oracle search-space pruning (with --no-cache:
 //                   the pre-engine evaluation count, for A/B measurement)
 //
-// See docs/performance.md for the evaluation-engine design.
+// Every bench evaluates on one thread. See docs/performance.md for the
+// evaluation-engine design.
 #pragma once
 
 #include <iostream>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "baselines/all_in.hpp"
@@ -30,7 +31,6 @@
 #include "baselines/lower_limit.hpp"
 #include "baselines/oracle.hpp"
 #include "obs/session.hpp"
-#include "parallel/thread_pool.hpp"
 #include "runtime/comparison.hpp"
 #include "sim/exec_cache.hpp"
 #include "sim/executor.hpp"
@@ -43,10 +43,10 @@ namespace clip::bench {
 
 struct BenchContext {
   bool csv = false;
+  bool json = false;
   bool stats = false;
   bool use_cache = true;
   bool prune = true;
-  int jobs = 1;
   std::vector<double> budgets_override;
 
   BenchContext(int argc, char** argv);
@@ -61,9 +61,6 @@ struct BenchContext {
       std::vector<double> defaults) const {
     return budgets_override.empty() ? std::move(defaults) : budgets_override;
   }
-
-  /// Worker pool for --jobs > 1 (lazily spawned; nullptr when serial).
-  [[nodiscard]] parallel::ThreadPool* pool() const;
 
   /// Hook an executor into the evaluation engine: attaches the shared
   /// exact-run cache (unless --no-cache) and, with --stats, the observation
@@ -85,7 +82,6 @@ struct BenchContext {
   }
 
  private:
-  mutable std::unique_ptr<parallel::ThreadPool> pool_;
   mutable std::unique_ptr<sim::ExactRunCache> cache_;
   mutable std::unique_ptr<obs::ObsSession> obs_;
 };
@@ -104,7 +100,7 @@ inline sim::SimExecutor make_exact_testbed() {
 }
 
 /// The four §V-C methods plus the oracle, registered on a harness. With a
-/// context, the oracle fans its search grid out over ctx->pool().
+/// context, the oracle prunes unless --no-prune.
 void register_all_methods(runtime::ComparisonHarness& harness,
                           sim::SimExecutor& executor,
                           const BenchContext* ctx = nullptr);

@@ -19,7 +19,7 @@ int main(int argc, char** argv) {
   const std::vector<double> budgets =
       ctx.budgets_or({1000.0, 1200.0, 1400.0});
   const auto& apps = workloads::paper_benchmarks();
-  const auto result = harness.run(apps, budgets, ctx.pool());
+  const auto result = harness.run(apps, budgets);
 
   const std::vector<workloads::WorkloadSignature> panel_a(apps.begin(),
                                                           apps.begin() + 5);

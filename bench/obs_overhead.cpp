@@ -58,9 +58,6 @@ std::string fingerprint(const runtime::QueueReport& r) {
 
 int main(int argc, char** argv) {
   const bench::BenchContext ctx(argc, argv);
-  bool json = false;
-  for (int i = 1; i < argc; ++i)
-    if (std::string(argv[i]) == "--json") json = true;
 
   sim::SimExecutor ex = bench::make_exact_testbed();
   core::ClipScheduler sched(ex, workloads::training_benchmarks());
@@ -200,7 +197,7 @@ int main(int argc, char** argv) {
             << format_double(off_ms, 1) << " -> " << format_double(on_ms, 1)
             << " ms per " << jobs.size() << "-job run).\n";
 
-  if (json) {
+  if (ctx.json) {
     std::ofstream os("BENCH_obs.json");
     os << "{\n  \"budget_w\": " << format_double(budget, 0)
        << ",\n  \"jobs\": " << jobs.size()

@@ -57,9 +57,6 @@ struct RunResult {
 
 int main(int argc, char** argv) {
   const bench::BenchContext ctx(argc, argv);
-  bool json = false;
-  for (int i = 1; i < argc; ++i)
-    if (std::string(argv[i]) == "--json") json = true;
 
   sim::SimExecutor ex = bench::make_exact_testbed();
   core::ClipScheduler sched(ex, workloads::training_benchmarks());
@@ -241,7 +238,7 @@ int main(int argc, char** argv) {
             << format_double(off_ms, 0) << " -> " << format_double(on_ms, 0)
             << " ms (" << format_double(overhead_pct, 1) << "% overhead).\n";
 
-  if (json) {
+  if (ctx.json) {
     std::ofstream os("BENCH_recovery.json");
     os << "{\n  \"budget_w\": " << format_double(budget, 0)
        << ",\n  \"jobs\": " << jobs.size()

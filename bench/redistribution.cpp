@@ -51,9 +51,6 @@ std::string json_row(const bench::Scenario& s,
 
 int main(int argc, char** argv) {
   const bench::BenchContext ctx(argc, argv);
-  bool json = false;
-  for (int i = 1; i < argc; ++i)
-    if (std::string(argv[i]) == "--json") json = true;
 
   sim::SimExecutor ex = bench::make_exact_testbed();
   core::ClipScheduler sched(ex, workloads::training_benchmarks());
@@ -112,7 +109,7 @@ int main(int argc, char** argv) {
                "cluster draw never rises above what static allocation "
                "already admitted.\n";
 
-  if (json) {
+  if (ctx.json) {
     std::ofstream os("BENCH_redist.json");
     os << "{\n  \"budget_w\": " << format_double(budget, 0)
        << ",\n  \"jobs\": " << jobs.size()

@@ -43,9 +43,6 @@ std::string json_row(const Scenario& s, const runtime::QueueReport& r,
 
 int main(int argc, char** argv) {
   const bench::BenchContext ctx(argc, argv);
-  bool json = false;
-  for (int i = 1; i < argc; ++i)
-    if (std::string(argv[i]) == "--json") json = true;
 
   sim::SimExecutor ex = bench::make_exact_testbed();
   core::ClipScheduler sched(ex, workloads::training_benchmarks());
@@ -94,7 +91,7 @@ int main(int argc, char** argv) {
          "violation to roughly its reaction latency instead of the full "
          "fault window.\n";
 
-  if (json) {
+  if (ctx.json) {
     std::ofstream os("BENCH_resilience.json");
     os << "{\n  \"budget_w\": " << format_double(budget, 0)
        << ",\n  \"jobs\": " << jobs.size() << ",\n  \"scenarios\": [\n";

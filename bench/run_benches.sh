@@ -2,10 +2,9 @@
 # Run the bench suite with the evaluation engine on, record wall-clock and
 # engine counters per binary, and emit BENCH_eval_engine.json.
 #
-# Usage: bench/run_benches.sh [build-dir] [jobs] [out-json] [redist-json]
+# Usage: bench/run_benches.sh [build-dir] [out-json] [redist-json]
 #                             [recovery-json] [obs-json]
 #   build-dir      cmake binary dir containing bench/ (default: build)
-#   jobs           --jobs value passed to each bench (default: number of cores)
 #   out-json       output path (default: BENCH_eval_engine.json in the cwd)
 #   redist-json    output path for the redistribution sweep
 #                  (default: BENCH_redist.json in the cwd)
@@ -14,19 +13,18 @@
 #   obs-json       output path for the observability-plane sweep
 #                  (default: BENCH_obs.json in the cwd)
 #
-# Each binary runs twice: once with the engine (cache + pruning + --jobs)
-# and once as the pre-engine baseline (--no-cache --no-prune, serial). The
+# Each binary runs twice: once with the engine (cache + pruning) and once
+# as the pre-engine baseline (--no-cache --no-prune). The
 # CSV outputs of the two runs are asserted byte-identical — the engine's
 # core contract — and the JSON records both wall-clocks plus the sim.runs /
 # cache-hit counters parsed from the --stats line.
 set -eu
 
 build_dir=${1:-build}
-jobs=${2:-$(nproc 2>/dev/null || echo 2)}
-out_json=${3:-BENCH_eval_engine.json}
-redist_json=${4:-BENCH_redist.json}
-recovery_json=${5:-BENCH_recovery.json}
-obs_json=${6:-BENCH_obs.json}
+out_json=${2:-BENCH_eval_engine.json}
+redist_json=${3:-BENCH_redist.json}
+recovery_json=${4:-BENCH_recovery.json}
+obs_json=${5:-BENCH_obs.json}
 bench_dir="$build_dir/bench"
 
 [ -d "$bench_dir" ] || {
@@ -63,23 +61,23 @@ trap 'rm -rf "$tmp"' EXIT
 git_sha=$(git rev-parse --short HEAD 2>/dev/null || echo unknown)
 utc_date=$(TZ=UTC date -u '+%Y-%m-%dT%H:%M:%SZ')
 
-printf '{\n  "git_sha": "%s",\n  "date_utc": "%s",\n  "jobs": %s,\n  "benches": [\n' \
-  "$git_sha" "$utc_date" "$jobs" > "$out_json"
+printf '{\n  "git_sha": "%s",\n  "date_utc": "%s",\n  "benches": [\n' \
+  "$git_sha" "$utc_date" > "$out_json"
 first=1
 for b in $benches; do
   bin="$bench_dir/$b"
   [ -x "$bin" ] || { echo "skip $b (not built)" >&2; continue; }
 
-  echo "== $b (baseline: serial, no cache, no pruning)" >&2
+  echo "== $b (baseline: no cache, no pruning)" >&2
   t0=$(now_ms)
   "$bin" --csv --no-cache --no-prune --stats \
       > "$tmp/$b.base.csv" 2> "$tmp/$b.base.stats"
   t1=$(now_ms)
   base_ms=$((t1 - t0))
 
-  echo "== $b (engine: cache + pruning, --jobs $jobs)" >&2
+  echo "== $b (engine: cache + pruning)" >&2
   t0=$(now_ms)
-  "$bin" --csv --jobs "$jobs" --stats \
+  "$bin" --csv --stats \
       > "$tmp/$b.fast.csv" 2> "$tmp/$b.fast.stats"
   t1=$(now_ms)
   fast_ms=$((t1 - t0))

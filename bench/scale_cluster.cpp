@@ -29,7 +29,6 @@ int main(int argc, char** argv) {
     core::ClipScheduler clip(ex, workloads::training_benchmarks());
     baselines::OracleScheduler oracle(
         ex, baselines::OracleOptions{ctx.prune});
-    oracle.set_pool(ctx.pool());
 
     const auto w = *workloads::find_benchmark("TeaLeaf");
     const Watts budget(spec.max_node_w() * nodes * 0.55);

@@ -22,7 +22,6 @@ int main(int argc, char** argv) {
   runtime::ComparisonHarness harness(ex);
   auto oracle = std::make_shared<baselines::OracleScheduler>(
       ex, baselines::OracleOptions{ctx.prune});
-  oracle->set_pool(ctx.pool());
   harness.add_method(
       std::make_shared<baselines::AllInScheduler>(ex.spec()));
   harness.add_method(
@@ -41,7 +40,7 @@ int main(int argc, char** argv) {
   // No --budgets override here: the claim lookups below address specific
   // budget columns (600/1400/5000 W) by value.
   const auto& apps = workloads::paper_benchmarks();
-  const auto result = harness.run(apps, budgets, ctx.pool());
+  const auto result = harness.run(apps, budgets);
 
   Table t({"paper claim", "paper value", "measured"});
   t.set_title("Summary — paper claims vs this reproduction");

@@ -109,7 +109,7 @@ if [ "${SKIP_GATE:-0}" != "1" ] && [ -d build/bench ]; then
   scripts/regression_gate.sh --selftest
   echo "==> [gate] bench sweep (release build)"
   mkdir -p "$ARTIFACTS"
-  sh bench/run_benches.sh build "$JOBS" "$ARTIFACTS/BENCH_fresh.json" \
+  sh bench/run_benches.sh build "$ARTIFACTS/BENCH_fresh.json" \
     "$ARTIFACTS/BENCH_redist_fresh.json" "$ARTIFACTS/BENCH_recovery_fresh.json" \
     "$ARTIFACTS/BENCH_obs_fresh.json"
   echo "==> [gate] compare against committed BENCH_eval_engine.json"

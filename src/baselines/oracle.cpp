@@ -9,7 +9,7 @@
 #include <utility>
 #include <vector>
 
-#include "parallel/parallel_for.hpp"
+#include "parallel/affinity.hpp"
 #include "util/check.hpp"
 
 namespace clip::baselines {
@@ -29,7 +29,7 @@ namespace {
 /// per-combo cap vectors were a measurable slice of the search cost.
 struct GridCombo {
   sim::ClusterConfig base;
-  const double* grid = nullptr;  ///< dense feasible caps, serial grid order
+  const double* grid = nullptr;  ///< dense feasible caps, canonical order
   int n_grid = 0;                ///< feasible prefix of `grid`
   bool has_demand = false;       ///< demand-tight point appended?
   double demand_w = 0.0;
@@ -53,15 +53,6 @@ struct LevelGrid {
 /// time is never NaN).
 constexpr double kUnknownBound = std::numeric_limits<double>::quiet_NaN();
 
-/// Atomic running minimum (relaxed; used only to tighten pruning — the
-/// final winner comes from a deterministic serial-order scan).
-void update_min(std::atomic<double>& best, double v) {
-  double cur = best.load(std::memory_order_relaxed);
-  while (v < cur &&
-         !best.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-  }
-}
-
 }  // namespace
 
 sim::ClusterConfig OracleScheduler::plan(
@@ -74,11 +65,9 @@ sim::ClusterConfig OracleScheduler::plan(
   if (options_.prune) {
     app_key = sim::ExactRunCache::encode_batch_prefix(std::string(), app,
                                                       sim::ClusterConfig{});
-    const std::lock_guard<std::mutex> lock(bound_memo_mu_);
     const auto it = plan_memo_.find({app_key, cluster_budget.value()});
     if (it != plan_memo_.end()) {
-      last_search_cost_.store(it->second.search_cost,
-                              std::memory_order_relaxed);
+      last_search_cost_ = it->second.search_cost;
       return it->second.plan;
     }
   }
@@ -92,9 +81,9 @@ sim::ClusterConfig OracleScheduler::plan(
     for (int n = 1; n <= spec.nodes; ++n) node_counts.push_back(n);
   }
 
-  last_search_cost_.store(0, std::memory_order_relaxed);
+  last_search_cost_ = 0;
 
-  // ---- materialize the candidate grid in canonical (serial) order --------
+  // ---- materialize the candidate grid in canonical order -----------------
   // Thread placement depends only on (threads, affinity) — precompute the
   // active-socket counts once instead of once per (nodes, level).
   std::vector<std::array<int, 2>> active_sockets(
@@ -224,35 +213,10 @@ sim::ClusterConfig OracleScheduler::plan(
   // caps at its `first` offset. A pruned combo's slots stay +inf, which no
   // exact (finite) time equals, so the final scan skips it. All evaluations
   // are exact (noise-free) runs, so the filled values are identical
-  // whatever the execution order — parallelism and pruning can only change
-  // *which* slots get filled, never their values. Pool workers write
-  // disjoint slots.
+  // whatever the visiting order — pruning can only change *which* slots get
+  // filled, never their values.
   const double kInf = std::numeric_limits<double>::infinity();
   std::vector<double> times(n_times, kInf);
-
-  std::atomic<double> best_seen{kInf};
-  const auto evaluate_combo = [&](std::size_t ci) {
-    const GridCombo& combo = combos[ci];
-    // A combo's cap grid shares one (workload, placement) prefix — exactly
-    // the frontier shape run_batch vectorizes. The batch times are
-    // bit-identical to per-point run_exact calls.
-    std::vector<sim::CapPoint> caps(static_cast<std::size_t>(combo.n_caps()));
-    for (int j = 0; j < combo.n_caps(); ++j) {
-      const double mem_w = combo.cap(j);
-      caps[static_cast<std::size_t>(j)].mem_cap = Watts(mem_w);
-      caps[static_cast<std::size_t>(j)].cpu_cap =
-          Watts(combo.node_share - mem_w);
-    }
-    const std::vector<Seconds> ts = executor_->run_batch(app, combo.base, caps);
-    last_search_cost_.fetch_add(static_cast<int>(caps.size()),
-                                std::memory_order_relaxed);
-    double local_best = kInf;
-    for (std::size_t j = 0; j < ts.size(); ++j) {
-      times[combo.first + j] = ts[j].value();
-      local_best = std::min(local_best, ts[j].value());
-    }
-    update_min(best_seen, local_best);
-  };
 
   // Evaluation order over combos as (lower bound, canonical index) pairs:
   // with pruning, cheapest bound first so a near-optimal incumbent appears
@@ -271,73 +235,50 @@ sim::ClusterConfig OracleScheduler::plan(
     // bound runs are time-only and uncached: this memo is their only
     // consumer. last_search_cost_ counts every requested bound either way,
     // keeping reported evaluation counts sweep-order independent.
-    last_search_cost_.fetch_add(static_cast<int>(combos.size()),
-                                std::memory_order_relaxed);
-    std::vector<std::size_t> missing;
-    {
-      const std::lock_guard<std::mutex> lock(bound_memo_mu_);
-      std::vector<double>& memo = bound_memo_[app_key];
-      if (memo.empty())
-        memo.assign(static_cast<std::size_t>(spec.nodes) * n_threads * 2 *
-                        n_levels,
-                    kUnknownBound);
-      for (std::size_t ci = 0; ci < combos.size(); ++ci) {
-        const double b = memo[memo_slot(combos[ci].base)];
-        if (std::isnan(b))
-          missing.push_back(ci);
-        else
-          order[ci].first = b;
-      }
-    }
-    const auto evaluate_bound = [&](std::size_t ci) {
-      order[ci].first = executor_->exact_time(app, combos[ci].base).value();
-    };
-    if (pool_ != nullptr) {
-      parallel::parallel_for_chunks(
-          *pool_, 0, static_cast<std::int64_t>(missing.size()),
-          [&](std::int64_t b, std::int64_t e) {
-            for (std::int64_t i = b; i < e; ++i)
-              evaluate_bound(missing[static_cast<std::size_t>(i)]);
-          },
-          parallel::Schedule::kDynamic, 8);
-    } else {
-      for (const std::size_t ci : missing) evaluate_bound(ci);
-    }
-    if (!missing.empty()) {
-      const std::lock_guard<std::mutex> lock(bound_memo_mu_);
-      std::vector<double>& memo = bound_memo_[app_key];
-      for (const std::size_t ci : missing)
-        memo[memo_slot(combos[ci].base)] = order[ci].first;
+    last_search_cost_ += static_cast<int>(combos.size());
+    std::vector<double>& memo = bound_memo_[app_key];
+    if (memo.empty())
+      memo.assign(
+          static_cast<std::size_t>(spec.nodes) * n_threads * 2 * n_levels,
+          kUnknownBound);
+    for (std::size_t ci = 0; ci < combos.size(); ++ci) {
+      double& bound = memo[memo_slot(combos[ci].base)];
+      if (std::isnan(bound))
+        bound = executor_->exact_time(app, combos[ci].base).value();
+      order[ci].first = bound;
     }
     std::sort(order.begin(), order.end());
   }
 
   // A combo whose lower bound cannot *strictly* beat the incumbent cannot
   // contain the winner (the final scan also uses strict <), so skipping it
-  // is lossless. The incumbent only tightens over time; on the pool a stale
-  // read just prunes less. Serially, the first such combo ends the search:
-  // every later bound is at least as large and the incumbent no larger.
-  const auto visit = [&](const std::pair<double, std::size_t>& o) {
-    if (options_.prune && o.first >= best_seen.load(std::memory_order_relaxed))
-      return false;
-    evaluate_combo(o.second);
-    return true;
-  };
-  if (pool_ != nullptr) {
-    parallel::parallel_for(*pool_, 0,
-                           static_cast<std::int64_t>(order.size()),
-                           [&](std::int64_t i) {
-                             (void)visit(order[static_cast<std::size_t>(i)]);
-                           },
-                           parallel::Schedule::kDynamic, 1);
-  } else {
-    for (const auto& o : order)
-      if (!visit(o)) break;
+  // is lossless. The first such combo ends the search: every later bound is
+  // at least as large and the incumbent no larger.
+  double best_seen = kInf;
+  for (const auto& [bound, ci] : order) {
+    if (options_.prune && bound >= best_seen) break;
+    const GridCombo& combo = combos[ci];
+    // A combo's cap grid shares one (workload, placement) prefix — exactly
+    // the frontier shape run_batch vectorizes. The batch times are
+    // bit-identical to per-point run_exact calls.
+    std::vector<sim::CapPoint> caps(static_cast<std::size_t>(combo.n_caps()));
+    for (int j = 0; j < combo.n_caps(); ++j) {
+      const double mem_w = combo.cap(j);
+      caps[static_cast<std::size_t>(j)].mem_cap = Watts(mem_w);
+      caps[static_cast<std::size_t>(j)].cpu_cap =
+          Watts(combo.node_share - mem_w);
+    }
+    const std::vector<Seconds> ts = executor_->run_batch(app, combo.base, caps);
+    last_search_cost_ += static_cast<int>(caps.size());
+    for (std::size_t j = 0; j < ts.size(); ++j) {
+      times[combo.first + j] = ts[j].value();
+      best_seen = std::min(best_seen, ts[j].value());
+    }
   }
 
   // ---- deterministic winner selection ------------------------------------
   // Scan in canonical grid order with strict improvement, exactly like the
-  // historical serial search — so for a fully evaluated grid the chosen
+  // historical exhaustive search — so for a fully evaluated grid the chosen
   // configuration matches the legacy oracle bit for bit.
   sim::ClusterConfig best;
   double best_time = kInf;
@@ -355,11 +296,9 @@ sim::ClusterConfig OracleScheduler::plan(
     }
   }
   CLIP_ENSURE(best_time < kInf, "oracle found no feasible configuration");
-  if (options_.prune) {
-    const std::lock_guard<std::mutex> lock(bound_memo_mu_);
+  if (options_.prune)
     plan_memo_.try_emplace({std::move(app_key), cluster_budget.value()},
-                           PlanMemo{best, last_search_cost()});
-  }
+                           PlanMemo{best, last_search_cost_});
   return best;
 }
 

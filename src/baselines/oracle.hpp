@@ -14,16 +14,15 @@
 // bench, the search engine here is built for speed without changing the
 // answer (docs/performance.md):
 //
-//  * the candidate grid can fan out across a clip::parallel::ThreadPool
-//    (`set_pool`); every evaluation is an exact run, so the winner is
-//    order-independent and selected by a deterministic serial-order scan;
+//  * every evaluation is an exact run, so the winner is independent of the
+//    visiting order and is selected by a deterministic canonical-order scan;
 //  * dominated cap grids are pruned: one uncapped run per (nodes, threads,
 //    affinity, level) combo lower-bounds every capped point of that combo
 //    (execution time is monotone non-increasing in either cap), so a combo
 //    whose bound cannot strictly beat the incumbent is skipped wholesale.
-//    Combos are visited as sorted (bound, canonical index) pairs, and a
-//    serial search stops at the first bound that cannot beat the incumbent
-//    (every later one is at least as large);
+//    Combos are visited as sorted (bound, canonical index) pairs, and the
+//    search stops at the first bound that cannot beat the incumbent (every
+//    later one is at least as large);
 //  * each combo's cap grid is evaluated as one time-only
 //    SimExecutor::run_batch frontier (the caps are the only thing varying
 //    under a shared (workload, placement) prefix), computed fresh rather
@@ -39,17 +38,17 @@
 //  * with pruning on, each (workload, budget) plan is memoized with its
 //    search cost: replaying a plan costs no simulator run and reports the
 //    same last_search_cost as its first search.
+//
+// A scheduler is used from one thread at a time, like the executor it
+// drives (SimExecutor::run mutates the meter).
 #pragma once
 
-#include <atomic>
 #include <map>
-#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "baselines/scheduler_iface.hpp"
-#include "parallel/thread_pool.hpp"
 #include "sim/executor.hpp"
 
 namespace clip::baselines {
@@ -69,15 +68,10 @@ class OracleScheduler final : public PowerScheduler {
 
   [[nodiscard]] std::string name() const override { return "Oracle"; }
 
-  /// Fan the candidate grid out across `pool` (nullptr = serial). The pool
-  /// is borrowed, not owned, and must outlive the scheduler's plan() calls.
-  void set_pool(parallel::ThreadPool* pool) { pool_ = pool; }
-
   /// Replace the options. Drops the plan memo, whose plans were searched
   /// under the old ones (bounds do not depend on the options and stay).
   void set_options(OracleOptions options) {
     options_ = options;
-    const std::lock_guard<std::mutex> lock(bound_memo_mu_);
     plan_memo_.clear();
   }
 
@@ -87,10 +81,8 @@ class OracleScheduler final : public PowerScheduler {
 
   /// Number of simulator executions the last plan() consumed (including
   /// pruning-bound runs) — the search cost CLIP's ≤3-sample profiling
-  /// avoids. Atomic because the grid evaluates concurrently.
-  [[nodiscard]] int last_search_cost() const {
-    return last_search_cost_.load(std::memory_order_relaxed);
-  }
+  /// avoids.
+  [[nodiscard]] int last_search_cost() const { return last_search_cost_; }
 
  private:
   /// A pruned search's answer and the cost last_search_cost reported.
@@ -101,20 +93,15 @@ class OracleScheduler final : public PowerScheduler {
 
   sim::SimExecutor* executor_;
   OracleOptions options_;
-  parallel::ThreadPool* pool_ = nullptr;
-  std::atomic<int> last_search_cost_{0};
+  int last_search_cost_ = 0;
   /// Uncapped bound times, workload (canonical encoded bytes) → one flat
   /// table over (nodes, threads, affinity, level), NaN where no search has
   /// asked yet. Bounds are budget-independent and the exact model is pure,
-  /// so memoized values are bit-identical to recomputed ones. Guarded by
-  /// `bound_memo_mu_` (bounds evaluate concurrently under set_pool).
-  std::mutex bound_memo_mu_;
+  /// so memoized values are bit-identical to recomputed ones.
   std::map<std::string, std::vector<double>> bound_memo_;
   /// Pruned plans, (workload bytes, budget) → plan and search cost. A
-  /// serial search is a pure function of both, so a replay returns what a
-  /// fresh search would (under a pool, at worst an equally fast plan on an
-  /// exact tie). Only the pruned path reads or fills it, under
-  /// `bound_memo_mu_`.
+  /// search is a pure function of both, so a replay returns what a fresh
+  /// search would. Only the pruned path reads or fills it.
   std::map<std::pair<std::string, double>, PlanMemo> plan_memo_;
 };
 

@@ -53,45 +53,6 @@ void parallel_for(ThreadPool& pool, std::int64_t begin, std::int64_t end,
   }
 }
 
-/// Run body(chunk_begin, chunk_end) over contiguous sub-ranges of
-/// [begin, end) — the range-granular sibling of parallel_for, for bodies
-/// that amortize per-call setup across a whole chunk (e.g. one
-/// SimExecutor::run_batch per range).
-///
-/// kStatic: one contiguous range per worker. kDynamic: workers grab
-/// `chunk`-sized ranges from a shared counter.
-template <class Body>
-void parallel_for_chunks(ThreadPool& pool, std::int64_t begin,
-                         std::int64_t end, const Body& body,
-                         Schedule schedule = Schedule::kStatic,
-                         std::int64_t chunk = 64) {
-  CLIP_REQUIRE(begin <= end, "parallel_for_chunks needs begin <= end");
-  CLIP_REQUIRE(chunk > 0, "chunk must be positive");
-  if (begin == end) return;
-
-  if (schedule == Schedule::kStatic) {
-    pool.run_region([&](int rank, int team) {
-      const std::int64_t total = end - begin;
-      const std::int64_t per = total / team;
-      const std::int64_t extra = total % team;
-      const std::int64_t my_begin =
-          begin + rank * per + std::min<std::int64_t>(rank, extra);
-      const std::int64_t my_count = per + (rank < extra ? 1 : 0);
-      if (my_count > 0) body(my_begin, my_begin + my_count);
-    });
-  } else {
-    std::atomic<std::int64_t> next{begin};
-    pool.run_region([&](int, int) {
-      while (true) {
-        const std::int64_t start =
-            next.fetch_add(chunk, std::memory_order_relaxed);
-        if (start >= end) break;
-        body(start, std::min(start + chunk, end));
-      }
-    });
-  }
-}
-
 /// Parallel reduction: sums worker-local accumulators produced by
 /// body(i, local_acc&). Deterministic per team size (worker-ordered merge).
 template <class T, class Body>

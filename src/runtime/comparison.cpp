@@ -7,7 +7,6 @@
 #include <tuple>
 
 #include "baselines/all_in.hpp"
-#include "parallel/parallel_for.hpp"
 #include "util/check.hpp"
 
 namespace clip::runtime {
@@ -109,7 +108,7 @@ double ComparisonHarness::unbounded_reference_time(
 
 ComparisonResult ComparisonHarness::run(
     const std::vector<workloads::WorkloadSignature>& apps,
-    const std::vector<double>& budgets_w, parallel::ThreadPool* pool) {
+    const std::vector<double>& budgets_w) {
   CLIP_REQUIRE(!methods_.empty(), "register at least one method");
   ComparisonResult result;
 
@@ -117,8 +116,7 @@ ComparisonResult ComparisonHarness::run(
   // order. Schedulers are stateful (knowledge DBs, search counters) and
   // their profiling runs draw measurement noise from the executor's meter,
   // so this order is what keeps the noisy stream — and with it the output —
-  // identical to the historical serial harness. The expensive member of the
-  // loop, the oracle, parallelizes internally over its own candidate grid.
+  // identical to the historical serial harness.
   std::vector<double> reference_time(apps.size(), 0.0);
   std::vector<std::size_t> cell_app;  // app index per cell, for phase 2
   for (std::size_t ai = 0; ai < apps.size(); ++ai) {
@@ -139,8 +137,7 @@ ComparisonResult ComparisonHarness::run(
   }
 
   // Phase 2 — time every planned cell with the exact (noise-free, pure)
-  // executor. Order-independent, so it fans out across the pool; each task
-  // writes only its own cell, which makes the merge deterministic.
+  // executor; each timing writes only its own cell.
   //
   // Different methods and budgets regularly plan the same (workload,
   // placement) with only the caps differing — run_batch's frontier shape.
@@ -161,18 +158,7 @@ ComparisonResult ComparisonHarness::run(
                     static_cast<int>(plan.node.mem_level)}]
         .push_back(i);
   }
-  std::vector<const std::vector<std::size_t>*> batches;
-  batches.reserve(groups.size());
-  for (const auto& [key, members] : groups) batches.push_back(&members);
-
-  const auto time_cell = [&](std::size_t i) {
-    ComparisonCell& cell = result.cells[i];
-    const sim::Measurement m =
-        executor_->run_exact(apps[cell_app[i]], cell.plan);
-    cell.time_s = m.time.value();
-    cell.relative_performance = reference_time[cell_app[i]] / cell.time_s;
-  };
-  const auto time_group = [&](const std::vector<std::size_t>& members) {
+  for (const auto& [key, members] : groups) {
     const sim::ClusterConfig& base = result.cells[members.front()].plan;
     std::vector<sim::CapPoint> caps(members.size());
     for (std::size_t k = 0; k < members.size(); ++k) {
@@ -187,24 +173,13 @@ ComparisonResult ComparisonHarness::run(
       cell.relative_performance =
           reference_time[cell_app[members[k]]] / cell.time_s;
     }
-  };
-  if (pool != nullptr) {
-    parallel::parallel_for(*pool, 0,
-                           static_cast<std::int64_t>(batches.size()),
-                           [&](std::int64_t g) {
-                             time_group(*batches[static_cast<std::size_t>(g)]);
-                           },
-                           parallel::Schedule::kDynamic, 1);
-    parallel::parallel_for_chunks(
-        *pool, 0, static_cast<std::int64_t>(singles.size()),
-        [&](std::int64_t b, std::int64_t e) {
-          for (std::int64_t i = b; i < e; ++i)
-            time_cell(singles[static_cast<std::size_t>(i)]);
-        },
-        parallel::Schedule::kDynamic, 4);
-  } else {
-    for (const auto* members : batches) time_group(*members);
-    for (const std::size_t i : singles) time_cell(i);
+  }
+  for (const std::size_t i : singles) {
+    ComparisonCell& cell = result.cells[i];
+    const sim::Measurement m =
+        executor_->run_exact(apps[cell_app[i]], cell.plan);
+    cell.time_s = m.time.value();
+    cell.relative_performance = reference_time[cell_app[i]] / cell.time_s;
   }
   return result;
 }

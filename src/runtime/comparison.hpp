@@ -4,13 +4,13 @@
 // bound", §V-C). Shared by the Fig. 8/9 benchmark binaries, the summary
 // harness, and the campaign example.
 //
-// The harness is the outer loop of every §V evaluation bench, so it is built
-// to scale with the host (docs/performance.md): planning stays serial in the
-// canonical (app → budget → method) order — schedulers are stateful, and the
-// noisy profiling runs they issue must consume the meter's RNG stream in the
-// historical order for byte-identical output — while the exact per-cell
-// timings (pure, noise-free) fan out across an optional thread pool and
-// merge by cell index, so the result is identical to the serial run.
+// The harness is the outer loop of every §V evaluation bench
+// (docs/performance.md). It plans in the canonical (app → budget → method)
+// order — schedulers are stateful, and the noisy profiling runs they issue
+// must consume the meter's RNG stream in the historical order for
+// byte-identical output — then times every planned cell with the exact
+// (pure, noise-free) executor, one run_batch frontier per shared placement.
+// A harness is used from one thread at a time, like its executor.
 #pragma once
 
 #include <functional>
@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "baselines/scheduler_iface.hpp"
-#include "parallel/thread_pool.hpp"
 #include "sim/executor.hpp"
 #include "workloads/signature.hpp"
 
@@ -87,16 +86,9 @@ class ComparisonHarness {
 
   /// Evaluate every method on every (app, budget) pair. The reference
   /// performance per app is All-In at an effectively unlimited budget.
-  ///
-  /// With a pool, the exact timing runs fan out across it; results are
-  /// written per cell index, so the returned cells are byte-identical to
-  /// the serial run whatever the team size. The pool is borrowed for the
-  /// duration of the call (share it with the oracle's `set_pool` — plan()
-  /// and the timing phase never overlap).
   [[nodiscard]] ComparisonResult run(
       const std::vector<workloads::WorkloadSignature>& apps,
-      const std::vector<double>& budgets_w,
-      parallel::ThreadPool* pool = nullptr);
+      const std::vector<double>& budgets_w);
 
  private:
   [[nodiscard]] double unbounded_reference_time(

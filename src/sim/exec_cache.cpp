@@ -32,72 +32,49 @@ std::size_t ExactRunCache::KeyHash::operator()(const CacheKey& k) const {
   return static_cast<std::size_t>(h);
 }
 
-ExactRunCache::ExactRunCache(ExactCacheOptions options) {
-  const int shards = std::max(1, options.shards);
-  const std::size_t max_entries = std::max<std::size_t>(
-      options.max_entries, static_cast<std::size_t>(shards));
-  per_shard_cap_ =
-      (max_entries + static_cast<std::size_t>(shards) - 1) /
-      static_cast<std::size_t>(shards);
-  shards_ = std::vector<Shard>(static_cast<std::size_t>(shards));
-}
+ExactRunCache::ExactRunCache(std::size_t max_entries)
+    : max_entries_(std::max<std::size_t>(max_entries, 1)) {}
 
 std::uint64_t ExactRunCache::intern_prefix(const std::string& prefix) {
-  std::lock_guard<std::mutex> lock(intern_mu_);
   // Ids start at 1 so a default CacheKey{} can never alias a real entry.
   const auto [it, inserted] =
       intern_.try_emplace(prefix, static_cast<std::uint64_t>(intern_.size()) + 1);
   return it->second;
 }
 
-ExactRunCache::Shard& ExactRunCache::shard_for(const CacheKey& key) const {
-  return shards_[KeyHash{}(key) % shards_.size()];
-}
-
-bool ExactRunCache::lookup(const CacheKey& key, Measurement& out) const {
-  Shard& shard = shard_for(key);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  const auto it = shard.map.find(key);
-  if (it == shard.map.end()) {
-    misses_.fetch_add(1, std::memory_order_relaxed);
+bool ExactRunCache::lookup(const CacheKey& key, Measurement& out) {
+  const auto it = map_.find(key);
+  if (it == map_.end()) {
+    ++misses_;
     return false;
   }
-  hits_.fetch_add(1, std::memory_order_relaxed);
+  ++hits_;
   out = it->second;
   return true;
 }
 
 void ExactRunCache::insert(const CacheKey& key, const Measurement& m) {
-  Shard& shard = shard_for(key);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  const auto [it, inserted] = shard.map.try_emplace(key, m);
-  if (!inserted) return;  // a concurrent miss already filled it — identical
-  shard.fifo.push_back(key);
-  if (shard.fifo.size() > per_shard_cap_) {
-    shard.map.erase(shard.fifo.front());
-    shard.fifo.pop_front();
-    evictions_.fetch_add(1, std::memory_order_relaxed);
+  if (!map_.try_emplace(key, m).second) return;  // already cached — identical
+  fifo_.push_back(key);
+  if (fifo_.size() > max_entries_) {
+    map_.erase(fifo_.front());
+    fifo_.pop_front();
+    ++evictions_;
   }
 }
 
 ExactCacheStats ExactRunCache::stats() const {
   ExactCacheStats s;
-  s.hits = hits_.load(std::memory_order_relaxed);
-  s.misses = misses_.load(std::memory_order_relaxed);
-  s.evictions = evictions_.load(std::memory_order_relaxed);
-  for (const Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    s.entries += shard.map.size();
-  }
+  s.hits = hits_;
+  s.misses = misses_;
+  s.evictions = evictions_;
+  s.entries = map_.size();
   return s;
 }
 
 void ExactRunCache::clear() {
-  for (Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    shard.map.clear();
-    shard.fifo.clear();
-  }
+  map_.clear();
+  fifo_.clear();
 }
 
 void ExactRunCache::encode(std::string& out, double v) {

@@ -20,16 +20,14 @@
 // run_batch frontiers consult no cache: their recurrences were too rare to
 // pay for storing every frontier (docs/performance.md).
 //
-// The store is sharded and bounded; its shards grow from empty, and
-// insertion beyond the bound evicts in FIFO order — eviction only costs a
-// recompute, never correctness. See docs/performance.md for the design
-// rationale.
+// The store is one bounded map that grows from empty; insertion beyond the
+// bound evicts in FIFO order — eviction only costs a recompute, never
+// correctness. A cache is used from one thread at a time, like the executors
+// it is attached to. See docs/performance.md for the design rationale.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
-#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -39,15 +37,6 @@
 #include "workloads/signature.hpp"
 
 namespace clip::sim {
-
-struct ExactCacheOptions {
-  /// Total entry bound across all shards (rounded up to a multiple of the
-  /// shard count). One entry holds one Measurement (~a few hundred bytes on
-  /// the 8-node testbed).
-  std::size_t max_entries = 1u << 20;
-  /// Shard count (clamped to >= 1). More shards = less lock contention.
-  int shards = 16;
-};
 
 struct ExactCacheStats {
   std::uint64_t hits = 0;
@@ -68,20 +57,23 @@ struct CacheKey {
 
 class ExactRunCache {
  public:
-  explicit ExactRunCache(ExactCacheOptions options = ExactCacheOptions{});
+  /// A store of at most `max_entries` measurements (clamped to >= 1). One
+  /// entry holds one Measurement (~a few hundred bytes on the 8-node
+  /// testbed).
+  explicit ExactRunCache(std::size_t max_entries = std::size_t{1} << 20);
 
   /// Intern the canonical cap-independent key bytes (encode_batch_prefix +
   /// append_overrides output) and return the stable 64-bit id. The full
   /// byte string is stored and compared, so two distinct prefixes always
-  /// get distinct ids. Thread-safe.
+  /// get distinct ids.
   [[nodiscard]] std::uint64_t intern_prefix(const std::string& prefix);
 
   /// Copy the cached measurement for `key` into `out`; true on hit. Bumps
   /// the hit/miss statistics.
-  [[nodiscard]] bool lookup(const CacheKey& key, Measurement& out) const;
+  [[nodiscard]] bool lookup(const CacheKey& key, Measurement& out);
 
-  /// Insert (first writer wins; a concurrent duplicate insert is dropped).
-  /// Evicts the shard's oldest entry when the shard is full.
+  /// Insert (a key already present keeps its entry). Evicts the oldest
+  /// entry when the store is full.
   void insert(const CacheKey& key, const Measurement& m);
 
   [[nodiscard]] ExactCacheStats stats() const;
@@ -143,23 +135,16 @@ class ExactRunCache {
   struct KeyHash {
     std::size_t operator()(const CacheKey& k) const;
   };
-  struct Shard {
-    mutable std::mutex mu;
-    // clip-lint: allow(D2) hot-path lookup/insert only; eviction walks `fifo` (insertion order), never the map
-    std::unordered_map<CacheKey, Measurement, KeyHash> map;
-    std::deque<CacheKey> fifo;  ///< keys in insertion order
-  };
 
-  [[nodiscard]] Shard& shard_for(const CacheKey& key) const;
-
-  std::size_t per_shard_cap_;
-  mutable std::vector<Shard> shards_;
-  mutable std::mutex intern_mu_;
+  std::size_t max_entries_;
+  // clip-lint: allow(D2) hot-path lookup/insert only; eviction walks `fifo_` (insertion order), never the map
+  std::unordered_map<CacheKey, Measurement, KeyHash> map_;
+  std::deque<CacheKey> fifo_;  ///< keys in insertion order
   // clip-lint: allow(D2) id assignment table — looked up by key, never iterated
   std::unordered_map<std::string, std::uint64_t> intern_;
-  mutable std::atomic<std::uint64_t> hits_{0};
-  mutable std::atomic<std::uint64_t> misses_{0};
-  std::atomic<std::uint64_t> evictions_{0};
+  std::uint64_t hits_ = 0;
+  std::uint64_t misses_ = 0;
+  std::uint64_t evictions_ = 0;
 };
 
 }  // namespace clip::sim

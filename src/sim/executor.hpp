@@ -1,7 +1,9 @@
 // SimExecutor: the single entry point through which schedulers "run" a
 // workload on the simulated cluster and observe time, power, energy, and
 // hardware events. This is the stand-in for the paper's real 8-node Haswell
-// testbed (see DESIGN.md §1 for the substitution argument).
+// testbed (see DESIGN.md §1 for the substitution argument). An executor and
+// the cache attached to it are used from one thread at a time: run()
+// advances the meter's noise stream.
 #pragma once
 
 #include <cstddef>

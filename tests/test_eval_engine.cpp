@@ -1,8 +1,8 @@
 // Tests for the fast evaluation engine: the exact-run memoization cache
-// (sim/exec_cache), the host-parallel + pruned oracle search, the two-phase
-// comparison harness, and the knowledge-DB reuse paths. The load-bearing
-// property throughout is *determinism*: caching, pruning and parallelism
-// must never change a single output byte.
+// (sim/exec_cache), the pruned oracle search, the two-phase comparison
+// harness, and the knowledge-DB reuse paths. The load-bearing property
+// throughout is *determinism*: caching and pruning must never change a
+// single output byte.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -17,8 +17,6 @@
 #include "baselines/oracle.hpp"
 #include "core/scheduler.hpp"
 #include "obs/session.hpp"
-#include "parallel/parallel_for.hpp"
-#include "parallel/thread_pool.hpp"
 #include "runtime/comparison.hpp"
 #include "sim/exec_cache.hpp"
 #include "sim/executor.hpp"
@@ -148,10 +146,7 @@ TEST(ExactRunCache, DetachedExecutorBypassesCacheCounters) {
 }
 
 TEST(ExactRunCache, EvictionKeepsTheBoundAndOnlyCostsARecompute) {
-  sim::ExactCacheOptions opt;
-  opt.max_entries = 4;
-  opt.shards = 1;  // deterministic: every key lands in the one shard
-  sim::ExactRunCache cache(opt);
+  sim::ExactRunCache cache(4);
   sim::SimExecutor ex(sim::MachineSpec{}, no_noise());
   ex.set_exact_cache(&cache);
 
@@ -189,21 +184,19 @@ TEST(ExactRunCache, ClearDropsEntriesButKeepsStatistics) {
 
 // ------------------------------------------------------------ the oracle ----
 
-TEST(OracleEngine, PrunedParallelCachedSearchMatchesLegacyOptimum) {
+TEST(OracleEngine, PrunedCachedSearchMatchesLegacyOptimum) {
   const auto w = *workloads::find_benchmark("SP-MZ");
 
-  // Legacy shape: serial, unpruned, uncached — the pre-engine behaviour.
+  // Legacy shape: unpruned and uncached — the pre-engine behaviour.
   sim::SimExecutor legacy_ex(sim::MachineSpec{}, no_noise());
   baselines::OracleScheduler legacy(legacy_ex,
                                     baselines::OracleOptions{false});
 
-  // Engine shape: pruned, cached, fanned out over a pool.
+  // Engine shape: pruned and cached.
   sim::SimExecutor fast_ex(sim::MachineSpec{}, no_noise());
   sim::ExactRunCache cache;
   fast_ex.set_exact_cache(&cache);
-  parallel::ThreadPool pool(4);
   baselines::OracleScheduler fast(fast_ex);
-  fast.set_pool(&pool);
 
   for (double budget : {700.0, 1000.0}) {
     const sim::ClusterConfig a = legacy.plan(w, Watts(budget));
@@ -370,7 +363,7 @@ TEST(ComparisonResultIndex, MeanImprovementUsesTheIndexCorrectly) {
 // --------------------------------------------------------- determinism ----
 
 void register_methods(runtime::ComparisonHarness& harness,
-                      sim::SimExecutor& ex, parallel::ThreadPool* pool) {
+                      sim::SimExecutor& ex) {
   harness.add_method(
       std::make_shared<baselines::AllInScheduler>(ex.spec()));
   harness.add_method(
@@ -379,9 +372,7 @@ void register_methods(runtime::ComparisonHarness& harness,
       std::make_shared<baselines::CoordinatedScheduler>(ex));
   harness.add_method(std::make_shared<baselines::ClipAdapter>(
       ex, workloads::training_benchmarks()));
-  auto oracle = std::make_shared<baselines::OracleScheduler>(ex);
-  oracle->set_pool(pool);
-  harness.add_method(std::move(oracle));
+  harness.add_method(std::make_shared<baselines::OracleScheduler>(ex));
 }
 
 /// Byte-exact serialization of a full result — what the bench CSVs are a
@@ -398,31 +389,30 @@ std::string serialize(const runtime::ComparisonResult& r) {
   return os.str();
 }
 
-TEST(EvalEngineDeterminism, ParallelCachedHarnessIsByteIdenticalToSerial) {
+TEST(EvalEngineDeterminism, CachedHarnessIsByteIdenticalToUncached) {
   // A fig8-shaped run: paper benchmarks × two high budgets × all five
-  // methods. Side A is the historical serial/uncached engine; side B turns
-  // everything on. Fresh executors per side so the meter's noise stream
-  // starts from the same seed.
+  // methods. Side A runs without the exact-run cache; side B attaches one.
+  // Fresh executors per side so the meter's noise stream starts from the
+  // same seed.
   const std::vector<workloads::WorkloadSignature> apps(
       workloads::paper_benchmarks().begin(),
       workloads::paper_benchmarks().begin() + 5);
   const std::vector<double> budgets = {1000.0, 1200.0};
 
-  sim::SimExecutor serial_ex{sim::MachineSpec{}};
-  runtime::ComparisonHarness serial_harness(serial_ex);
-  register_methods(serial_harness, serial_ex, nullptr);
-  const auto serial = serial_harness.run(apps, budgets);
+  sim::SimExecutor plain_ex{sim::MachineSpec{}};
+  runtime::ComparisonHarness plain_harness(plain_ex);
+  register_methods(plain_harness, plain_ex);
+  const auto plain = plain_harness.run(apps, budgets);
 
-  sim::SimExecutor fast_ex{sim::MachineSpec{}};
+  sim::SimExecutor cached_ex{sim::MachineSpec{}};
   sim::ExactRunCache cache;
-  fast_ex.set_exact_cache(&cache);
-  parallel::ThreadPool pool(4);
-  runtime::ComparisonHarness fast_harness(fast_ex);
-  register_methods(fast_harness, fast_ex, &pool);
-  const auto fast = fast_harness.run(apps, budgets, &pool);
+  cached_ex.set_exact_cache(&cache);
+  runtime::ComparisonHarness cached_harness(cached_ex);
+  register_methods(cached_harness, cached_ex);
+  const auto cached = cached_harness.run(apps, budgets);
 
-  ASSERT_EQ(serial.cells.size(), fast.cells.size());
-  EXPECT_EQ(serialize(serial), serialize(fast));
+  ASSERT_EQ(plain.cells.size(), cached.cells.size());
+  EXPECT_EQ(serialize(plain), serialize(cached));
   EXPECT_GT(cache.stats().hits, 0u);
 }
 
@@ -489,37 +479,6 @@ TEST(KnowledgeReuse, MergeSkipsForeignAndExistingRecords) {
   EXPECT_EQ(mine.merge_from(theirs), 1u);   // only the "D" record is new
   EXPECT_EQ(mine.merge_from(far), 0u);      // foreign fingerprint rejected
   EXPECT_EQ(mine.size(), 2u);
-}
-
-// ------------------------------------------------------ tsan smoke test ----
-
-TEST(EvalEngineConcurrency, SharedCacheUnderParallelForIsRaceFree) {
-  sim::SimExecutor ex(sim::MachineSpec{}, no_noise());
-  sim::ExactRunCache cache;
-  ex.set_exact_cache(&cache);
-  const auto w = *workloads::find_benchmark("EP");
-
-  const sim::Measurement expected = ex.run_exact(w, small_config(8));
-  parallel::ThreadPool pool(4);
-  std::vector<double> times(256, 0.0);
-  parallel::parallel_for(
-      pool, 0, static_cast<std::int64_t>(times.size()),
-      [&](std::int64_t i) {
-        // A handful of configs, so workers constantly hit the same shards.
-        const auto m = ex.run_exact(w, small_config(2 + 2 * (i % 4)));
-        times[static_cast<std::size_t>(i)] = m.time.value();
-      },
-      parallel::Schedule::kDynamic, 1);
-
-  for (std::size_t i = 0; i < times.size(); ++i) {
-    if (i % 4 == 3) {
-      EXPECT_EQ(times[i], expected.time.value());
-    }
-    EXPECT_GT(times[i], 0.0);
-  }
-  const sim::ExactCacheStats s = cache.stats();
-  EXPECT_EQ(s.hits + s.misses, times.size() + 1);
-  EXPECT_EQ(s.entries, 4u);
 }
 
 }  // namespace

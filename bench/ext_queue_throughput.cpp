@@ -18,6 +18,8 @@ int main(int argc, char** argv) {
   sim::SimExecutor ex = bench::make_testbed();
   core::ClipScheduler sched(ex, workloads::training_benchmarks());
   const auto jobs = workloads::paper_benchmarks();
+  std::vector<runtime::QueueJob> queued;
+  for (const auto& w : jobs) queued.push_back({w, 0});
 
   Table t({"budget (W)", "policy", "makespan (s)", "mean turnaround (s)",
            "node utilization", "energy (kJ)", "speedup vs serial"});
@@ -29,11 +31,10 @@ int main(int argc, char** argv) {
     runtime::QueueOptions opt;
     opt.cluster_budget = Watts(budget);
     opt.backfill = false;
-    const auto fcfs =
-        runtime::PowerAwareJobQueue(ex, sched, opt).run(jobs);
+    const auto fcfs = runtime::QueueEventLoop(ex, sched, opt, queued).run();
     opt.backfill = true;
     const auto backfill =
-        runtime::PowerAwareJobQueue(ex, sched, opt).run(jobs);
+        runtime::QueueEventLoop(ex, sched, opt, queued).run();
 
     auto add = [&](const char* name, const runtime::QueueReport& r) {
       t.add_row({format_double(budget, 0), name,

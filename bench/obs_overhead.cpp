@@ -79,7 +79,7 @@ int main(int argc, char** argv) {
 
   // Warm the knowledge DB so both sides schedule from identical cached
   // profiles and neither sweep pays the one-time profiling cost.
-  (void)runtime::PowerAwareJobQueue(ex, sched, bare).run(jobs);
+  (void)runtime::QueueEventLoop(ex, sched, bare, jobs).run();
 
   // One queue pass with only the options toggled (no attachments): exactly
   // the "telemetry + tracing on vs off" duty cycle the gate bounds.

@@ -71,7 +71,7 @@ int main(int argc, char** argv) {
   // Warm the knowledge DB so the reference run and every recovery schedule
   // from identical cached profiles (profiling cost is billed once).
   const double horizon =
-      runtime::PowerAwareJobQueue(ex, sched, opt).run(jobs).makespan_s;
+      runtime::QueueEventLoop(ex, sched, opt, jobs).run().makespan_s;
 
   const auto drive = [&](const fault::FaultPlan& plan,
                          runtime::Journal* journal,
@@ -162,10 +162,10 @@ int main(int argc, char** argv) {
       qo.cluster_budget = Watts(b);
       for (const bool backfill : {false, true}) {
         qo.backfill = backfill;
-        runtime::PowerAwareJobQueue queue(ex, fresh, qo);
+        runtime::QueueEventLoop queue(ex, fresh, qo, jobs);
         runtime::Journal journal;
         if (journaled) queue.set_journal(&journal);
-        (void)queue.run(jobs);
+        (void)queue.run();
       }
     }
   };

@@ -54,7 +54,8 @@ int main(int argc, char** argv) {
 
   sim::SimExecutor ex = bench::make_exact_testbed();
   core::ClipScheduler sched(ex, workloads::training_benchmarks());
-  const auto jobs = workloads::paper_benchmarks();
+  std::vector<runtime::QueueJob> jobs;
+  for (const auto& w : workloads::paper_benchmarks()) jobs.push_back({w, 0});
   const double budget = 700.0;
 
   runtime::QueueOptions stat_opt;
@@ -65,7 +66,7 @@ int main(int argc, char** argv) {
   // Warm the knowledge DB so both arms schedule from cached profiles and
   // mid-run re-evaluations carry no phantom profiling cost.
   const double horizon =
-      runtime::PowerAwareJobQueue(ex, sched, stat_opt).run(jobs).makespan_s;
+      runtime::QueueEventLoop(ex, sched, stat_opt, jobs).run().makespan_s;
 
   Table t({"scenario", "static (s)", "redist (s)", "delta (s)", "viol (s)",
            "claws", "regrants", "shifts", "reclaimed (W)", "granted (W)"});
@@ -76,15 +77,15 @@ int main(int argc, char** argv) {
   int improved = 0;
   int violation_regressions = 0;
   for (const auto& s : bench::make_resilience_scenarios(horizon)) {
-    runtime::PowerAwareJobQueue stat_queue(ex, sched, stat_opt);
+    runtime::QueueEventLoop stat_queue(ex, sched, stat_opt, jobs);
     fault::FaultInjector stat_injector(s.plan, ex.spec().nodes);
     if (!s.plan.empty()) stat_queue.set_fault_injector(&stat_injector);
-    const auto stat = stat_queue.run(jobs);
+    const auto stat = stat_queue.run();
 
-    runtime::PowerAwareJobQueue redist_queue(ex, sched, redist_opt);
+    runtime::QueueEventLoop redist_queue(ex, sched, redist_opt, jobs);
     fault::FaultInjector redist_injector(s.plan, ex.spec().nodes);
     if (!s.plan.empty()) redist_queue.set_fault_injector(&redist_injector);
-    const auto redist = redist_queue.run(jobs);
+    const auto redist = redist_queue.run();
 
     if (redist.makespan_s < stat.makespan_s) ++improved;
     if (redist.violation_s > stat.violation_s + 1e-9)

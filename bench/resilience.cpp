@@ -46,7 +46,8 @@ int main(int argc, char** argv) {
 
   sim::SimExecutor ex = bench::make_exact_testbed();
   core::ClipScheduler sched(ex, workloads::training_benchmarks());
-  const auto jobs = workloads::paper_benchmarks();
+  std::vector<runtime::QueueJob> jobs;
+  for (const auto& w : workloads::paper_benchmarks()) jobs.push_back({w, 0});
   const double budget = 700.0;
 
   runtime::QueueOptions opt;
@@ -55,7 +56,7 @@ int main(int argc, char** argv) {
   // Warm the knowledge DB so every scenario schedules from cached profiles
   // and the fault-free makespan is a fair inflation reference.
   const double horizon =
-      runtime::PowerAwareJobQueue(ex, sched, opt).run(jobs).makespan_s;
+      runtime::QueueEventLoop(ex, sched, opt, jobs).run().makespan_s;
 
   Table t({"scenario", "faults", "jobs", "completed", "failed", "retries",
            "caps re-capped", "violation (s)", "violation (Ws)",
@@ -66,10 +67,10 @@ int main(int argc, char** argv) {
   std::vector<std::string> json_rows;
   double baseline_makespan = horizon;
   for (const auto& s : bench::make_resilience_scenarios(horizon)) {
-    runtime::PowerAwareJobQueue queue(ex, sched, opt);
+    runtime::QueueEventLoop queue(ex, sched, opt, jobs);
     fault::FaultInjector injector(s.plan, ex.spec().nodes);
     if (!s.plan.empty()) queue.set_fault_injector(&injector);
-    const auto r = queue.run(jobs);
+    const auto r = queue.run();
     if (s.name == "fault-free") baseline_makespan = r.makespan_s;
     t.add_row({s.name, std::to_string(s.plan.size()),
                std::to_string(r.jobs.size()),

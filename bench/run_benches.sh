@@ -56,9 +56,11 @@ stat_field() { # stats-file key -> value (0 when absent)
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
-# Provenance stamp: which tree produced these numbers, and when. The
-# regression gate prints both stamps when comparing files.
-git_sha=$(git rev-parse --short HEAD 2>/dev/null || echo unknown)
+# Provenance stamp: which tree produced these numbers, and when. A tree
+# with uncommitted changes reads `<sha>-dirty`, so its numbers are never
+# taken for the commit's. The regression gate prints both stamps when
+# comparing files.
+git_sha=$(git describe --always --dirty --abbrev=7 2>/dev/null || echo unknown)
 utc_date=$(TZ=UTC date -u '+%Y-%m-%dT%H:%M:%SZ')
 
 printf '{\n  "git_sha": "%s",\n  "date_utc": "%s",\n  "benches": [\n' \

@@ -175,11 +175,13 @@ int main(int argc, char** argv) {
     qopt.cluster_budget = cluster_budget;
     qopt.trace.enabled = traced;
     runtime::Journal journal;
-    runtime::PowerAwareJobQueue queue(cluster, scheduler, qopt);
-    queue.set_observer(&session);
-    queue.set_timeline(&timeline);
-    queue.set_journal(&journal);
-    const auto report = queue.run(workloads::paper_benchmarks());
+    std::vector<runtime::QueueJob> jobs;
+    for (const auto& w : workloads::paper_benchmarks()) jobs.push_back({w, 0});
+    runtime::QueueEventLoop loop(cluster, scheduler, qopt, jobs);
+    loop.set_observer(&session);
+    loop.set_timeline(&timeline);
+    loop.set_journal(&journal);
+    const auto report = loop.run();
 
     try {
       runtime::write_run_record(dir, cluster_budget, report, timeline,

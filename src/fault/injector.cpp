@@ -9,6 +9,40 @@
 
 namespace clip::fault {
 
+namespace {
+
+/// The rate model resolve() and work_done_s() share: a job on `nodes` paces
+/// at its slowest node, and a node's rate is the product of every degrade
+/// already in effect on it.
+double rate_at(const FaultPlan& plan, const std::vector<int>& nodes,
+               double t) {
+  double slowest = 1.0;
+  for (int n : nodes) {
+    double node_rate = 1.0;
+    for (const auto& d : plan.degrades)
+      if (d.node == n && d.at_s <= t) node_rate *= d.speed_factor;
+    slowest = std::min(slowest, node_rate);
+  }
+  return slowest;
+}
+
+/// The instants after `start_s` where the rate of a job on `nodes` can
+/// change: degrade arrivals on its nodes, sorted and deduplicated.
+std::vector<double> degrade_breaks(const FaultPlan& plan,
+                                   const std::vector<int>& nodes,
+                                   double start_s) {
+  std::vector<double> breaks;
+  for (const auto& d : plan.degrades)
+    if (d.at_s > start_s &&
+        std::find(nodes.begin(), nodes.end(), d.node) != nodes.end())
+      breaks.push_back(d.at_s);
+  std::sort(breaks.begin(), breaks.end());
+  breaks.erase(std::unique(breaks.begin(), breaks.end()), breaks.end());
+  return breaks;
+}
+
+}  // namespace
+
 double RetryPolicy::backoff_s(int attempt) const {
   CLIP_REQUIRE(attempt >= 1, "backoff attempt is 1-based");
   return backoff_base_s * std::pow(backoff_factor, attempt - 1);
@@ -80,33 +114,14 @@ RunResolution FaultInjector::resolve(double start_s, double duration_s,
     }
   }
 
-  // Piecewise integration of the job's progress. The job paces at its
-  // slowest node; a node's rate is the product of every degrade already in
-  // effect on it.
-  const auto rate_at = [&](double t) {
-    double slowest = 1.0;
-    for (int n : nodes) {
-      double node_rate = 1.0;
-      for (const auto& d : plan_.degrades)
-        if (d.node == n && d.at_s <= t) node_rate *= d.speed_factor;
-      slowest = std::min(slowest, node_rate);
-    }
-    return slowest;
-  };
-  std::vector<double> breaks;  // degrade arrivals inside the run
-  for (const auto& d : plan_.degrades)
-    if (d.at_s > start_s &&
-        std::find(nodes.begin(), nodes.end(), d.node) != nodes.end())
-      breaks.push_back(d.at_s);
-  std::sort(breaks.begin(), breaks.end());
-  breaks.erase(std::unique(breaks.begin(), breaks.end()), breaks.end());
-
+  // Piecewise integration of the job's progress between rate changes.
+  const std::vector<double> breaks = degrade_breaks(plan_, nodes, start_s);
   double t = start_s;
   double work_left = duration_s;
   std::size_t next_break = 0;
   double end = start_s;
   for (;;) {
-    const double rate = rate_at(t);
+    const double rate = rate_at(plan_, nodes, t);
     const double seg_end = next_break < breaks.size()
                                ? breaks[next_break]
                                : std::numeric_limits<double>::infinity();
@@ -134,33 +149,15 @@ RunResolution FaultInjector::resolve(double start_s, double duration_s,
 double FaultInjector::work_done_s(double start_s, double t_s,
                                   const std::vector<int>& nodes) const {
   CLIP_REQUIRE(t_s >= start_s, "work_done_s needs t_s >= start_s");
-  // Same piecewise rate model as resolve(): the job paces at its slowest
-  // node, each node's rate is the product of the degrades in effect on it.
-  const auto rate_at = [&](double t) {
-    double slowest = 1.0;
-    for (int n : nodes) {
-      double node_rate = 1.0;
-      for (const auto& d : plan_.degrades)
-        if (d.node == n && d.at_s <= t) node_rate *= d.speed_factor;
-      slowest = std::min(slowest, node_rate);
-    }
-    return slowest;
-  };
-  std::vector<double> breaks;
-  for (const auto& d : plan_.degrades)
-    if (d.at_s > start_s && d.at_s < t_s &&
-        std::find(nodes.begin(), nodes.end(), d.node) != nodes.end())
-      breaks.push_back(d.at_s);
-  std::sort(breaks.begin(), breaks.end());
-  breaks.erase(std::unique(breaks.begin(), breaks.end()), breaks.end());
-
+  // Same piecewise rate model as resolve(), integrated up to t_s.
   double done = 0.0;
   double t = start_s;
-  for (double b : breaks) {
-    done += (b - t) * rate_at(t);
+  for (const double b : degrade_breaks(plan_, nodes, start_s)) {
+    if (b >= t_s) break;
+    done += (b - t) * rate_at(plan_, nodes, t);
     t = b;
   }
-  done += (t_s - t) * rate_at(t);
+  done += (t_s - t) * rate_at(plan_, nodes, t);
   return done;
 }
 

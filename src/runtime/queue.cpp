@@ -17,7 +17,7 @@
 // reach the journal on some intra-file path, or a crash between the
 // mutation and the next record makes recovery diverge. clip-analyze's J1
 // rule enforces the pairing function-by-function.
-// clip-lint: journaled(state_, attempts_, eligible_s_, node_busy_, enforcement_pending_, enforcements_, retry_wakeups_, pending_claws_, running_, mode_, effective_budget_)
+// clip-lint: journaled(state_, eligible_s_, enforcements_, retry_wakeups_, pending_claws_, running_, applied_factor_, meters_dark_)
 
 namespace clip::runtime {
 
@@ -32,7 +32,8 @@ const obs::HistogramSpec& wait_s_spec() {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-void validate_options(const QueueOptions& options) {
+/// `options`, once every field has been checked (throws naming the field).
+const QueueOptions& validate_options(const QueueOptions& options) {
   CLIP_REQUIRE(options.cluster_budget.value() > 0.0,
                "cluster_budget must be positive (got " +
                    format_double(options.cluster_budget.value(), 3) + " W)");
@@ -47,6 +48,7 @@ void validate_options(const QueueOptions& options) {
   options.retry.validate();
   options.guard.validate();
   options.redist.validate();
+  return options;
 }
 
 /// Budget watchdog; the plausibility ceiling defaults to what the machine
@@ -60,11 +62,13 @@ fault::BudgetGuard make_guard(const QueueOptions& options,
   return fault::BudgetGuard(guard_opts, options.cluster_budget);
 }
 
-// --- journal payloads ------------------------------------------------------
-// A journal payload is assembled piece by piece into one reused buffer and
+// --- journal payloads and timeline labels ----------------------------------
+// A payload or label is rendered piece by piece into one reused buffer and
 // copied out at its exact size. An operator+ chain regrows its string at
 // every doubling and makes a temporary per number, which cost more than
-// appending the record (bench/recovery prices the journal).
+// appending the record (bench/recovery prices the journal). QueueEventLoop::
+// jlog renders the pieces only when a journal is attached, so a piece that
+// costs something to render is passed as its inputs.
 void put(std::string& out, std::string_view piece) { out += piece; }
 void put(std::string& out, const char* piece) { out += piece; }
 void put(std::string& out, double v) { obs::append_exact(out, v); }
@@ -74,22 +78,38 @@ void put(std::string& out, T v) {
   char buf[24];
   out.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
 }
+/// Node ids, joined by '/'.
+void put(std::string& out, const std::vector<int>& ids) {
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    if (i > 0) out += '/';
+    put(out, ids[i]);
+  }
+}
+/// A piece rendered by calling it.
+template <std::invocable F>
+void put(std::string& out, const F& make) {
+  put(out, make());
+}
+
+/// Job `job`'s " trace=<16hex>" suffix; nothing when tracing is off. One
+/// piece renders it into journal payloads and timeline labels alike, so
+/// both stay greppable by one token.
+struct TraceOf {
+  const std::vector<obs::TraceContext>& traces;
+  std::size_t job;
+};
+void put(std::string& out, const TraceOf& t) {
+  if (t.job >= t.traces.size()) return;
+  out += " trace=";
+  out += t.traces[t.job].hex();
+}
 
 template <typename... Pieces>
-std::string payload(const Pieces&... pieces) {
+std::string render(const Pieces&... pieces) {
   thread_local std::string buffer;
   buffer.clear();
   (put(buffer, pieces), ...);
   return buffer;
-}
-
-std::string join_ints(const std::vector<int>& v, char sep) {
-  std::string out;
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    if (i > 0) out.push_back(sep);
-    out += std::to_string(v[i]);
-  }
-  return out;
 }
 
 // --- snapshots ---------------------------------------------------------------
@@ -182,9 +202,6 @@ class SnapshotWriter {
   }
   void write(bool v) { out_ += v ? '1' : '0'; }
   void write(Watts v) { put(out_, v.value()); }
-  void write(const std::vector<bool>& bits) {
-    for (const bool b : bits) out_ += b ? '1' : '0';
-  }
   template <typename T>
   void write(const Ranged<T>& r) {
     put(out_, static_cast<long long>(r.value));
@@ -298,14 +315,6 @@ class SnapshotReader {
     parse(w);
     v = Watts(w);
   }
-  void get(std::vector<bool>& bits) {
-    const std::string_view s = field();
-    CLIP_REQUIRE(s.size() == bits.size() &&
-                     s.find_first_not_of("01") == std::string_view::npos,
-                 "bad snapshot " + where() + ": '" + std::string(s) +
-                     "' is not " + std::to_string(bits.size()) + " bits");
-    for (std::size_t i = 0; i < bits.size(); ++i) bits[i] = s[i] == '1';
-  }
   template <typename T>
   void get(Ranged<T> r) {
     long long v = 0;
@@ -327,9 +336,16 @@ class SnapshotReader {
 
 /// The journal's snapshot encoding, named in every `begin` record:
 /// snapshots carry job-row and timeline deltas that recovery folds in
-/// order, and the fault plan as one cursor. A journal without it was
-/// written in an earlier encoding.
-constexpr std::string_view kSnapshotFormat = "snapfmt=3";
+/// order, the fault plan as one cursor, and no state derived from other
+/// tokens. A journal without it was written in an earlier encoding.
+constexpr std::string_view kSnapshotFormat = "snapfmt=4";
+
+/// A job's report row before its first placement: no attempts yet.
+QueuedJobResult unplaced_row() {
+  QueuedJobResult row;
+  row.attempts = 0;
+  return row;
+}
 
 }  // namespace
 
@@ -345,44 +361,17 @@ const char* to_string(DegradedMode mode) {
   return "?";
 }
 
-PowerAwareJobQueue::PowerAwareJobQueue(sim::SimExecutor& executor,
-                                       core::ClipScheduler& scheduler,
-                                       QueueOptions options)
-    : executor_(&executor), scheduler_(&scheduler), options_(options) {
-  validate_options(options);
-}
-
-QueueReport PowerAwareJobQueue::run(
-    const std::vector<workloads::WorkloadSignature>& jobs) {
-  std::vector<QueueJob> wrapped;
-  wrapped.reserve(jobs.size());
-  for (const auto& j : jobs) wrapped.push_back(QueueJob{j, 0});
-  return run(wrapped);
-}
-
-QueueReport PowerAwareJobQueue::run(const std::vector<QueueJob>& jobs) {
-  QueueEventLoop loop(*executor_, *scheduler_, options_, jobs);
-  loop.set_observer(obs_);
-  loop.set_fault_injector(injector_);
-  loop.set_timeline(timeline_);
-  loop.set_journal(journal_);
-  return loop.run();
-}
-
 QueueEventLoop::QueueEventLoop(sim::SimExecutor& executor,
                                core::ClipScheduler& scheduler,
                                QueueOptions options, std::vector<QueueJob> jobs)
     : executor_(&executor),
       scheduler_(&scheduler),
-      options_(options),
+      options_(validate_options(options)),
       jobs_(std::move(jobs)),
       total_nodes_(executor.spec().nodes),
-      total_budget_(options.cluster_budget.value()),
       guard_(make_guard(options, executor)),
       detector_(options.redist),
-      redistributor_(options.redist),
-      effective_budget_(options.cluster_budget.value()) {
-  validate_options(options_);
+      redistributor_(options.redist) {
   CLIP_REQUIRE(!jobs_.empty(), "queue needs at least one job");
   for (const auto& job : jobs_)
     CLIP_REQUIRE(job.requested_nodes >= 0 &&
@@ -391,15 +380,10 @@ QueueEventLoop::QueueEventLoop(sim::SimExecutor& executor,
                      std::to_string(job.requested_nodes) +
                      ") exceeds the cluster's " +
                      std::to_string(total_nodes_) + " nodes");
-  report_.jobs.resize(jobs_.size());
+  report_.jobs.assign(jobs_.size(), unplaced_row());
   // clip-lint: allow(J1) constructor pre-init: the "begin"+"admit" records written by run_fresh() re-derive this exact state, so nothing existed to lose yet
   state_.assign(jobs_.size(), State::kPending);
-  attempts_.assign(jobs_.size(), 0);
   eligible_s_.assign(jobs_.size(), 0.0);
-  node_alive_.assign(static_cast<std::size_t>(total_nodes_), true);
-  node_busy_.assign(static_cast<std::size_t>(total_nodes_), false);
-  enforcement_pending_.assign(static_cast<std::size_t>(total_nodes_), false);
-  redist_on_ = options_.redist.enabled;
   next_tick_s_ = options_.redist.period_s;
 }
 
@@ -407,10 +391,6 @@ QueueEventLoop::~QueueEventLoop() = default;
 
 obs::TelemetryServer* QueueEventLoop::telemetry_server() const {
   return telemetry_.get();
-}
-
-std::string QueueEventLoop::trace_suffix(std::size_t j) const {
-  return j < traces_.size() ? " trace=" + traces_[j].hex() : std::string();
 }
 
 void QueueEventLoop::publish_status(bool run_active) {
@@ -426,7 +406,7 @@ void QueueEventLoop::publish_status(bool run_active) {
   snap.queue_depth = waiting;
   snap.running_jobs = static_cast<int>(running_.size());
   snap.free_watts = free_power();
-  snap.mode = to_string(mode_);
+  snap.mode = to_string(mode());
   snap.journal_seq =
       journal_ != nullptr ? static_cast<std::uint64_t>(journal_->size()) : 0;
   snap.jobs_completed = done;
@@ -435,19 +415,31 @@ void QueueEventLoop::publish_status(bool run_active) {
   telemetry_->publish(snap);
 }
 
+DegradedMode QueueEventLoop::mode() const {
+  if (applied_factor_ < 1.0) return DegradedMode::kBudgetBrownout;
+  return meters_dark_ ? DegradedMode::kMeterBlackout : DegradedMode::kNormal;
+}
+
+// Every node is free but the ones a placement holds and the crashed ones no
+// placement holds any more (a crashed placement keeps its nodes until its
+// abort instant is processed).
 int QueueEventLoop::free_nodes() const {
-  int free = 0;
-  for (int n = 0; n < total_nodes_; ++n)
-    if (node_alive_[static_cast<std::size_t>(n)] &&
-        !node_busy_[static_cast<std::size_t>(n)])
-      ++free;
-  return free;
+  int held = 0;
+  int crashed_held = 0;
+  for (const auto& r : running_) {
+    held += static_cast<int>(r.node_ids.size());
+    for (const int c : report_.crashed_nodes)
+      crashed_held += static_cast<int>(
+          std::count(r.node_ids.begin(), r.node_ids.end(), c));
+  }
+  const int crashed = static_cast<int>(report_.crashed_nodes.size());
+  return total_nodes_ - held - (crashed - crashed_held);
 }
 
 double QueueEventLoop::free_power() const {
   double used = 0.0;
-  for (const auto& r : running_) used += r.power_w;
-  return effective_budget_ - used;
+  for (const auto& r : running_) used += row_of(r).budget_w;
+  return effective_budget() - used;
 }
 
 std::vector<int> QueueEventLoop::active_node_ids() const {
@@ -459,7 +451,7 @@ std::vector<int> QueueEventLoop::active_node_ids() const {
 
 double QueueEventLoop::true_cluster_power(double t) const {
   double watts = 0.0;
-  for (const auto& r : running_) watts += r.true_power_w;
+  for (const auto& r : running_) watts += row_of(r).power_w;
   return watts + injector_->cap_excess_w(active_node_ids(), t);
 }
 
@@ -470,18 +462,19 @@ double QueueEventLoop::true_cluster_power(double t) const {
 // (FaultInjector::violation_ends), so a clawed-back violation counts here
 // until its planned end.
 int QueueEventLoop::faults_active_at(double t) const {
+  const fault::FaultPlan& plan = injector_->plan();
   int active = 0;
-  for (const auto& c : plan_->crashes)
+  for (const auto& c : plan.crashes)
     if (c.at_s <= t) ++active;
-  for (const auto& d : plan_->degrades)
+  for (const auto& d : plan.degrades)
     if (d.at_s <= t) ++active;
-  for (const auto& f : plan_->meter_faults)
+  for (const auto& f : plan.meter_faults)
     if (f.at_s <= t && t < f.at_s + f.duration_s) ++active;
-  for (const auto& v : plan_->cap_violations)
+  for (const auto& v : plan.cap_violations)
     if (v.at_s <= t && t < v.at_s + v.duration_s) ++active;
-  for (const auto& b : plan_->meter_blackouts)
+  for (const auto& b : plan.meter_blackouts)
     if (b.at_s <= t && t < b.at_s + b.duration_s) ++active;
-  for (const auto& c : plan_->budget_cuts)
+  for (const auto& c : plan.budget_cuts)
     if (c.at_s <= t && t < c.at_s + c.duration_s) ++active;
   return active;
 }
@@ -536,55 +529,53 @@ bool QueueEventLoop::try_start(std::size_t j, int nodes_avail,
 
   Running r;
   r.job_index = j;
-  r.start_s = now_;
   const double duration =
       m.time.value() + constrained.profiling_cost.value();
-  r.end_s = now_ + duration;
+  // The lowest-numbered free nodes: neither crashed nor held.
+  std::vector<bool> taken(static_cast<std::size_t>(total_nodes_), false);
+  for (const int c : report_.crashed_nodes)
+    taken[static_cast<std::size_t>(c)] = true;
+  for (const auto& other : running_)
+    for (const int n : other.node_ids)
+      taken[static_cast<std::size_t>(n)] = true;
   r.node_ids.reserve(static_cast<std::size_t>(nodes_used));
   for (int n = 0; n < total_nodes_ &&
                   static_cast<int>(r.node_ids.size()) < nodes_used;
        ++n)
-    if (node_alive_[static_cast<std::size_t>(n)] &&
-        !node_busy_[static_cast<std::size_t>(n)])
-      r.node_ids.push_back(n);
-  // Reserve the job's full slice, not its measured draw: the RAPL caps
-  // guarantee the slice is never exceeded, and only reserving the caps
-  // keeps the cluster-wide bound airtight under transients.
-  r.power_w = slice;
-  r.true_power_w = m.avg_power.value();
+    if (!taken[static_cast<std::size_t>(n)]) r.node_ids.push_back(n);
   r.energy_j = m.energy.value();
   r.config = constrained.cluster;
   r.prof_s = constrained.profiling_cost.value();
   r.full_energy_j = m.energy.value();
-  r.frac_done = 0.0;
   r.change_s = now_;
   r.ff_remaining = duration;
-  if (injector_ != nullptr) {
-    // Degrades stretch the run; a held node's crash aborts it.
-    const fault::RunResolution res =
-        injector_->resolve(now_, duration, r.node_ids);
-    r.end_s = res.end_s;
-    r.crashed = res.crashed;
-    r.crashed_node = res.crashed_node;
-  }
-  for (int n : r.node_ids) node_busy_[static_cast<std::size_t>(n)] = true;
 
   auto& out = report_.jobs[j];
   out.app = jobs_[j].app.name;
   out.parameters = jobs_[j].app.parameters;
-  out.submit_s = 0.0;
   out.start_s = now_;
-  out.end_s = r.end_s;
+  out.end_s = now_ + duration;
   out.nodes = nodes_used;
+  // Reserve the job's full slice, not its measured draw: the RAPL caps
+  // guarantee the slice is never exceeded, and only reserving the caps
+  // keeps the cluster-wide bound airtight under transients.
   out.budget_w = slice;
   out.power_w = m.avg_power.value();
-  out.attempts = ++attempts_[j];
-  out.completed = !r.crashed;
+  ++out.attempts;
+  out.completed = true;
   out.crashed_node = -1;
+  if (injector_ != nullptr) {
+    // Degrades stretch the run; a held node's crash aborts it.
+    const fault::RunResolution res =
+        injector_->resolve(now_, duration, r.node_ids);
+    out.end_s = res.end_s;
+    out.completed = !res.crashed;
+    r.crashed_node = res.crashed_node;
+  }
   if (timeline_ != nullptr) {
-    timeline_->event("job", now_, "start " + out.app + " nodes=" +
-                                      std::to_string(nodes_used) +
-                                      trace_suffix(j));
+    timeline_->event("job", now_,
+                     render("start ", out.app, " nodes=", nodes_used,
+                            TraceOf{traces_, j}));
     const double per_node_cap = slice / nodes_used;
     const double per_node_power = m.avg_power.value() / nodes_used;
     for (int n : r.node_ids) {
@@ -596,28 +587,24 @@ bool QueueEventLoop::try_start(std::size_t j, int nodes_avail,
   // Optimistic accounting at start, exactly as the fault-free queue always
   // did (same FP operations in the same order, so an empty plan reproduces
   // the report bit-for-bit); a crash abort adjusts the energy term. For a
-  // crashed run r.end_s is already the abort instant, so the node-seconds
+  // crashed run out.end_s is already the abort instant, so the node-seconds
   // term needs no adjustment, and a degraded run's stretch is billed here.
   report_.total_energy_j += m.energy.value();
-  report_.node_seconds_used += nodes_used * (r.end_s - now_);
+  report_.node_seconds_used += nodes_used * (out.end_s - now_);
   running_.push_back(std::move(r));
   state_[j] = State::kRunning;
   obs::count(action_obs(), "queue.jobs_started");
   obs::observe(action_obs(), "queue.job_wait_s", wait_s_spec(), out.wait_s());
-  if (journal_ != nullptr) {
-    const Running& rr = running_.back();
-    jlog("launch", payload("job=", j, " attempt=", attempts_[j], " nodes=",
-                           join_ints(rr.node_ids, '/'), " slice=",
-                           rr.power_w, " end=", rr.end_s, " crashed=",
-                           rr.crashed ? "1" : "0", trace_suffix(j)));
-  }
+  jlog("launch", "job=", j, " attempt=", out.attempts, " nodes=",
+       running_.back().node_ids, " slice=", out.budget_w, " end=", out.end_s,
+       " crashed=", out.completed ? "0" : "1", TraceOf{traces_, j});
   return true;
 }
 
 void QueueEventLoop::start_eligible() {
   // BUDGET_BROWNOUT pauses admission: the launch pass is skipped until the
   // cut window ends (the gauges below keep tracking the paused queue).
-  if (!admission_paused_) {
+  if (mode() != DegradedMode::kBudgetBrownout) {
     // Host-time cost of one admission pass, recorded only while the live
     // telemetry plane is up: queue metrics stay a deterministic function
     // of the workload otherwise (same-seed runs fingerprint identically).
@@ -625,16 +612,22 @@ void QueueEventLoop::start_eligible() {
     // function of simulated time. Feeds the p99 SLO rule in obs/alerts.hpp.
     obs::ScopedTimer timer(telemetry_ != nullptr ? action_obs() : nullptr,
                            "queue.decision_latency_us");
+    // A refused start changes neither count, so both are re-read only
+    // after a job starts.
+    int nodes_avail = free_nodes();
+    double watts_avail = free_power();
     for (std::size_t j = 0; j < jobs_.size(); ++j) {
       if (state_[j] != State::kPending) continue;
       if (eligible_s_[j] > now_) continue;  // still backing off after a crash
       // No free node, or too few watts to wake one: no job can start, and
       // a job that does not start frees nothing, so the pass ends.
-      const int nodes_avail = free_nodes();
-      const double watts_avail = free_power();
       if (nodes_avail < 1 || watts_avail < options_.min_node_power_w) break;
-      const bool ok = try_start(j, nodes_avail, watts_avail);
-      if (!ok && !options_.backfill) break;  // strict FCFS: head blocks
+      if (try_start(j, nodes_avail, watts_avail)) {
+        nodes_avail = free_nodes();
+        watts_avail = free_power();
+      } else if (!options_.backfill) {
+        break;  // strict FCFS: head blocks
+      }
     }
   }
   std::size_t waiting = 0;
@@ -684,41 +677,42 @@ void QueueEventLoop::apply_fault_events() {
 }
 
 void QueueEventLoop::announce_fault(const FaultEvent& e) {
+  const fault::FaultPlan& plan = injector_->plan();
   std::string what;  // the span's kind, and the label's first word
   std::string detail;
   int node = -1;
   switch (e.kind) {
     case FaultKind::kCrash:
-      node = plan_->crashes[e.index].node;
+      node = plan.crashes[e.index].node;
       what = "crash";
       obs::count(action_obs(), "fault.crashes");
       break;
     case FaultKind::kDegrade:
-      node = plan_->degrades[e.index].node;
+      node = plan.degrades[e.index].node;
       what = "degrade";
       obs::count(action_obs(), "fault.degrades");
       break;
     case FaultKind::kMeter: {
-      const fault::MeterFault& f = plan_->meter_faults[e.index];
+      const fault::MeterFault& f = plan.meter_faults[e.index];
       node = f.node;
       what = std::string("meter-") + to_string(f.kind);
       obs::count(action_obs(), "fault.meter_faults");
       break;
     }
     case FaultKind::kCapViolation:
-      node = plan_->cap_violations[e.index].node;
+      node = plan.cap_violations[e.index].node;
       what = "cap-violation";
       obs::count(action_obs(), "fault.cap_violations");
       break;
     case FaultKind::kBlackout:
       what = "meter-blackout";
       detail = " for " +
-               format_double(plan_->meter_blackouts[e.index].duration_s, 1) +
+               format_double(plan.meter_blackouts[e.index].duration_s, 1) +
                "s";
       obs::count(action_obs(), "fault.blackouts");
       break;
     case FaultKind::kBudgetCut: {
-      const fault::BudgetCut& c = plan_->budget_cuts[e.index];
+      const fault::BudgetCut& c = plan.budget_cuts[e.index];
       what = "budget-cut";
       detail = " to " + format_double(c.factor, 2) + "x for " +
                format_double(c.duration_s, 1) + "s";
@@ -734,11 +728,10 @@ void QueueEventLoop::announce_fault(const FaultEvent& e) {
   }
   obs::count(action_obs(), "fault.injected");
   if (timeline_ != nullptr) timeline_->event("fault", now_, what + detail);
+  std::vector<int>& crashed = report_.crashed_nodes;
   if (e.kind == FaultKind::kCrash &&
-      node_alive_[static_cast<std::size_t>(node)]) {
-    node_alive_[static_cast<std::size_t>(node)] = false;
-    report_.crashed_nodes.push_back(node);
-  }
+      std::find(crashed.begin(), crashed.end(), node) == crashed.end())
+    crashed.push_back(node);
 }
 
 // Claw back a violated cap on `node` (re-coordination took effect).
@@ -755,9 +748,7 @@ void QueueEventLoop::claw_back(int node) {
     timeline_->record("fault.active", now_,
                       static_cast<double>(faults_active_at(now_)));
   }
-  if (journal_ != nullptr)
-    jlog("guard-claw",
-         payload("node=", node, " windows=", truncated, " t=", now_));
+  jlog("guard-claw", "node=", node, " windows=", truncated, " t=", now_);
 }
 
 // The guard's sampling pass: read every active node's meter (corrupted by
@@ -770,9 +761,9 @@ void QueueEventLoop::guard_sample() {
   double observed = 0.0;
   for (const auto& r : running_) {
     const double per_node_truth =
-        r.true_power_w / static_cast<double>(r.node_ids.size());
+        row_of(r).power_w / static_cast<double>(r.node_ids.size());
     const double per_node_expected =
-        r.power_w / static_cast<double>(r.node_ids.size());
+        row_of(r).budget_w / static_cast<double>(r.node_ids.size());
     for (int n : r.node_ids) {
       const double truth =
           per_node_truth + injector_->cap_excess_w({n}, now_);
@@ -787,15 +778,14 @@ void QueueEventLoop::guard_sample() {
   if (!guard_.overshoot(observed)) return;
   obs::count(action_obs(), "budget.overshoot_events");
   for (int n : injector_->violating_nodes(active_node_ids(), now_)) {
-    if (enforcement_pending_[static_cast<std::size_t>(n)]) continue;
+    if (std::any_of(enforcements_.begin(), enforcements_.end(),
+                    [n](const Enforcement& e) { return e.node == n; }))
+      continue;  // a claw-back is already on its way
     if (guard_.options().reaction_s <= 0.0) {
       claw_back(n);
     } else {
-      enforcement_pending_[static_cast<std::size_t>(n)] = true;
       enforcements_.push_back({now_ + guard_.options().reaction_s, n});
-      if (journal_ != nullptr)
-        jlog("enforce-scheduled",
-             payload("node=", n, " at=", enforcements_.back().at_s));
+      jlog("enforce-scheduled", "node=", n, " at=", enforcements_.back().at_s);
     }
   }
 }
@@ -848,28 +838,26 @@ void QueueEventLoop::rebase_running(Running& r, const sim::ClusterConfig& cfg,
   report_.total_energy_j += energy_delta;
   r.energy_j += energy_delta;
   r.full_energy_j = m1.energy.value();
+  QueuedJobResult& out = row_of(r);
+  // The node-seconds bill moves by the change of the end: read the old end
+  // before writing the new one.
   report_.node_seconds_used +=
-      static_cast<double>(r.node_ids.size()) * (new_end - r.end_s);
+      static_cast<double>(r.node_ids.size()) * (new_end - out.end_s);
   r.config = cfg;
-  r.power_w = new_slice;
-  r.true_power_w = m1.avg_power.value();
-  r.end_s = new_end;
-  r.crashed = crashed;
   r.crashed_node = crashed_node;
   r.frac_done = frac;
   r.change_s = now_;
   r.ff_remaining = ff_rem;
-  auto& out = report_.jobs[r.job_index];
   out.end_s = new_end;
   out.budget_w = new_slice;
-  out.power_w = r.true_power_w;
+  out.power_w = m1.avg_power.value();
   out.completed = !crashed;
   if (timeline_ != nullptr) {
     const double n_nodes = static_cast<double>(r.node_ids.size());
     for (int n : r.node_ids) {
       const std::string prefix = "node" + std::to_string(n);
       timeline_->record(prefix + ".cap_w", now_, new_slice / n_nodes);
-      timeline_->record(prefix + ".power_w", now_, r.true_power_w / n_nodes);
+      timeline_->record(prefix + ".power_w", now_, out.power_w / n_nodes);
     }
   }
 }
@@ -882,38 +870,34 @@ void QueueEventLoop::apply_claw(const PendingClaw& c) {
   Running* r = nullptr;
   for (auto& cand : running_)
     if (cand.job_index == c.job) r = &cand;
-  if (r == nullptr || attempts_[c.job] != c.attempt) {
-    if (journal_ != nullptr)
-      jlog("claw-dissolve", payload("job=", c.job, " reason=gone"));
+  if (r == nullptr || report_.jobs[c.job].attempts != c.attempt) {
+    jlog("claw-dissolve", "job=", c.job, " reason=gone");
     return;
   }
+  QueuedJobResult& out = row_of(*r);
   const int n_nodes = static_cast<int>(r->node_ids.size());
   const double floor_w =
       std::max(options_.min_node_power_w * n_nodes,
-               r->true_power_w + options_.redist.headroom_frac * r->power_w);
-  const double claw = std::min(c.watts, r->power_w - floor_w);
+               out.power_w + options_.redist.headroom_frac * out.budget_w);
+  const double claw = std::min(c.watts, out.budget_w - floor_w);
   if (claw <= 0.0) {
     // A re-grant since the decision ate the slack.
-    if (journal_ != nullptr)
-      jlog("claw-dissolve", payload("job=", c.job, " reason=eaten"));
+    jlog("claw-dissolve", "job=", c.job, " reason=eaten");
     return;
   }
-  r->power_w -= claw;
-  report_.jobs[r->job_index].budget_w = r->power_w;
+  out.budget_w -= claw;
   ++report_.redist_claw_backs;
   report_.redist_reclaimed_w += claw;
   obs::count(action_obs(), "redist.claw_backs");
   if (timeline_ != nullptr) {
     timeline_->event("redist", now_,
-                     "claw " + report_.jobs[r->job_index].app +
-                         " w=" + format_double(claw, 1));
-    const double per_node_cap = r->power_w / n_nodes;
+                     "claw " + out.app + " w=" + format_double(claw, 1));
+    const double per_node_cap = out.budget_w / n_nodes;
     for (int n : r->node_ids)
       timeline_->record("node" + std::to_string(n) + ".cap_w", now_,
                         per_node_cap);
   }
-  if (journal_ != nullptr)
-    jlog("claw-actuate", payload("job=", c.job, " w=", claw));
+  jlog("claw-actuate", "job=", c.job, " w=", claw);
 }
 
 // The redistribution tick: sample, size claw-backs, and hill-climb
@@ -922,8 +906,8 @@ void QueueEventLoop::redist_tick() {
   obs::count(action_obs(), "redist.ticks");
   for (const auto& r : running_) {
     const double n_nodes = static_cast<double>(r.node_ids.size());
-    const double per_node_truth = r.true_power_w / n_nodes;
-    const double per_node_expected = r.power_w / n_nodes;
+    const double per_node_truth = row_of(r).power_w / n_nodes;
+    const double per_node_expected = row_of(r).budget_w / n_nodes;
     for (int n : r.node_ids) {
       double truth = per_node_truth;
       double observed = truth;
@@ -937,41 +921,40 @@ void QueueEventLoop::redist_tick() {
   }
   double slack_total = 0.0;
   for (const auto& r : running_) {
-    if (r.crashed) continue;  // its watts come back at the abort instant
+    const QueuedJobResult& out = row_of(r);
+    if (!out.completed) continue;  // its watts come back at the abort instant
     bool claw_pending = false;
     for (const auto& c : pending_claws_)
       claw_pending = claw_pending || c.job == r.job_index;
     if (claw_pending) continue;
     const int n_nodes = static_cast<int>(r.node_ids.size());
-    const double cap_per_node = r.power_w / n_nodes;
+    const double cap_per_node = out.budget_w / n_nodes;
     double slack = 0.0;
     for (int n : r.node_ids) slack += detector_.node_slack_w(n, cap_per_node);
     slack_total += slack;
     const double floor_w =
         std::max(options_.min_node_power_w * n_nodes,
-                 r.true_power_w + options_.redist.headroom_frac * r.power_w);
-    const double claw = redistributor_.claw_w(r.power_w, slack, floor_w);
+                 out.power_w + options_.redist.headroom_frac * out.budget_w);
+    const double claw = redistributor_.claw_w(out.budget_w, slack, floor_w);
     if (claw <= 0.0) continue;
     pending_claws_.push_back({now_ + options_.redist.reaction_s, r.job_index,
-                              attempts_[r.job_index], claw});
+                              out.attempts, claw});
     if (timeline_ != nullptr)
       timeline_->event("redist", now_,
-                       "claw-scheduled " + report_.jobs[r.job_index].app +
+                       "claw-scheduled " + out.app +
                            " w=" + format_double(claw, 1));
-    if (journal_ != nullptr)
-      jlog("claw-scheduled",
-           payload("job=", r.job_index, " at=", pending_claws_.back().at_s,
-                   " w=", claw));
+    jlog("claw-scheduled", "job=", r.job_index, " at=",
+         pending_claws_.back().at_s, " w=", claw);
   }
   if (timeline_ != nullptr)
     timeline_->record("redist.slack_w", now_, slack_total);
-  if (journal_ != nullptr)
-    jlog("tick", payload("t=", now_, " slack=", slack_total));
+  jlog("tick", "t=", now_, " slack=", slack_total);
   if (!options_.redist.subsystem_split) return;
   for (auto& r : running_) {
-    if (r.crashed) continue;
+    const QueuedJobResult& out = row_of(r);
+    if (!out.completed) continue;
     const PhaseSignal sig = SlackDetector::phase_at(
-        jobs_[r.job_index].app, r.start_s, r.end_s, now_);
+        jobs_[r.job_index].app, out.start_s, out.end_s, now_);
     if (!sig.memory_bound) continue;
     const sim::ClusterConfig shifted = sim::shift_pkg_to_dram(
         r.config, Watts(options_.redist.shift_step_w), Watts(1.0));
@@ -980,20 +963,18 @@ void QueueEventLoop::redist_tick() {
       continue;  // already fully shifted
     const sim::Measurement m1 =
         executor_->run_exact(jobs_[r.job_index].app, shifted);
-    if (m1.avg_power.value() > r.power_w * 1.01 + 1.0)
+    if (m1.avg_power.value() > out.budget_w * 1.01 + 1.0)
       continue;  // must keep fitting the reserved slice
-    const double gain = r.end_s - projected_end(r, m1);
+    const double gain = out.end_s - projected_end(r, m1);
     if (gain < options_.redist.min_gain_s) continue;
-    rebase_running(r, shifted, m1, r.power_w);
+    rebase_running(r, shifted, m1, out.budget_w);
     ++report_.redist_subsystem_shifts;
     obs::count(action_obs(), "redist.subsystem_shifts");
     if (timeline_ != nullptr)
       timeline_->event("redist", now_,
-                       "shift " + report_.jobs[r.job_index].app +
-                           " pkg->dram w=" +
+                       "shift " + out.app + " pkg->dram w=" +
                            format_double(options_.redist.shift_step_w, 1));
-    if (journal_ != nullptr)
-      jlog("shift", payload("job=", r.job_index, " t=", now_));
+    jlog("shift", "job=", r.job_index, " t=", now_);
   }
 }
 
@@ -1017,15 +998,16 @@ void QueueEventLoop::try_regrant() {
   std::vector<Eval> evals;
   for (std::size_t i = 0; i < running_.size(); ++i) {
     const Running& r = running_[i];
-    if (r.crashed) continue;  // boosting a doomed placement buys nothing
-    const double slice = r.power_w + free_w;
+    const QueuedJobResult& out = row_of(r);
+    if (!out.completed) continue;  // boosting a doomed placement buys nothing
+    const double slice = out.budget_w + free_w;
     const core::ScheduleDecision boosted = scheduler_->schedule_constrained(
         jobs_[r.job_index].app, Watts(slice),
         static_cast<int>(r.node_ids.size()));
     const sim::Measurement m1 =
         executor_->run_exact(jobs_[r.job_index].app, boosted.cluster);
     if (m1.avg_power.value() > slice * 1.01 + 1.0) continue;
-    candidates.push_back({i, free_w, r.end_s - projected_end(r, m1)});
+    candidates.push_back({i, free_w, out.end_s - projected_end(r, m1)});
     evals.push_back({boosted.cluster, m1, slice});
   }
   const RegrantCandidate* best = redistributor_.pick(candidates);
@@ -1035,17 +1017,16 @@ void QueueEventLoop::try_regrant() {
   // the true draw: during an active cap violation the cluster is already
   // over budget, and re-granting then would widen the violation.
   double reserved = 0.0;
-  for (const auto& other : running_) reserved += other.power_w;
+  for (const auto& other : running_) reserved += row_of(other).budget_w;
   if (injector_ != nullptr)
     reserved = std::max(reserved, true_cluster_power(now_));
   if (!guard_.admit_regrant(reserved, best->grant_w)) {
     obs::count(action_obs(), "redist.regrants_rejected");
     if (timeline_ != nullptr)
       timeline_->event("redist", now_,
-                       "regrant-rejected " + report_.jobs[r.job_index].app +
+                       "regrant-rejected " + row_of(r).app +
                            " w=" + format_double(best->grant_w, 1));
-    if (journal_ != nullptr)
-      jlog("grant-reject", payload("job=", r.job_index, " w=", best->grant_w));
+    jlog("grant-reject", "job=", r.job_index, " w=", best->grant_w);
     return;
   }
   const Eval& e = evals[static_cast<std::size_t>(best - candidates.data())];
@@ -1055,10 +1036,9 @@ void QueueEventLoop::try_regrant() {
   obs::count(action_obs(), "redist.regrants");
   if (timeline_ != nullptr)
     timeline_->event("redist", now_,
-                     "regrant " + report_.jobs[r.job_index].app +
+                     "regrant " + row_of(r).app +
                          " w=" + format_double(best->grant_w, 1));
-  if (journal_ != nullptr)
-    jlog("grant", payload("job=", r.job_index, " w=", best->grant_w));
+  jlog("grant", "job=", r.job_index, " w=", best->grant_w);
 }
 
 // Process the single earliest finished run due at `now` (one per pass, so
@@ -1067,54 +1047,50 @@ void QueueEventLoop::try_regrant() {
 bool QueueEventLoop::finish_one_due() {
   auto next = running_.end();
   for (auto it = running_.begin(); it != running_.end(); ++it)
-    if (it->end_s <= now_ &&
-        (next == running_.end() || it->end_s < next->end_s))
+    if (row_of(*it).end_s <= now_ &&
+        (next == running_.end() || row_of(*it).end_s < row_of(*next).end_s))
       next = it;
   if (next == running_.end()) return false;
   const Running r = *next;
   running_.erase(next);
-  for (int n : r.node_ids) node_busy_[static_cast<std::size_t>(n)] = false;
   const std::size_t j = r.job_index;
+  auto& out = report_.jobs[j];
   if (timeline_ != nullptr)
     for (int n : r.node_ids) {
       const std::string prefix = "node" + std::to_string(n);
       timeline_->record(prefix + ".power_w", now_, 0.0);
       timeline_->record(prefix + ".cap_w", now_, 0.0);
     }
-  if (!r.crashed) {
+  if (out.completed) {
     state_[j] = State::kDone;
     if (timeline_ != nullptr)
       timeline_->event("job", now_,
-                       "finish " + report_.jobs[j].app + trace_suffix(j));
-    if (journal_ != nullptr)
-      jlog("complete", payload("job=", j, " t=", now_, trace_suffix(j)));
+                       render("finish ", out.app, TraceOf{traces_, j}));
+    jlog("complete", "job=", j, " t=", now_, TraceOf{traces_, j});
     return true;
   }
   // Crash abort: replace the optimistic energy bill with the watts the
   // partial execution truly drew (nodes and watts were freed above), then
   // retry or fail.
-  const double elapsed = r.end_s - r.start_s;
-  report_.total_energy_j += r.true_power_w * elapsed - r.energy_j;
-  auto& out = report_.jobs[j];
+  const double elapsed = out.end_s - out.start_s;
+  report_.total_energy_j += out.power_w * elapsed - r.energy_j;
   out.crashed_node = r.crashed_node;
-  out.completed = false;
   if (timeline_ != nullptr)
     timeline_->event("job", now_,
-                     "crash " + out.app +
-                         " node=" + std::to_string(r.crashed_node) +
-                         trace_suffix(j));
-  if (attempts_[j] >= options_.retry.max_attempts) {
+                     render("crash ", out.app, " node=", r.crashed_node,
+                            TraceOf{traces_, j}));
+  if (out.attempts >= options_.retry.max_attempts) {
     state_[j] = State::kFailed;
     ++report_.jobs_failed;
     obs::count(action_obs(), "queue.jobs_failed");
     if (timeline_ != nullptr)
-      timeline_->event("job", now_, "fail " + out.app + trace_suffix(j));
-    if (journal_ != nullptr)
-      jlog("fail", payload("job=", j, " t=", now_, trace_suffix(j)));
+      timeline_->event("job", now_,
+                       render("fail ", out.app, TraceOf{traces_, j}));
+    jlog("fail", "job=", j, " t=", now_, TraceOf{traces_, j});
     return true;
   }
   state_[j] = State::kPending;
-  eligible_s_[j] = now_ + options_.retry.backoff_s(attempts_[j]);
+  eligible_s_[j] = now_ + options_.retry.backoff_s(out.attempts);
   retry_wakeups_.push_back(eligible_s_[j]);
   ++report_.retries;
   obs::ScopedSpan span(action_obs(), "queue.requeue", "runtime");
@@ -1126,11 +1102,10 @@ bool QueueEventLoop::finish_one_due() {
   }
   obs::count(action_obs(), "queue.retries");
   if (timeline_ != nullptr)
-    timeline_->event("job", now_, "requeue " + out.app + trace_suffix(j));
-  if (journal_ != nullptr)
-    jlog("crash-requeue",
-         payload("job=", j, " node=", r.crashed_node, " eligible=",
-                 eligible_s_[j], trace_suffix(j)));
+    timeline_->event("job", now_,
+                     render("requeue ", out.app, TraceOf{traces_, j}));
+  jlog("crash-requeue", "job=", j, " node=", r.crashed_node, " eligible=",
+       eligible_s_[j], TraceOf{traces_, j});
   return true;
 }
 
@@ -1138,28 +1113,24 @@ void QueueEventLoop::prepare_run() {
   CLIP_REQUIRE(!started_,
                "QueueEventLoop is single-shot: construct a fresh loop per run");
   started_ = true;
-  plan_ = injector_ != nullptr ? &injector_->plan() : nullptr;
-  if (plan_ != nullptr) {
+  if (injector_ != nullptr) {
+    const fault::FaultPlan& plan = injector_->plan();
     const auto add = [this](FaultKind kind, const auto& events) {
       for (std::size_t i = 0; i < events.size(); ++i)
         fault_events_.push_back({events[i].at_s, kind, i});
     };
-    add(FaultKind::kCrash, plan_->crashes);
-    add(FaultKind::kDegrade, plan_->degrades);
-    add(FaultKind::kMeter, plan_->meter_faults);
-    add(FaultKind::kCapViolation, plan_->cap_violations);
-    add(FaultKind::kBlackout, plan_->meter_blackouts);
-    add(FaultKind::kBudgetCut, plan_->budget_cuts);
+    add(FaultKind::kCrash, plan.crashes);
+    add(FaultKind::kDegrade, plan.degrades);
+    add(FaultKind::kMeter, plan.meter_faults);
+    add(FaultKind::kCapViolation, plan.cap_violations);
+    add(FaultKind::kBlackout, plan.meter_blackouts);
+    add(FaultKind::kBudgetCut, plan.budget_cuts);
     std::stable_sort(fault_events_.begin(), fault_events_.end(),
                      [](const FaultEvent& a, const FaultEvent& b) {
                        return a.at_s < b.at_s;
                      });
+    wakeups_ = injector_->wakeups();
   }
-  wakeups_ =
-      injector_ != nullptr ? injector_->wakeups() : std::vector<double>{};
-  wakeup_idx_ = 0;
-  mode_faults_on_ = plan_ != nullptr && (!plan_->meter_blackouts.empty() ||
-                                         !plan_->budget_cuts.empty());
   if (options_.trace.enabled && traces_.empty()) {
     // One draw per job in submission order: ids are a pure function of
     // (seed, job index), so a recovery constructed with the same options
@@ -1187,15 +1158,20 @@ QueueReport QueueEventLoop::run() {
 }
 
 QueueReport QueueEventLoop::run_fresh() {
-  if (journal_ != nullptr) {
-    // begin + admit ARE the genesis state: together they determine the
-    // pre-init loop exactly, so no snapshot is written here. A journal cut
-    // before the first periodic snapshot recovers by restarting (still
-    // byte-identical — the loop is deterministic).
-    jlog("begin", begin_payload());
-    jlog("admit", admits_payload());
+  // begin + admit ARE the genesis state: together they determine the
+  // pre-init loop exactly, so no snapshot is written here. A journal cut
+  // before the first periodic snapshot recovers by restarting (still
+  // byte-identical — the loop is deterministic).
+  jlog("begin", [this] { return begin_payload(); });
+  jlog("admit", [this] { return admits_payload(); });
+  if (injector_ != nullptr) {
+    while (wakeup_idx_ < wakeups_.size() && wakeups_[wakeup_idx_] <= now_)
+      ++wakeup_idx_;
+    apply_fault_events();  // t = 0 events precede the first placement
+    update_mode();
   }
-  init_pass();
+  start_eligible();
+  if (injector_ != nullptr) guard_sample();
   main_loop();
   finalize();
   return report_;
@@ -1220,8 +1196,8 @@ QueueReport QueueEventLoop::recover(Journal& journal) {
                  "journal snapshot format is '" + std::string(format) +
                      "' but this build reads only " +
                      std::string(kSnapshotFormat) +
-                     " (delta snapshots with a fault cursor); recover it "
-                     "with the build that wrote it");
+                     " (delta snapshots with a fault cursor, no derived "
+                     "state); recover it with the build that wrote it");
     CLIP_REQUIRE(records[0].kind == "begin" &&
                      records[0].payload == begin_payload(),
                  "journal was written by a different run configuration");
@@ -1240,25 +1216,13 @@ QueueReport QueueEventLoop::recover(Journal& journal) {
   restore_state(*snap);
   replay_cursor_ = *snap + 1;
   replay_limit_ = records.size();
-  replaying_ = replay_cursor_ < replay_limit_;
   records_since_snapshot_ = 0;
   rederive_running();
-  if (!init_done_) init_pass();
+  // Snapshots are taken inside the main loop, after run_fresh's first
+  // admission pass.
   main_loop();
   finalize();
   return report_;
-}
-
-void QueueEventLoop::init_pass() {
-  if (injector_ != nullptr) {
-    while (wakeup_idx_ < wakeups_.size() && wakeups_[wakeup_idx_] <= now_)
-      ++wakeup_idx_;
-    apply_fault_events();  // t = 0 events precede the first placement
-    if (mode_faults_on_) update_mode();
-  }
-  start_eligible();
-  if (injector_ != nullptr) guard_sample();
-  init_done_ = true;
 }
 
 void QueueEventLoop::main_loop() {
@@ -1271,7 +1235,6 @@ void QueueEventLoop::main_loop() {
     if (injector_ != nullptr) {
       for (auto it = enforcements_.begin(); it != enforcements_.end();) {
         if (it->at_s <= now_) {
-          enforcement_pending_[static_cast<std::size_t>(it->node)] = false;
           claw_back(it->node);
           it = enforcements_.erase(it);
           acted = true;
@@ -1293,13 +1256,13 @@ void QueueEventLoop::main_loop() {
       }
       if (acted) {
         apply_fault_events();
-        if (mode_faults_on_) update_mode();
+        update_mode();
       }
     }
     // 1b. Due redistribution work: claw-backs whose reaction latency
     //     elapsed, then the periodic slack-sampling tick (frozen while the
     //     meters are dark — stale samples must not drive claw-backs).
-    if (redist_on_) {
+    if (options_.redist.enabled) {
       for (auto it = pending_claws_.begin(); it != pending_claws_.end();) {
         if (it->at_s <= now_) {
           apply_claw(*it);
@@ -1320,7 +1283,7 @@ void QueueEventLoop::main_loop() {
     if (finish_one_due()) {
       start_eligible();
       if (injector_ != nullptr) guard_sample();
-      if (redist_on_) try_regrant();
+      if (options_.redist.enabled) try_regrant();
       continue;
     }
     // 3. An event without a completion still frees or consumes capacity
@@ -1328,14 +1291,14 @@ void QueueEventLoop::main_loop() {
     if (acted) {
       start_eligible();
       if (injector_ != nullptr) guard_sample();
-      if (redist_on_) try_regrant();
+      if (options_.redist.enabled) try_regrant();
       continue;
     }
 
     // 4. Nothing due at `now`: advance to the next instant anything happens.
     bool any_pending = false;
     double next = kInf;
-    for (const auto& r : running_) next = std::min(next, r.end_s);
+    for (const auto& r : running_) next = std::min(next, row_of(r).end_s);
     for (std::size_t j = 0; j < jobs_.size(); ++j) {
       if (state_[j] != State::kPending) continue;
       any_pending = true;
@@ -1346,7 +1309,7 @@ void QueueEventLoop::main_loop() {
         next = std::min(next, wakeups_[wakeup_idx_]);
       for (const auto& e : enforcements_) next = std::min(next, e.at_s);
     }
-    if (redist_on_) {
+    if (options_.redist.enabled) {
       if (!running_.empty()) next = std::min(next, next_tick_s_);
       for (const auto& c : pending_claws_) next = std::min(next, c.at_s);
     }
@@ -1368,13 +1331,11 @@ void QueueEventLoop::finalize() {
     auto& out = report_.jobs[j];
     out.app = jobs_[j].app.name;
     out.parameters = jobs_[j].app.parameters;
-    out.attempts = attempts_[j];
     out.completed = false;
     state_[j] = State::kFailed;
     ++report_.jobs_failed;
     obs::count(action_obs(), "queue.jobs_failed");
-    if (journal_ != nullptr)
-      jlog("fail", payload("job=", j, " reason=stranded"));
+    jlog("fail", "job=", j, " reason=stranded");
   }
 
   report_.makespan_s = 0.0;
@@ -1396,50 +1357,41 @@ void QueueEventLoop::finalize() {
                  report_.meter_reads_rejected);
   }
   report_.redist_regrants_rejected = guard_.regrants_rejected();
-  if (redist_on_) {
+  if (options_.redist.enabled) {
     obs::gauge_set(obs_, "redist.reclaimed_w", report_.redist_reclaimed_w);
     obs::gauge_set(obs_, "redist.granted_w", report_.redist_granted_w);
   }
   if (timeline_ != nullptr)
     timeline_->record("budget.violation_s", report_.makespan_s,
                       report_.violation_s);
-  if (journal_ != nullptr)
-    jlog("end", payload("makespan=", report_.makespan_s, " violation_s=",
-                        report_.violation_s));
+  jlog("end", "makespan=", report_.makespan_s, " violation_s=",
+       report_.violation_s);
   publish_status(false);
 }
 
 // --- degraded-mode state machine (docs/robustness.md) ----------------------
-// Only ever called when the plan contains blackout or budget-cut windows
-// (mode_faults_on_), so every other run never touches this path.
+// Without blackout or budget-cut windows in the plan the factor stays 1 and
+// the meters stay lit, so the loop never leaves NORMAL and changes nothing.
 
 void QueueEventLoop::update_mode() {
   const double factor = injector_->budget_cut_factor(now_);
-  const bool dark = injector_->meters_blacked_out(now_);
+  const DegradedMode before = mode();
+  meters_dark_ = injector_->meters_blacked_out(now_);
   if (factor != applied_factor_) {
-    effective_budget_ =
-        factor == 1.0 ? total_budget_ : total_budget_ * factor;
-    guard_.set_budget(Watts(effective_budget_));
-    if (factor < applied_factor_) brownout_clawback();
+    const bool cut = factor < applied_factor_;
     applied_factor_ = factor;
+    guard_.set_budget(Watts(effective_budget()));
+    if (cut) brownout_clawback();
   }
-  meters_dark_ = dark;
-  admission_paused_ = factor < 1.0;
-  const DegradedMode next_mode =
-      factor < 1.0
-          ? DegradedMode::kBudgetBrownout
-          : (dark ? DegradedMode::kMeterBlackout : DegradedMode::kNormal);
-  if (next_mode == mode_) return;
-  mode_ = next_mode;
+  const DegradedMode after = mode();
+  if (after == before) return;
   obs::count(action_obs(), "mode.transitions");
-  obs::gauge_set(action_obs(), "mode.current", static_cast<double>(mode_));
+  obs::gauge_set(action_obs(), "mode.current", static_cast<double>(after));
   if (timeline_ != nullptr) {
-    timeline_->event("mode", now_, to_string(mode_));
-    timeline_->record("mode.current", now_, static_cast<double>(mode_));
+    timeline_->event("mode", now_, to_string(after));
+    timeline_->record("mode.current", now_, static_cast<double>(after));
   }
-  if (journal_ != nullptr)
-    jlog("mode", payload("to=", to_string(mode_), " t=", now_, " factor=",
-                         factor));
+  jlog("mode", "to=", to_string(after), " t=", now_, " factor=", factor);
   publish_status(true);
 }
 
@@ -1449,36 +1401,38 @@ void QueueEventLoop::update_mode() {
 // honestly as violation-seconds against the cut budget).
 void QueueEventLoop::brownout_clawback() {
   double reserved = 0.0;
-  for (const auto& r : running_) reserved += r.power_w;
-  if (reserved <= effective_budget_) return;
-  const double ratio = effective_budget_ / reserved;
+  for (const auto& r : running_) reserved += row_of(r).budget_w;
+  const double budget = effective_budget();
+  if (reserved <= budget) return;
+  const double ratio = budget / reserved;
   for (auto& r : running_) {
-    if (r.crashed) continue;
+    const QueuedJobResult& out = row_of(r);
+    if (!out.completed) continue;
     const int n_nodes = static_cast<int>(r.node_ids.size());
     const double floor_w = options_.min_node_power_w * n_nodes;
-    const double new_slice = std::max(r.power_w * ratio, floor_w);
-    if (new_slice >= r.power_w) continue;
+    const double new_slice = std::max(out.budget_w * ratio, floor_w);
+    if (new_slice >= out.budget_w) continue;
     const core::ScheduleDecision cut = scheduler_->schedule_constrained(
         jobs_[r.job_index].app, Watts(new_slice), n_nodes);
     const sim::Measurement m1 =
         executor_->run_exact(jobs_[r.job_index].app, cut.cluster);
-    const double clawed = r.power_w - new_slice;
+    const double clawed = out.budget_w - new_slice;
     rebase_running(r, cut.cluster, m1, new_slice);
     obs::count(action_obs(), "mode.brownout_claws");
     if (timeline_ != nullptr)
       timeline_->event("mode", now_,
-                       "brownout-claw " + report_.jobs[r.job_index].app +
+                       "brownout-claw " + out.app +
                            " w=" + format_double(clawed, 1));
-    if (journal_ != nullptr)
-      jlog("brownout-claw", payload("job=", r.job_index, " w=", new_slice));
+    jlog("brownout-claw", "job=", r.job_index, " w=", new_slice);
   }
 }
 
 // --- journaling -------------------------------------------------------------
 
-void QueueEventLoop::jlog(std::string_view kind, std::string payload) {
+template <typename... Pieces>
+void QueueEventLoop::jlog(std::string_view kind, const Pieces&... pieces) {
   if (journal_ == nullptr) return;
-  append_or_verify(kind, std::move(payload));
+  append_or_verify(kind, render(pieces...));
   ++records_since_snapshot_;
 }
 
@@ -1488,7 +1442,6 @@ void QueueEventLoop::append_or_verify(std::string_view kind,
     const JournalRecord& expect = journal_->records()[replay_cursor_];
     if (expect.kind == kind && expect.payload == payload) {
       ++replay_cursor_;
-      if (replay_cursor_ >= replay_limit_) replaying_ = false;
       obs::count(obs_, "journal.replayed");
       return;
     }
@@ -1496,7 +1449,6 @@ void QueueEventLoop::append_or_verify(std::string_view kind,
     // could not catch. Salvage: truncate it, log the gap, append fresh.
     journal_->truncate(replay_cursor_);
     replay_limit_ = replay_cursor_;
-    replaying_ = false;
     obs::count(obs_, "journal.gaps");
     if (timeline_ != nullptr)
       timeline_->event("journal", now_,
@@ -1507,8 +1459,10 @@ void QueueEventLoop::append_or_verify(std::string_view kind,
   obs::count(obs_, "journal.records");
 }
 
-void QueueEventLoop::emit_snapshot() {
-  if (journal_ == nullptr) return;
+void QueueEventLoop::maybe_snapshot() {
+  if (journal_ == nullptr ||
+      records_since_snapshot_ < journal_->options().snapshot_every)
+    return;
   std::string snapshot;
   snapshot.reserve(1024 + 224 * running_.size());
   SnapshotWriter out(snapshot);
@@ -1518,19 +1472,13 @@ void QueueEventLoop::emit_snapshot() {
   obs::count(obs_, "journal.snapshots");
 }
 
-void QueueEventLoop::maybe_snapshot() {
-  if (journal_ == nullptr) return;
-  if (records_since_snapshot_ < journal_->options().snapshot_every) return;
-  emit_snapshot();
-}
-
 std::string QueueEventLoop::begin_payload() const {
   std::string os(kSnapshotFormat);
-  os += " budget=" + obs::format_exact(total_budget_) +
+  os += " budget=" + obs::format_exact(options_.cluster_budget.value()) +
         " nodes=" + std::to_string(total_nodes_) +
         " jobs=" + std::to_string(jobs_.size());
   os += options_.backfill ? " backfill=1" : " backfill=0";
-  os += redist_on_ ? " redist=1" : " redist=0";
+  os += options_.redist.enabled ? " redist=1" : " redist=0";
   os += injector_ != nullptr ? " injector=1" : " injector=0";
   os += timeline_ != nullptr ? " timeline=1" : " timeline=0";
   // Token appended only when tracing is on: journals written before tracing
@@ -1560,14 +1508,12 @@ std::string QueueEventLoop::admits_payload() const {
   return os;
 }
 
-QueueEventLoop::JobRow QueueEventLoop::job_row(State state, int attempts,
-                                               double eligible_s,
+QueueEventLoop::JobRow QueueEventLoop::job_row(State state, double eligible_s,
                                                const QueuedJobResult& r) {
   JobRow row;
   row.state = state;
-  row.attempts = attempts;
   row.nodes = r.nodes;
-  row.report_attempts = r.attempts;
+  row.attempts = r.attempts;
   row.crashed_node = r.crashed_node;
   row.completed = r.completed;
   row.doubles = {std::bit_cast<std::uint64_t>(eligible_s),
@@ -1579,26 +1525,13 @@ QueueEventLoop::JobRow QueueEventLoop::job_row(State state, int attempts,
   return row;
 }
 
-QueueEventLoop::JobRow QueueEventLoop::job_row(std::size_t j) const {
-  return job_row(state_[j], attempts_[j], eligible_s_[j], report_.jobs[j]);
-}
-
 template <typename IO>
 void QueueEventLoop::snapshot_fields(IO& io) {
   const long long last_node = total_nodes_ - 1;
   const auto last_job = static_cast<long long>(jobs_.size()) - 1;
-  io.token("init", init_done_);
   io.token("now", now_);
-  io.token("mode",
-           ranged(mode_, 0, static_cast<int>(DegradedMode::kBudgetBrownout),
-                  "mode"));
-  io.token("ebud", effective_budget_);
   io.token("factor", applied_factor_);
   io.token("dark", meters_dark_);
-  io.token("pause", admission_paused_);
-  io.token("alive", node_alive_);
-  io.token("busy", node_busy_);
-  io.token("pend", enforcement_pending_);
   io.token("faults", ranged(fault_idx_, 0,
                             static_cast<long long>(fault_events_.size()),
                             "fault cursor"));
@@ -1624,8 +1557,7 @@ void QueueEventLoop::snapshot_fields(IO& io) {
     const std::string n = std::to_string(k);
     io.token("run." + n,
              ranged(r.job_index, 0, last_job, "running job index"),
-             r.start_s, r.end_s, r.power_w, r.true_power_w, r.energy_j,
-             r.crashed, r.crashed_node, r.prof_s, r.full_energy_j,
+             r.energy_j, r.crashed_node, r.prof_s, r.full_energy_j,
              r.frac_done, r.change_s, r.ff_remaining);
     io.list("ids." + n, '/', r.node_ids,
             [&](int& id) { io(ranged(id, 0, last_node, "node id")); });
@@ -1672,14 +1604,14 @@ void QueueEventLoop::snapshot_fields(IO& io) {
     double draw_w;
   };
   std::vector<Sample> samples;
-  if (!IO::kReads && redist_on_)
+  if (!IO::kReads && options_.redist.enabled)
     for (const std::string& name : detector_.samples().series_names())
       for (const auto& p : detector_.samples().samples(name))
         // Series are named node<N>.power_w: the node id is embedded.
         samples.push_back({std::atoi(name.c_str() + 4), p.t_s, p.value});
   io.list("det", ',', samples,
           [&](Sample& d) { io(d.node, d.t_s, d.draw_w); },
-          redist_on_ ? Blank::kEmpty : Blank::kAbsent);
+          options_.redist.enabled ? Blank::kEmpty : Blank::kAbsent);
   io.timeline("tl", timeline_, snap_mark_);
   if (IO::kReads) {
     guard_.restore_counters(violation_s, violation_ws, rejected_reads,
@@ -1693,16 +1625,16 @@ void QueueEventLoop::snapshot_fields(IO& io) {
 
 template <typename IO>
 void QueueEventLoop::row_delta(IO& io) {
-  // Written: the jobs whose state, attempts, eligibility or report row
-  // changed since the previous snapshot, against a baseline that starts as
-  // the constructor left every job — the state recovery's fold starts from.
+  // Written: the jobs whose state, eligibility or report row changed since
+  // the previous snapshot, against a baseline that starts as the
+  // constructor left every job — the state recovery's fold starts from.
   std::vector<std::size_t> changed;
   if (!IO::kReads) {
     if (snap_rows_.empty())
       snap_rows_.assign(jobs_.size(),
-                        job_row(State::kPending, 0, 0.0, QueuedJobResult{}));
+                        job_row(State::kPending, 0.0, unplaced_row()));
     for (std::size_t j = 0; j < jobs_.size(); ++j) {
-      const JobRow row = job_row(j);
+      const JobRow row = job_row(state_[j], eligible_s_[j], report_.jobs[j]);
       if (row == snap_rows_[j]) continue;
       snap_rows_[j] = row;
       changed.push_back(j);
@@ -1713,8 +1645,8 @@ void QueueEventLoop::row_delta(IO& io) {
     io(ranged(j, 0, last_job, "job row index"));
     QueuedJobResult& out = report_.jobs[j];
     io(ranged(state_[j], 0, static_cast<int>(State::kFailed), "job state"),
-       attempts_[j], eligible_s_[j], out.submit_s, out.start_s, out.end_s,
-       out.nodes, out.budget_w, out.power_w, out.attempts, out.completed,
+       eligible_s_[j], out.submit_s, out.start_s, out.end_s, out.nodes,
+       out.budget_w, out.power_w, out.attempts, out.completed,
        out.crashed_node);
   }, Blank::kDash);
 }
@@ -1732,17 +1664,27 @@ void QueueEventLoop::restore_state(std::size_t snap) {
   }
   SnapshotReader in(records[snap].payload);
   snapshot_fields(in);
+  // Occupancy is read off the placements: no node may be held twice.
+  std::vector<bool> held(static_cast<std::size_t>(total_nodes_), false);
+  for (const Running& r : running_)
+    for (const int n : r.node_ids) {
+      CLIP_REQUIRE(!held[static_cast<std::size_t>(n)],
+                   "snapshot holds node " + std::to_string(n) +
+                       " in two running placements");
+      held[static_cast<std::size_t>(n)] = true;
+    }
   for (std::size_t j = 0; j < jobs_.size(); ++j) {
     // Strings are re-derived, not serialized: a job has its names set from
     // the instant its first placement started.
-    if (attempts_[j] > 0) {
+    if (report_.jobs[j].attempts > 0) {
       report_.jobs[j].app = jobs_[j].app.name;
       report_.jobs[j].parameters = jobs_[j].app.parameters;
     }
   }
   // The next snapshot's deltas start from here, as the dying run's did.
   snap_rows_.resize(jobs_.size());
-  for (std::size_t j = 0; j < jobs_.size(); ++j) snap_rows_[j] = job_row(j);
+  for (std::size_t j = 0; j < jobs_.size(); ++j)
+    snap_rows_[j] = job_row(state_[j], eligible_s_[j], report_.jobs[j]);
   if (timeline_ != nullptr) snap_mark_ = timeline_->mark();
 }
 
@@ -1756,7 +1698,8 @@ void QueueEventLoop::rederive_running() {
   for (const Running& r : running_) {
     const fault::RunResolution res =
         injector_->resolve(r.change_s, r.ff_remaining, r.node_ids);
-    CLIP_ENSURE(res.end_s == r.end_s && res.crashed == r.crashed &&
+    CLIP_ENSURE(res.end_s == row_of(r).end_s &&
+                    res.crashed == !row_of(r).completed &&
                     res.crashed_node == r.crashed_node,
                 "recovered placement does not re-derive under the fault plan "
                 "(job " + std::to_string(r.job_index) + ")");

@@ -201,22 +201,40 @@ enum class DegradedMode {
 /// comment and runtime/journal.hpp for the recovery contract.
 class QueueEventLoop {
  public:
-  /// Validates options and jobs exactly as PowerAwareJobQueue does.
+  /// Throws PreconditionError on invalid options, an empty job stream, or
+  /// a job requesting more nodes than the cluster has. The jobs are
+  /// submitted at t=0 in FCFS order.
   QueueEventLoop(sim::SimExecutor& executor, core::ClipScheduler& scheduler,
                  QueueOptions options, std::vector<QueueJob> jobs);
   ~QueueEventLoop();  ///< out-of-line: owns the telemetry server by unique_ptr
 
-  /// Attachments — same contracts as PowerAwareJobQueue's setters.
+  /// Attach an observability session (nullptr detaches): `queue.depth` /
+  /// `queue.running` gauges track the event loop, each start attempt emits
+  /// a "queue.try_start" span, and per-job waits (simulated seconds, so
+  /// deterministic) feed the `queue.job_wait_s` histogram. Fault handling
+  /// adds the fault.* / queue.retries / budget.* series of
+  /// docs/observability.md.
   void set_observer(obs::ObsSession* obs) { obs_ = obs; }
+  /// Attach a fault injector (nullptr detaches; not owned, must outlive the
+  /// run). The injector's cap-violation windows are mutated by guard
+  /// claw-backs, so attach a fresh injector per run.
   void set_fault_injector(fault::FaultInjector* injector) {
     injector_ = injector;
   }
+  /// Attach a flight recorder (nullptr detaches; not owned). The event loop
+  /// records, on the simulated-seconds axis: `queue.depth` / `queue.running`
+  /// / `budget.free_w` at every scheduling pass, per-node `node<N>.power_w`
+  /// / `node<N>.cap_w` steps at job start/finish (and the guard's sampled
+  /// true draw under faults), `fault.active` plus a labeled `fault` event
+  /// stream for injected events and claw-backs, and a `job` event stream
+  /// (start/finish/crash/requeue/fail). With no timeline attached every
+  /// hook is one branch and the run is byte-identical to before.
   void set_timeline(obs::Timeline* timeline) { timeline_ = timeline; }
   /// Attach a write-ahead journal (nullptr detaches; not owned). Every
   /// state-changing event appends one record and the loop state is
   /// snapshotted every JournalOptions::snapshot_every records. With no
-  /// journal attached every hook is one branch and the run is
-  /// byte-identical to the unjournaled queue.
+  /// journal attached no record is assembled and the run is byte-identical
+  /// to the unjournaled queue.
   void set_journal(Journal* journal) { journal_ = journal; }
 
   /// Run the job stream to completion (single-shot: throws on reuse).
@@ -232,36 +250,31 @@ class QueueEventLoop {
   /// executor, scheduler, options and jobs as the run that wrote the
   /// journal, and given fresh injector/timeline attachments (their state is
   /// restored from the snapshots). A journal whose `begin` does not name
-  /// this build's snapshot format is refused with an error naming it. A
+  /// this build's snapshot format, or whose latest snapshot has two
+  /// placements holding one node, is refused with an error naming it. A
   /// journal with no snapshot yet restarts from scratch. Single-shot, like
   /// run().
   [[nodiscard]] QueueReport recover(Journal& journal);
 
-  /// Mode the loop was in when it finished (kNormal unless a blackout or
-  /// budget-cut window was still open at the end of the run).
-  [[nodiscard]] DegradedMode mode() const { return mode_; }
+  /// The loop's degraded mode: BUDGET_BROWNOUT while a budget cut is
+  /// applied, else METER_BLACKOUT while the meters are dark, else NORMAL.
+  /// After a run, kNormal unless a blackout or budget-cut window was still
+  /// open at its end.
+  [[nodiscard]] DegradedMode mode() const;
 
   /// The loop-owned telemetry server: non-null only while a run started
   /// with QueueOptions::telemetry_port >= 0 is alive. Tests and `clipctl
   /// serve` read the bound port (and poke endpoints) through it.
   [[nodiscard]] obs::TelemetryServer* telemetry_server() const;
 
-  /// The TraceContext minted for job `j` (invalid context when tracing is
-  /// off or the run has not been prepared yet).
-  [[nodiscard]] obs::TraceContext trace_of(std::size_t j) const {
-    return j < traces_.size() ? traces_[j] : obs::TraceContext{};
-  }
-
  private:
+  /// A placement in flight. Its start, end (the abort instant if it
+  /// crashes), reserved slice, measured draw and fate live in the job's
+  /// report row (row_of): start_s, end_s, budget_w, power_w, !completed.
   struct Running {
     std::size_t job_index = 0;
-    double start_s = 0.0;
-    double end_s = 0.0;        ///< completion, or the abort instant if crashed
     std::vector<int> node_ids;
-    double power_w = 0.0;      ///< reserved slice
-    double true_power_w = 0.0; ///< exact measured draw
     double energy_j = 0.0;     ///< billed run energy (adjusted on abort/re-base)
-    bool crashed = false;
     int crashed_node = -1;
     // --- redistribution bookkeeping (inert stores while redist is off) ----
     sim::ClusterConfig config;   ///< caps/threads the job currently runs under
@@ -272,14 +285,13 @@ class QueueEventLoop {
     double ff_remaining = 0.0;   ///< fault-free work seconds left at change_s
   };
   enum class State { kPending, kRunning, kDone, kFailed };
-  /// One job's row as snapshots carry it: queue state, attempts,
-  /// eligibility and report row. Doubles are held as their bits, so -0.0
-  /// and 0.0 differ, as their renderings do.
+  /// One job's row as snapshots carry it: queue state, eligibility and
+  /// report row. Doubles are held as their bits, so -0.0 and 0.0 differ, as
+  /// their renderings do.
   struct JobRow {
     State state = State::kPending;
-    int attempts = 0;
     int nodes = 0;
-    int report_attempts = 0;
+    int attempts = 0;
     int crashed_node = 0;
     bool completed = false;
     /// eligible_s, submit_s, start_s, end_s, budget_w, power_w
@@ -307,7 +319,17 @@ class QueueEventLoop {
     std::size_t index;
   };
 
-  // --- the event loop (former PowerAwareJobQueue::run lambdas) ------------
+  // --- the event loop -----------------------------------------------------
+  [[nodiscard]] QueuedJobResult& row_of(const Running& r) {
+    return report_.jobs[r.job_index];
+  }
+  [[nodiscard]] const QueuedJobResult& row_of(const Running& r) const {
+    return report_.jobs[r.job_index];
+  }
+  /// The facility budget scaled by the budget-cut factor in effect.
+  [[nodiscard]] double effective_budget() const {
+    return options_.cluster_budget.value() * applied_factor_;
+  }
   [[nodiscard]] int free_nodes() const;
   [[nodiscard]] double free_power() const;
   [[nodiscard]] std::vector<int> active_node_ids() const;
@@ -333,7 +355,6 @@ class QueueEventLoop {
   bool finish_one_due();
   void prepare_run();
   [[nodiscard]] QueueReport run_fresh();
-  void init_pass();
   void main_loop();
   void finalize();
 
@@ -350,20 +371,20 @@ class QueueEventLoop {
   /// re-built from the snapshot and journal counters describe recovery
   /// itself).
   [[nodiscard]] obs::ObsSession* action_obs() const {
-    return replaying_ ? nullptr : obs_;
+    return replay_cursor_ < replay_limit_ ? nullptr : obs_;
   }
-  /// " trace=<16hex>" for job `j` when tracing is on; "" otherwise. The
-  /// shared suffix format keeps journal payloads and timeline labels
-  /// greppable by one token.
-  [[nodiscard]] std::string trace_suffix(std::size_t j) const;
   /// Push a fresh StatusSnapshot into the telemetry server (one branch
   /// when no server is attached).
   void publish_status(bool run_active);
 
   // --- journaling ----------------------------------------------------------
-  void jlog(std::string_view kind, std::string payload);
+  /// Journal one record whose payload is `pieces` rendered in order; with
+  /// no journal attached no piece is rendered.
+  template <typename... Pieces>
+  void jlog(std::string_view kind, const Pieces&... pieces);
   void append_or_verify(std::string_view kind, std::string payload);
-  void emit_snapshot();
+  /// Snapshot the loop state once JournalOptions::snapshot_every records
+  /// have been appended since the previous snapshot.
   void maybe_snapshot();
   [[nodiscard]] std::string begin_payload() const;
   [[nodiscard]] std::string admits_payload() const;
@@ -379,10 +400,8 @@ class QueueEventLoop {
   /// Fold the row and timeline deltas of every snapshot before record
   /// `snap` in order, then restore record `snap` whole.
   void restore_state(std::size_t snap);
-  [[nodiscard]] static JobRow job_row(State state, int attempts,
-                                      double eligible_s,
+  [[nodiscard]] static JobRow job_row(State state, double eligible_s,
                                       const QueuedJobResult& r);
-  [[nodiscard]] JobRow job_row(std::size_t j) const;
   void rederive_running();
 
   sim::SimExecutor* executor_;
@@ -395,45 +414,36 @@ class QueueEventLoop {
   Journal* journal_ = nullptr;
 
   int total_nodes_;
-  double total_budget_;
   fault::BudgetGuard guard_;
   SlackDetector detector_;
   Redistributor redistributor_;
 
   bool started_ = false;
-  bool init_done_ = false;
   QueueReport report_;
   std::vector<State> state_;
-  std::vector<int> attempts_;
   std::vector<double> eligible_s_;
+  /// Placements in flight. A node is busy iff one of them holds it, and
+  /// alive iff report_.crashed_nodes does not name it.
   std::vector<Running> running_;
-  std::vector<bool> node_alive_;
-  std::vector<bool> node_busy_;
   double now_ = 0.0;
-  const fault::FaultPlan* plan_ = nullptr;
   std::vector<FaultEvent> fault_events_;  ///< the plan, stable-sorted by time
   std::size_t fault_idx_ = 0;             ///< events announced so far
-  std::vector<Enforcement> enforcements_;  ///< scheduled cap claw-backs
+  /// Scheduled cap claw-backs; a node has one pending iff one names it.
+  std::vector<Enforcement> enforcements_;
   std::vector<double> retry_wakeups_;      ///< backoff expiry instants
-  std::vector<bool> enforcement_pending_;
-  bool redist_on_ = false;
   std::vector<PendingClaw> pending_claws_;
   double next_tick_s_ = 0.0;
   std::vector<double> wakeups_;
   std::size_t wakeup_idx_ = 0;
 
-  // Degraded-mode state. effective_budget_ == the facility budget unless a
-  // BudgetCut window is active; free_power() is computed against it.
-  bool mode_faults_on_ = false;
-  DegradedMode mode_ = DegradedMode::kNormal;
-  double effective_budget_;
+  // Degraded-mode state: mode() and effective_budget() are computed from
+  // these two, which update_mode() sets from the fault plan.
   double applied_factor_ = 1.0;  ///< budget-cut factor currently applied
   bool meters_dark_ = false;
-  bool admission_paused_ = false;
 
   // Journal replay window during recover(): records [replay_cursor_,
   // replay_limit_) are verified against re-derived events before the loop
-  // starts appending fresh ones.
+  // starts appending fresh ones; action_obs() is nullptr while it is open.
   std::size_t replay_cursor_ = 0;
   std::size_t replay_limit_ = 0;
   int records_since_snapshot_ = 0;
@@ -442,69 +452,12 @@ class QueueEventLoop {
   // the first snapshot, so a loop with no journal never allocates them.
   std::vector<JobRow> snap_rows_;
   obs::TimelineMark snap_mark_;
-  /// True while records [replay_cursor_, replay_limit_) are being verified:
-  /// action_obs() is nullptr so replay never double-counts.
-  bool replaying_ = false;
 
   // Live observability: per-job causal ids (empty with tracing off) and the
   // loop-owned telemetry server (null with telemetry_port < 0).
   std::vector<obs::TraceContext> traces_;
   std::unique_ptr<obs::TelemetryServer> telemetry_;
   std::uint32_t publish_tick_ = 0;  ///< throttles steady-state /status pushes
-};
-
-/// Facade over QueueEventLoop: validates once, then constructs a fresh
-/// single-shot loop per run() call with the current attachments forwarded.
-class PowerAwareJobQueue {
- public:
-  PowerAwareJobQueue(sim::SimExecutor& executor,
-                     core::ClipScheduler& scheduler,
-                     QueueOptions options = QueueOptions{});
-
-  /// Run all jobs (submitted at t=0, FCFS order) to completion and report.
-  [[nodiscard]] QueueReport run(
-      const std::vector<workloads::WorkloadSignature>& jobs);
-
-  /// As above, with per-job placement constraints.
-  [[nodiscard]] QueueReport run(const std::vector<QueueJob>& jobs);
-
-  /// Attach an observability session (nullptr detaches): `queue.depth` /
-  /// `queue.running` gauges track the event loop, each start attempt emits
-  /// a "queue.try_start" span, and per-job waits (simulated seconds, so
-  /// deterministic) feed the `queue.job_wait_s` histogram. Fault handling
-  /// adds the fault.* / queue.retries / budget.* series of
-  /// docs/observability.md.
-  void set_observer(obs::ObsSession* obs) { obs_ = obs; }
-
-  /// Attach a fault injector (nullptr detaches; not owned, must outlive the
-  /// run). The injector's cap-violation windows are mutated by guard
-  /// claw-backs, so attach a fresh injector per run.
-  void set_fault_injector(fault::FaultInjector* injector) {
-    injector_ = injector;
-  }
-
-  /// Attach a flight recorder (nullptr detaches; not owned). The event loop
-  /// records, on the simulated-seconds axis: `queue.depth` / `queue.running`
-  /// / `budget.free_w` at every scheduling pass, per-node `node<N>.power_w`
-  /// / `node<N>.cap_w` steps at job start/finish (and the guard's sampled
-  /// true draw under faults), `fault.active` plus a labeled `fault` event
-  /// stream for injected events and claw-backs, and a `job` event stream
-  /// (start/finish/crash/requeue/fail). With no timeline attached every
-  /// hook is one branch and the run is byte-identical to before.
-  void set_timeline(obs::Timeline* timeline) { timeline_ = timeline; }
-
-  /// Attach a write-ahead journal (nullptr detaches; not owned) — see
-  /// QueueEventLoop::set_journal and runtime/journal.hpp.
-  void set_journal(Journal* journal) { journal_ = journal; }
-
- private:
-  sim::SimExecutor* executor_;
-  core::ClipScheduler* scheduler_;
-  QueueOptions options_;
-  obs::ObsSession* obs_ = nullptr;
-  fault::FaultInjector* injector_ = nullptr;
-  obs::Timeline* timeline_ = nullptr;
-  Journal* journal_ = nullptr;
 };
 
 /// Reference policy: one job at a time with the whole budget (what a

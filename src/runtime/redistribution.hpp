@@ -9,7 +9,7 @@
 // recovers that makespan; Subramaniam & Feng's subsystem-level power
 // management motivates extending the shift to the PKG↔DRAM boundary inside
 // a node. This header is that loop's policy layer, used by
-// runtime::PowerAwareJobQueue (docs/power-redistribution.md):
+// runtime::QueueEventLoop (docs/power-redistribution.md):
 //
 //   * SlackDetector — estimates per-node slack watts under the current cap
 //     from recent power samples (kept in a private, ring-bounded

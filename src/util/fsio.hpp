@@ -14,10 +14,13 @@
 namespace clip {
 
 /// Durably replace `path` with `contents`: write `<path>.tmp`, fsync, then
-/// atomically rename onto `path` (creating parent directories first). A kill
-/// at any instant leaves either the previous file or the new one — never a
-/// prefix. A stale `<path>.tmp` from an earlier kill is simply overwritten.
-/// Throws clip::PreconditionError on I/O failure.
+/// atomically rename onto `path` and fsync the directory (creating parent
+/// directories first). A kill at any instant leaves either the previous file
+/// or the new one — never a prefix. A stale `<path>.tmp` from an earlier
+/// kill is simply overwritten. On POSIX the whole sequence holds an
+/// exclusive flock() on the parent directory, so concurrent writers of one
+/// directory (threads or processes) serialize and each publishes its
+/// complete contents. Throws clip::PreconditionError on I/O failure.
 void atomic_write_file(const std::filesystem::path& path,
                        std::string_view contents);
 

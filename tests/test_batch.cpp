@@ -256,29 +256,33 @@ TEST(BatchCache, ReplayedFrontierIsRecomputedNotStored) {
 }
 
 TEST(BatchCache, InFrontierDuplicatesComputeOnce) {
-  sim::SimExecutor ex(sim::MachineSpec{}, no_noise());
-  sim::ExactRunCache cache;
-  obs::ObsSession session;
-  ex.set_exact_cache(&cache);
-  ex.set_observer(&session);
+  // Two frontiers: a typical narrow one, deduped by scanning the uniques,
+  // and one wider than 64 points, deduped through the ordered map.
+  for (const std::size_t uniques : {std::size_t{6}, std::size_t{70}}) {
+    sim::SimExecutor ex(sim::MachineSpec{}, no_noise());
+    sim::ExactRunCache cache;
+    obs::ObsSession session;
+    ex.set_exact_cache(&cache);
+    ex.set_observer(&session);
 
-  const auto w = *workloads::find_benchmark("BT-MZ");
-  Rng rng(0x99u);
-  const sim::ClusterConfig base = random_base(rng, ex.spec());
-  std::vector<sim::CapPoint> caps = random_caps(rng, 6);
-  // Alias half the frontier onto the first points (the oracle's
-  // demand-tight cap landing on a grid point, writ large).
-  caps.push_back(caps[0]);
-  caps.push_back(caps[2]);
-  caps.push_back(caps[0]);
+    const auto w = *workloads::find_benchmark("BT-MZ");
+    Rng rng(0x99u);
+    const sim::ClusterConfig base = random_base(rng, ex.spec());
+    std::vector<sim::CapPoint> caps = random_caps(rng, uniques);
+    // Alias points onto earlier ones (the oracle's demand-tight cap
+    // landing on a grid point, writ large): (alias index, original index).
+    const std::vector<std::pair<std::size_t, std::size_t>> aliases = {
+        {uniques, 0}, {uniques + 1, 2}, {uniques + 2, 0}};
+    for (const auto& [alias, original] : aliases)
+      caps.push_back(caps[original]);
 
-  const std::vector<Seconds> r = ex.run_batch(w, base, caps);
-  EXPECT_EQ(counter(session, "sim.runs"), 6u);
-  EXPECT_EQ(counter(session, "sim.exact_cache_misses"), 0u);
-  EXPECT_EQ(counter(session, "sim.exact_cache_hits"), 0u);
-  expect_bits(r[6].value(), r[0].value(), "alias time");
-  expect_bits(r[7].value(), r[2].value(), "alias time");
-  expect_bits(r[8].value(), r[0].value(), "alias time");
+    const std::vector<Seconds> r = ex.run_batch(w, base, caps);
+    EXPECT_EQ(counter(session, "sim.runs"), uniques) << uniques;
+    EXPECT_EQ(counter(session, "sim.exact_cache_misses"), 0u);
+    EXPECT_EQ(counter(session, "sim.exact_cache_hits"), 0u);
+    for (const auto& [alias, original] : aliases)
+      expect_bits(r[alias].value(), r[original].value(), "alias time");
+  }
 }
 
 // ------------------------------------------------------------ exact_time ----

@@ -25,6 +25,14 @@ class ExtensionTest : public ::testing::Test {
   core::ClipScheduler sched_{ex_, workloads::training_benchmarks()};
 };
 
+/// `apps` as a job stream, CLIP picking every node count.
+std::vector<runtime::QueueJob> as_jobs(
+    const std::vector<workloads::WorkloadSignature>& apps) {
+  std::vector<runtime::QueueJob> jobs;
+  for (const auto& w : apps) jobs.push_back({w, 0});
+  return jobs;
+}
+
 // --------------------------------------------------------- phased workloads ----
 
 TEST(PhasedWorkload, CatalogEntriesValidate) {
@@ -222,9 +230,9 @@ TEST_F(ExtensionTest, ConstrainedValidatesArguments) {
 TEST_F(ExtensionTest, QueueRunsEveryJob) {
   runtime::QueueOptions opt;
   opt.cluster_budget = Watts(800.0);
-  runtime::PowerAwareJobQueue queue(ex_, sched_, opt);
   const auto jobs = workloads::paper_benchmarks();
-  const auto report = queue.run(jobs);
+  runtime::QueueEventLoop queue(ex_, sched_, opt, as_jobs(jobs));
+  const auto report = queue.run();
   ASSERT_EQ(report.jobs.size(), jobs.size());
   for (const auto& j : report.jobs) {
     EXPECT_GT(j.end_s, j.start_s) << j.app;
@@ -235,8 +243,9 @@ TEST_F(ExtensionTest, QueueRunsEveryJob) {
 TEST_F(ExtensionTest, QueueNeverExceedsClusterBudgetOrNodes) {
   runtime::QueueOptions opt;
   opt.cluster_budget = Watts(700.0);
-  runtime::PowerAwareJobQueue queue(ex_, sched_, opt);
-  const auto report = queue.run(workloads::paper_benchmarks());
+  runtime::QueueEventLoop queue(ex_, sched_, opt,
+                                as_jobs(workloads::paper_benchmarks()));
+  const auto report = queue.run();
   // Sweep time: at every job start, sum the power/nodes of overlapping jobs.
   for (const auto& a : report.jobs) {
     double watts = 0.0;
@@ -259,8 +268,8 @@ TEST_F(ExtensionTest, PackingBeatsSerialAtTightBudgets) {
       runtime::run_serially(ex_, sched_, budget, jobs);
   runtime::QueueOptions opt;
   opt.cluster_budget = budget;
-  runtime::PowerAwareJobQueue queue(ex_, sched_, opt);
-  const auto packed = queue.run(jobs);
+  runtime::QueueEventLoop queue(ex_, sched_, opt, as_jobs(jobs));
+  const auto packed = queue.run();
   EXPECT_LT(packed.makespan_s, serial.makespan_s);
   EXPECT_LE(packed.mean_turnaround_s, serial.mean_turnaround_s);
 }
@@ -273,10 +282,12 @@ TEST_F(ExtensionTest, BackfillNeverHurtsMakespan) {
   runtime::QueueOptions backfill = strict;
   backfill.backfill = true;
   const double strict_makespan =
-      runtime::PowerAwareJobQueue(ex_, sched_, strict).run(jobs).makespan_s;
+      runtime::QueueEventLoop(ex_, sched_, strict, as_jobs(jobs))
+          .run()
+          .makespan_s;
   const double backfill_makespan =
-      runtime::PowerAwareJobQueue(ex_, sched_, backfill)
-          .run(jobs)
+      runtime::QueueEventLoop(ex_, sched_, backfill, as_jobs(jobs))
+          .run()
           .makespan_s;
   EXPECT_LE(backfill_makespan, strict_makespan * 1.001);
 }
@@ -284,9 +295,11 @@ TEST_F(ExtensionTest, BackfillNeverHurtsMakespan) {
 TEST_F(ExtensionTest, QueueReportAccounting) {
   runtime::QueueOptions opt;
   opt.cluster_budget = Watts(900.0);
-  runtime::PowerAwareJobQueue queue(ex_, sched_, opt);
-  const auto report = queue.run(
-      {*workloads::find_benchmark("CoMD"), *workloads::find_benchmark("EP")});
+  runtime::QueueEventLoop queue(
+      ex_, sched_, opt,
+      as_jobs({*workloads::find_benchmark("CoMD"),
+               *workloads::find_benchmark("EP")}));
+  const auto report = queue.run();
   EXPECT_GT(report.makespan_s, 0.0);
   EXPECT_GT(report.total_energy_j, 0.0);
   EXPECT_GT(report.node_utilization(), 0.0);
@@ -295,12 +308,11 @@ TEST_F(ExtensionTest, QueueReportAccounting) {
 
 TEST_F(ExtensionTest, QueueValidatesInput) {
   runtime::QueueOptions opt;
-  runtime::PowerAwareJobQueue queue(ex_, sched_, opt);
-  EXPECT_THROW(
-      (void)queue.run(std::vector<workloads::WorkloadSignature>{}),
-      PreconditionError);
+  EXPECT_THROW(runtime::QueueEventLoop(ex_, sched_, opt, {}),
+               PreconditionError);
   opt.cluster_budget = Watts(0.0);
-  EXPECT_THROW(runtime::PowerAwareJobQueue(ex_, sched_, opt),
+  EXPECT_THROW(runtime::QueueEventLoop(ex_, sched_, opt,
+                                       as_jobs(workloads::paper_benchmarks())),
                PreconditionError);
 }
 

@@ -25,6 +25,7 @@
 #include "sim/executor.hpp"
 #include "sim/power_meter.hpp"
 #include "util/check.hpp"
+#include "util/rng.hpp"
 #include "workloads/catalog.hpp"
 #include "temp_path.hpp"
 
@@ -77,7 +78,9 @@ QueueRun run_queue(const std::vector<workloads::WorkloadSignature>& jobs,
   sim::SimExecutor ex{sim::MachineSpec{}, no_noise()};
   core::ClipScheduler sched{ex, workloads::training_benchmarks()};
   obs::ObsSession session;
-  runtime::PowerAwareJobQueue queue(ex, sched, opt);
+  std::vector<runtime::QueueJob> queued;
+  for (const auto& w : jobs) queued.push_back({w, 0});
+  runtime::QueueEventLoop queue(ex, sched, opt, queued);
   queue.set_observer(&session);
   std::optional<fault::FaultInjector> injector;
   if (plan != nullptr) {
@@ -85,7 +88,7 @@ QueueRun run_queue(const std::vector<workloads::WorkloadSignature>& jobs,
     queue.set_fault_injector(&*injector);
   }
   QueueRun out;
-  out.report = queue.run(jobs);
+  out.report = queue.run();
   out.report_fp = fingerprint(out.report);
   out.metrics_fp = metrics_fingerprint(session);
   return out;
@@ -207,6 +210,38 @@ TEST(FaultInjector, ResolveDegradeStretchesPiecewise) {
   EXPECT_DOUBLE_EQ(mixed.end_s, 300.0);
 }
 
+TEST(FaultInjector, WorkDoneInvertsResolve) {
+  // work_done_s runs resolve's stretching backwards: by its resolved end a
+  // placement has done exactly the work it was given, whether its nodes
+  // degrade before, during or after the run, singly or stacked.
+  fault::FaultPlanShape shape;
+  shape.crashes = 0;
+  shape.meter_faults = 0;
+  shape.cap_violations = 0;
+  Rng rng(0x1A7Eu);
+  int stretched = 0;
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    shape.degrades = static_cast<int>(seed % 6) + 1;
+    const fault::FaultInjector inj(
+        fault::FaultPlan::random(seed, 8, 400.0, shape), 8);
+    for (int trial = 0; trial < 10; ++trial) {
+      const double start = rng.uniform(0.0, 300.0);
+      const double work = rng.uniform(1.0, 200.0);
+      std::vector<int> nodes;
+      for (int n = 0; n < 8; ++n)
+        if (rng.uniform() < 0.4) nodes.push_back(n);
+      if (nodes.empty()) nodes.push_back(trial % 8);
+      const fault::RunResolution res = inj.resolve(start, work, nodes);
+      ASSERT_FALSE(res.crashed);
+      if (res.end_s > start + work) ++stretched;
+      EXPECT_NEAR(inj.work_done_s(start, res.end_s, nodes), work,
+                  1e-12 * work)
+          << "seed " << seed << " trial " << trial;
+    }
+  }
+  EXPECT_GT(stretched, 50);  // the degrades really stretched most runs
+}
+
 TEST(FaultInjector, MeterCorruptionIsWindowed) {
   fault::FaultPlan plan;
   plan.meter_faults.push_back(
@@ -310,11 +345,13 @@ TEST(ResilientQueue, SurvivesTwoOfEightNodeCrashes) {
   sim::SimExecutor ex{sim::MachineSpec{}, no_noise()};
   core::ClipScheduler sched{ex, workloads::training_benchmarks()};
   obs::ObsSession session;
-  runtime::PowerAwareJobQueue queue(ex, sched, opt);
+  std::vector<runtime::QueueJob> queued;
+  for (const auto& w : jobs) queued.push_back({w, 0});
+  runtime::QueueEventLoop queue(ex, sched, opt, queued);
   queue.set_observer(&session);
   fault::FaultInjector injector(plan, ex.spec().nodes);
   queue.set_fault_injector(&injector);
-  const auto report = queue.run(jobs);
+  const auto report = queue.run();
 
   // Acceptance scenario: every job completes despite losing 2 of 8 nodes.
   EXPECT_EQ(report.jobs_completed(), jobs.size());
@@ -453,33 +490,36 @@ TEST(ResilientQueue, ValidationNamesTheOffendingField) {
     }
     return {};
   };
+  const std::vector<runtime::QueueJob> ep = {
+      runtime::QueueJob{*workloads::find_benchmark("EP"), 0}};
   runtime::QueueOptions opt;
   opt.cluster_budget = Watts(0.0);
   EXPECT_NE(message_of([&] {
-              runtime::PowerAwareJobQueue q(ex, sched, opt);
+              runtime::QueueEventLoop q(ex, sched, opt, ep);
             }).find("cluster_budget"),
             std::string::npos);
   opt.cluster_budget = Watts(-5.0);
   EXPECT_NE(message_of([&] {
-              runtime::PowerAwareJobQueue q(ex, sched, opt);
+              runtime::QueueEventLoop q(ex, sched, opt, ep);
             }).find("cluster_budget"),
             std::string::npos);
   opt.cluster_budget = Watts(100.0);
   opt.min_node_power_w = -1.0;
   EXPECT_NE(message_of([&] {
-              runtime::PowerAwareJobQueue q(ex, sched, opt);
+              runtime::QueueEventLoop q(ex, sched, opt, ep);
             }).find("min_node_power_w"),
             std::string::npos);
   opt.min_node_power_w = 200.0;  // exceeds the 100 W budget
   EXPECT_NE(message_of([&] {
-              runtime::PowerAwareJobQueue q(ex, sched, opt);
+              runtime::QueueEventLoop q(ex, sched, opt, ep);
             }).find("min_node_power_w"),
             std::string::npos);
   runtime::QueueOptions ok;
   ok.cluster_budget = Watts(700.0);
-  runtime::PowerAwareJobQueue queue(ex, sched, ok);
   const std::string msg = message_of([&] {
-    (void)queue.run({runtime::QueueJob{*workloads::find_benchmark("EP"), 99}});
+    runtime::QueueEventLoop q(
+        ex, sched, ok,
+        {runtime::QueueJob{*workloads::find_benchmark("EP"), 99}});
   });
   EXPECT_NE(msg.find("requested_nodes"), std::string::npos);
   EXPECT_NE(msg.find("99"), std::string::npos);
@@ -490,9 +530,9 @@ TEST(ResilientQueue, RequestedNodesIsHonored) {
   core::ClipScheduler sched{ex, workloads::training_benchmarks()};
   runtime::QueueOptions opt;
   opt.cluster_budget = Watts(900.0);
-  runtime::PowerAwareJobQueue queue(ex, sched, opt);
-  const auto report =
-      queue.run({runtime::QueueJob{*workloads::find_benchmark("CoMD"), 2}});
+  runtime::QueueEventLoop queue(
+      ex, sched, opt, {runtime::QueueJob{*workloads::find_benchmark("CoMD"), 2}});
+  const auto report = queue.run();
   ASSERT_EQ(report.jobs.size(), 1u);
   EXPECT_EQ(report.jobs[0].nodes, 2);
   EXPECT_TRUE(report.jobs[0].completed);
@@ -667,11 +707,13 @@ void run_crash_scenario(FlightRecordedRun& out) {
 
   sim::SimExecutor ex{sim::MachineSpec{}, no_noise()};
   core::ClipScheduler sched{ex, workloads::training_benchmarks()};
-  runtime::PowerAwareJobQueue queue(ex, sched, opt);
+  std::vector<runtime::QueueJob> queued;
+  for (const auto& w : jobs) queued.push_back({w, 0});
+  runtime::QueueEventLoop queue(ex, sched, opt, queued);
   fault::FaultInjector injector(plan, ex.spec().nodes);
   queue.set_fault_injector(&injector);
   queue.set_timeline(&out.timeline);
-  out.report = queue.run(jobs);
+  out.report = queue.run();
 }
 
 TEST(FlightRecorder, ReportViolationSecondsMatchBudgetGuardGroundTruth) {
@@ -741,17 +783,15 @@ std::vector<std::string> fault_stream(const fault::FaultPlan& plan) {
   opt.cluster_budget = Watts(700.0);
   opt.redist.enabled = true;
   opt.redist.reaction_s = 30.0;
-  const auto jobs = workloads::paper_benchmarks();
-  {
-    runtime::PowerAwareJobQueue warm(ex, sched, opt);
-    (void)warm.run(jobs);
-  }
-  runtime::PowerAwareJobQueue queue(ex, sched, opt);
+  std::vector<runtime::QueueJob> jobs;
+  for (const auto& w : workloads::paper_benchmarks()) jobs.push_back({w, 0});
+  (void)runtime::QueueEventLoop(ex, sched, opt, jobs).run();  // warm the DB
+  runtime::QueueEventLoop queue(ex, sched, opt, jobs);
   obs::Timeline timeline;
   queue.set_timeline(&timeline);
   fault::FaultInjector injector(plan, ex.spec().nodes);
   queue.set_fault_injector(&injector);
-  (void)queue.run(jobs);
+  (void)queue.run();
   std::vector<std::string> out;
   for (const auto& e : timeline.events("fault"))
     out.push_back(obs::format_exact(e.t_s) + " " + e.label);

@@ -213,12 +213,13 @@ TEST_P(FaultPlanFuzz, QueueSurvivesArbitrarySeededFaults) {
 
   runtime::QueueOptions opt;
   opt.cluster_budget = Watts(700.0);
-  runtime::PowerAwareJobQueue queue(ex, sched, opt);
+  std::vector<runtime::QueueJob> jobs;
+  for (const auto& a : workloads::paper_benchmarks()) jobs.push_back({a, 0});
+  runtime::QueueEventLoop queue(ex, sched, opt, jobs);
   fault::FaultInjector injector(plan, ex.spec().nodes);
   queue.set_fault_injector(&injector);
 
-  const auto& jobs = workloads::paper_benchmarks();
-  const auto report = queue.run(jobs);  // termination is the first property
+  const auto report = queue.run();  // termination is the first property
 
   // Every submitted job is accounted for: completed or failed, no limbo.
   EXPECT_EQ(report.jobs.size(), jobs.size());
@@ -306,10 +307,7 @@ TEST_P(RecoveryFuzz, RandomKillPointsRecoverByteIdentically) {
 
   // Warm the knowledge DB so the reference run and every recovery schedule
   // from identical cached profiles.
-  {
-    runtime::PowerAwareJobQueue warm(ex, sched, opt);
-    (void)warm.run(jobs);
-  }
+  (void)runtime::QueueEventLoop(ex, sched, opt, jobs).run();
 
   // The report and the flight record, byte for byte.
   const auto run_with = [&](runtime::Journal* journal,

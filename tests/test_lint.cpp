@@ -208,13 +208,9 @@ TEST(LintMutants, PristineJournaledSourcesScanClean) {
 
 TEST(LintMutants, J1CatchesAnUnjournaledModeTransition) {
   std::string src = read_file(src_path("runtime/queue.cpp"));
-  src = mutate(src,
-               "  if (journal_ != nullptr)\n"
-               "    jlog(\"mode\", payload(\"to=\", to_string(mode_)",
-               "  if (false)\n"
-               "    jlog_disabled(payload(\"to=\", to_string(mode_)");
-  src = mutate(src, "    if (factor < applied_factor_) brownout_clawback();\n",
-               "");
+  src = mutate(src, "  jlog(\"mode\", \"to=\", to_string(after)",
+               "  jlog_disabled(\"to=\", to_string(after)");
+  src = mutate(src, "    if (cut) brownout_clawback();\n", "");
   const FileResult r = analyze_source(src, "src/runtime/queue.cpp");
   bool caught = false;
   for (const Finding& f : r.findings)

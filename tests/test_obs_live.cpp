@@ -80,8 +80,7 @@ struct Cluster {
 
   Cluster() {
     opt.cluster_budget = Watts(700.0);
-    runtime::PowerAwareJobQueue warm(ex, sched, opt);
-    (void)warm.run(jobs);
+    (void)runtime::QueueEventLoop(ex, sched, opt, jobs).run();
   }
 
   struct Run {

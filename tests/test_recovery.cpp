@@ -7,12 +7,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <filesystem>
 #include <fstream>
 #include <functional>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/knowledge_db.hpp"
@@ -232,6 +234,42 @@ TEST(DurableWrites, AtomicWriteReplacesContentsAndLeavesNoTemp) {
   fs::remove_all(fs::path(::testing::TempDir()) / "fsio");
 }
 
+TEST(DurableWrites, ConcurrentWritersOfOnePathBothSucceed) {
+  // Two writers released together save 64 KiB each to one path. They share
+  // the temp name, so unserialized one renames the temp away under the
+  // other, whose rename then fails, or publishes a mix of both.
+  const fs::path dir = fs::path(::testing::TempDir()) / "fsio-race";
+  const fs::path path = dir / "shared.txt";
+  const std::string a(64 * 1024, 'a');
+  const std::string b(64 * 1024, 'b');
+  for (int round = 0; round < 50; ++round) {
+    std::atomic<int> ready{0};
+    std::atomic<int> failures{0};
+    const auto writer = [&](const std::string& contents) {
+      ready.fetch_add(1);
+      while (ready.load() < 2) {
+      }
+      try {
+        atomic_write_file(path, contents);
+      } catch (const PreconditionError&) {
+        failures.fetch_add(1);
+      }
+    };
+    std::thread first(writer, std::cref(a));
+    std::thread second(writer, std::cref(b));
+    first.join();
+    second.join();
+    EXPECT_EQ(failures.load(), 0) << "round " << round;
+    std::ifstream is(path);
+    const std::string text((std::istreambuf_iterator<char>(is)),
+                           std::istreambuf_iterator<char>());
+    EXPECT_TRUE(text == a || text == b)
+        << "round " << round << ": " << text.size() << " bytes";
+    EXPECT_FALSE(fs::exists(path.string() + ".tmp")) << "round " << round;
+  }
+  fs::remove_all(dir);
+}
+
 core::KnowledgeRecord sample_record(const std::string& name) {
   core::KnowledgeRecord r;
   r.name = name;
@@ -316,8 +354,7 @@ struct Cluster {
 
   Cluster() {
     opt.cluster_budget = Watts(700.0);
-    runtime::PowerAwareJobQueue warm(ex, sched, opt);
-    horizon_s = warm.run(jobs).makespan_s;
+    horizon_s = runtime::QueueEventLoop(ex, sched, opt, jobs).run().makespan_s;
   }
 
   struct Run {
@@ -569,12 +606,26 @@ TEST(Recovery, RejectsAJournalWithoutTheSnapshotFormatByName) {
   runtime::Journal journal(jopt);
   (void)c.run({}, &journal);
   const std::string& begin = journal.records().front().payload;
-  ASSERT_EQ(begin.rfind("snapfmt=3 ", 0), 0u) << begin;
-  const std::string rest = begin.substr(std::string("snapfmt=3 ").size());
+  ASSERT_EQ(begin.rfind("snapfmt=4 ", 0), 0u) << begin;
+  const std::string rest = begin.substr(std::string("snapfmt=4 ").size());
+  // snapfmt=4 stores no fact another token already holds.
+  int snapshots = 0;
+  for (const runtime::JournalRecord& rec : journal.records()) {
+    if (rec.kind != "snapshot") continue;
+    ++snapshots;
+    for (const char* derived :
+         {"alive", "busy", "pend", "mode", "ebud", "pause"})
+      EXPECT_EQ(rec.payload.find(std::string(" ") + derived + "="),
+                std::string::npos)
+          << derived;
+  }
+  EXPECT_GT(snapshots, 0);
 
-  // The same run as older builds wrote it: no format token in `begin`, and
-  // the previous format, whose snapshots carried the fault plan as bitmaps.
-  for (const std::string& old_begin : {rest, "snapfmt=2 " + rest}) {
+  // The same run as older builds wrote it: no format token in `begin`, the
+  // format whose snapshots carried the fault plan as bitmaps, and the one
+  // whose snapshots also stored the facts this build derives.
+  for (const std::string& old_begin :
+       {rest, "snapfmt=2 " + rest, "snapfmt=3 " + rest}) {
     runtime::Journal old(jopt);
     old.append("begin", old_begin);
     for (std::size_t i = 1; i < journal.size(); ++i)
@@ -589,9 +640,11 @@ TEST(Recovery, RejectsAJournalWithoutTheSnapshotFormatByName) {
     } catch (const PreconditionError& e) {
       const std::string what = e.what();
       EXPECT_NE(what.find("snapshot format"), std::string::npos) << what;
-      EXPECT_NE(what.find("snapfmt=3"), std::string::npos) << what;
+      EXPECT_NE(what.find("snapfmt=4"), std::string::npos) << what;
       if (old_begin != rest) {
-        EXPECT_NE(what.find("'snapfmt=2'"), std::string::npos) << what;
+        EXPECT_NE(what.find("'" + old_begin.substr(0, 9) + "'"),
+                  std::string::npos)
+            << what;
       }
     }
   }
@@ -698,6 +751,17 @@ TEST(SnapshotBounds, NodeIdsAreChecked) {
   }
 }
 
+TEST(SnapshotBounds, NodeHeldTwiceIsRefused) {
+  // Every id is in range, but the first placement's second node repeats
+  // its first: occupancy is read off the placements, so restore refuses.
+  const std::string what = refusal("ids.0", [](const std::string& ids) {
+    const std::string first = ids.substr(0, ids.find('/'));
+    return set_field('/', 1, first)(ids);
+  });
+  EXPECT_NE(what.find("in two running placements"), std::string::npos)
+      << what;
+}
+
 TEST(SnapshotBounds, EnforcementNodeIsChecked) {
   const std::string what = refusal(
       "enf", [](const std::string&) { return "1.5:" + node_count(); });
@@ -734,8 +798,8 @@ TEST(SnapshotBounds, FaultCursorIsChecked) {
 }
 
 TEST(SnapshotBounds, EnumFieldsAreChecked) {
-  std::string what = refusal("mode", set_field(':', 0, "3"));
-  EXPECT_TRUE(names(what, "mode")) << what;
+  std::string what = refusal("rows", set_field(':', 1, "4"));
+  EXPECT_TRUE(names(what, "job state")) << what;
   what = refusal("cfg.0", set_field(':', 2, "2"));
   EXPECT_TRUE(names(what, "config affinity")) << what;
   what = refusal("cfg.0", set_field(':', 3, "4"));
@@ -752,11 +816,8 @@ TEST(Recovery, RedistributionEnabledRunsRecoverByteIdentically) {
   opt.cluster_budget = Watts(700.0);
   opt.redist.enabled = true;
   const std::vector<runtime::QueueJob> jobs = paper_jobs();
-  double horizon_s = 0.0;
-  {
-    runtime::PowerAwareJobQueue warm(ex, sched, opt);
-    horizon_s = warm.run(jobs).makespan_s;
-  }
+  const double horizon_s =
+      runtime::QueueEventLoop(ex, sched, opt, jobs).run().makespan_s;
   fault::FaultPlan plan;
   plan.crashes.push_back({2, 0.25 * horizon_s});
   plan.crashes.push_back({6, 0.55 * horizon_s});
@@ -916,20 +977,6 @@ TEST(DegradedModes, BrownoutTakesDisplayPrecedenceOverBlackout) {
   // The cut ends inside the blackout: the machine falls back to blackout,
   // not straight to normal.
   EXPECT_EQ(labels[2], "METER_BLACKOUT");
-}
-
-// ------------------------------------------------------- facade wiring ----
-
-TEST(Facade, PowerAwareJobQueueForwardsTheJournal) {
-  Cluster& c = cluster();
-  runtime::PowerAwareJobQueue queue(c.ex, c.sched, c.opt);
-  runtime::Journal journal;
-  queue.set_journal(&journal);
-  const runtime::QueueReport direct = queue.run(c.jobs);
-  ASSERT_FALSE(journal.empty());
-  EXPECT_EQ(journal.records().back().kind, "end");
-  const Cluster::Run plain = c.run({}, nullptr);
-  EXPECT_EQ(fingerprint(direct), plain.fp);
 }
 
 }  // namespace

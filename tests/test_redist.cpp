@@ -70,7 +70,7 @@ QueueRun run_queue(const std::vector<runtime::QueueJob>& jobs,
                    obs::Timeline* timeline = nullptr) {
   sim::SimExecutor ex{sim::MachineSpec{}, no_noise()};
   core::ClipScheduler sched{ex, workloads::training_benchmarks()};
-  runtime::PowerAwareJobQueue queue(ex, sched, opt);
+  runtime::QueueEventLoop queue(ex, sched, opt, jobs);
   if (session != nullptr) queue.set_observer(session);
   if (timeline != nullptr) queue.set_timeline(timeline);
   std::optional<fault::FaultInjector> injector;
@@ -79,7 +79,7 @@ QueueRun run_queue(const std::vector<runtime::QueueJob>& jobs,
     queue.set_fault_injector(&*injector);
   }
   QueueRun out;
-  out.report = queue.run(jobs);
+  out.report = queue.run();
   out.report_fp = fingerprint(out.report);
   return out;
 }

@@ -280,11 +280,11 @@ RigidRun run_rigid(const std::vector<QueueJob>& jobs, double budget_w,
   QueueOptions opt;
   opt.cluster_budget = Watts(budget_w);
   opt.backfill = backfill;
-  PowerAwareJobQueue queue(ex, sched, opt);
+  QueueEventLoop queue(ex, sched, opt, jobs);
   sched.set_observer(&session);
   queue.set_observer(&session);
   RigidRun out;
-  out.report = queue.run(jobs);
+  out.report = queue.run();
   const auto counter = [&](const char* name) -> std::uint64_t {
     const auto* c = session.metrics().find_counter(name);
     return c != nullptr ? c->value() : 0;
@@ -375,10 +375,10 @@ TEST(RigidQueue, CorruptRecordStillThrowsOnTheBlockedAttempt) {
   sched.knowledge_db().insert(bad);
   QueueOptions opt;
   opt.cluster_budget = Watts(900.0);
-  PowerAwareJobQueue queue(ex, sched, opt);
+  QueueEventLoop queue(ex, sched, opt, blocked_stream());
   Journal journal;
   queue.set_journal(&journal);
-  EXPECT_THROW((void)queue.run(blocked_stream()), PreconditionError);
+  EXPECT_THROW((void)queue.run(), PreconditionError);
   int launches = 0;
   for (const auto& rec : journal.records())
     launches += rec.kind == "launch" ? 1 : 0;

@@ -568,31 +568,34 @@ void run_recorded(Watts budget, RecordedRun& out,
   core::ClipScheduler sched{ex, workloads::training_benchmarks()};
   runtime::QueueOptions opt;
   opt.cluster_budget = budget;
-  runtime::PowerAwareJobQueue queue(ex, sched, opt);
+  std::vector<runtime::QueueJob> jobs;
+  for (const auto& w : workloads::paper_benchmarks()) jobs.push_back({w, 0});
+  runtime::QueueEventLoop queue(ex, sched, opt, jobs);
   if (session != nullptr) {
     if (sink != nullptr) session->set_sink(sink);
     queue.set_observer(session);
   }
   queue.set_timeline(&out.timeline);
-  out.report = queue.run(workloads::paper_benchmarks());
+  out.report = queue.run();
 }
 
 TEST(QueueTimeline, DetachedRunIsByteIdentical) {
   runtime::QueueOptions opt;
   opt.cluster_budget = Watts(900.0);
-  const auto jobs = workloads::paper_benchmarks();
+  std::vector<runtime::QueueJob> jobs;
+  for (const auto& w : workloads::paper_benchmarks()) jobs.push_back({w, 0});
 
   sim::SimExecutor ex1{sim::MachineSpec{}, no_noise()};
   core::ClipScheduler sched1{ex1, workloads::training_benchmarks()};
-  runtime::PowerAwareJobQueue plain(ex1, sched1, opt);
-  const auto without = plain.run(jobs);
+  runtime::QueueEventLoop plain(ex1, sched1, opt, jobs);
+  const auto without = plain.run();
 
   sim::SimExecutor ex2{sim::MachineSpec{}, no_noise()};
   core::ClipScheduler sched2{ex2, workloads::training_benchmarks()};
-  runtime::PowerAwareJobQueue recorded(ex2, sched2, opt);
+  runtime::QueueEventLoop recorded(ex2, sched2, opt, jobs);
   obs::Timeline tl;
   recorded.set_timeline(&tl);
-  const auto with = recorded.run(jobs);
+  const auto with = recorded.run();
 
   // The flight recorder observes; it must never perturb the decisions.
   EXPECT_EQ(fingerprint(without), fingerprint(with));

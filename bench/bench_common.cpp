@@ -11,7 +11,7 @@ namespace {
 /// A command-line mistake: name it and exit 2, as clipctl does.
 [[noreturn]] void usage_error(const std::string& what) {
   std::cerr << what
-            << "\nflags: --csv --json --stats --no-cache --no-prune "
+            << "\nflags: --csv --stats --no-cache --no-prune "
                "--budgets a,b,c\n";
   std::exit(2);
 }
@@ -44,8 +44,6 @@ BenchContext::BenchContext(int argc, char** argv) {
     const std::string arg = argv[i];
     if (arg == "--csv") {
       csv = true;
-    } else if (arg == "--json") {
-      json = true;
     } else if (arg == "--stats") {
       stats = true;
     } else if (arg == "--no-cache") {

@@ -7,8 +7,6 @@
 // and exits 2):
 //
 //   --csv           emit machine-readable CSV instead of the aligned table
-//   --json          also write the bench's BENCH_*.json report into the cwd
-//                   (the benches that have one; the others ignore it)
 //   --budgets a,b,c override the bench's default cluster budget sweep (W)
 //   --stats         print evaluation-engine counters (sim.runs, cache
 //                   hits/misses) to stderr on exit
@@ -43,7 +41,6 @@ namespace clip::bench {
 
 struct BenchContext {
   bool csv = false;
-  bool json = false;
   bool stats = false;
   bool use_cache = true;
   bool prune = true;

@@ -10,14 +10,11 @@
 //   paper job mix is repeated 10x so one server instance serves a run with
 //   hundreds of scheduling decisions (as in production, where the server
 //   lives for an hours-long run) and its one-time socket set-up amortizes;
-//   the median paired CPU-time ratio is reported as overhead_pct.
+//   the median paired CPU-time ratio is reported as the overhead.
 //
-// `--json` writes BENCH_obs.json (schema in bench/README.md), which
-// `scripts/regression_gate.sh --obs` gates on: identical reports, 4/4
-// endpoints, overhead within its bound (default 3%).
-#include <algorithm>
-#include <ctime>
-#include <fstream>
+// The bench exits 1 when the reports differ, when fewer than four endpoints
+// answer, or when the floored overhead is above its bound; scripts/ci.sh's
+// gate stage runs it.
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -30,6 +27,7 @@
 #include "obs/sink.hpp"
 #include "obs/telemetry_server.hpp"
 #include "obs/timeline.hpp"
+#include "paired_overhead.hpp"
 #include "runtime/journal.hpp"
 #include "runtime/queue.hpp"
 #include "util/strings.hpp"
@@ -126,56 +124,10 @@ int main(int argc, char** argv) {
   }
   const bool identical = bare_fp == live_fp;
 
-  const auto cpu_ms = [] {
-    // Process CPU time, not steady_clock: co-tenant preemption inflates
-    // wall-clock by more than the plane costs, and CPU time also charges
-    // the accept thread's (idle) cycles to the side that owns them.
-    timespec ts;
-    // clip-lint: allow(D1) prices the obs plane in real CPU ms; a simulated clock has nothing to say here
-    clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
-    return static_cast<double>(ts.tv_sec) * 1e3 +
-           static_cast<double>(ts.tv_nsec) / 1e6;
-  };
-  // Same robust estimator as bench/recovery.cpp: adjacent off/on batch
-  // pairs (host drift cancels within a pair), alternating order (the
-  // second batch of a pair runs measurably slower), median of per-pair
-  // ratios (a preempted pair is an outlier the median ignores). Escalate
-  // sampling only while the estimate sits near the gate's 3% bound.
-  constexpr int kSweepsPerSample = 4;
-  constexpr int kPairs = 12;
-  constexpr int kMaxRounds = 4;
-  const auto time_one = [&](bool plane) {
-    const double t0 = cpu_ms();
-    for (int i = 0; i < kSweepsPerSample; ++i) (void)sweep(plane);
-    return (cpu_ms() - t0) / kSweepsPerSample;
-  };
-  (void)sweep(false);  // warm both paths before timing either side
-  (void)sweep(true);
-  double off_ms = 0.0;
-  double on_ms = 0.0;
-  std::vector<double> ratios;
-  const auto median_pct = [](std::vector<double> v) {
-    if (v.empty()) return 0.0;
-    std::sort(v.begin(), v.end());
-    const double m = v.size() % 2 == 1
-                         ? v[v.size() / 2]
-                         : 0.5 * (v[v.size() / 2 - 1] + v[v.size() / 2]);
-    return (m - 1.0) * 100.0;
-  };
-  for (int round = 0; round < kMaxRounds; ++round) {
-    for (int rep = 0; rep < kPairs; ++rep) {
-      const bool off_first = (rep + round * kPairs) % 2 == 0;
-      const double first = time_one(!off_first);
-      const double second = time_one(off_first);
-      const double off = off_first ? first : second;
-      const double on = off_first ? second : first;
-      off_ms = ratios.empty() ? off : std::min(off_ms, off);
-      on_ms = ratios.empty() ? on : std::min(on_ms, on);
-      if (off > 0.0) ratios.push_back(on / off);
-    }
-    if (median_pct(ratios) <= 2.0) break;
-  }
-  const double overhead_pct = std::max(0.0, median_pct(ratios));
+  const bench::PairedOverhead overhead = bench::paired_overhead(
+      [&](bool plane) { (void)sweep(plane); },
+      {.sweeps_per_sample = 4, .pairs = 12, .max_rounds = 4,
+       .stop_at_pct = 2.0});
 
   Table t({"check", "result"});
   t.set_title("Live observability plane at a " + format_double(budget, 0) +
@@ -186,30 +138,25 @@ int main(int argc, char** argv) {
              std::to_string(obs::AlertEngine::default_rules().size())});
   t.add_row({"alerts fired", std::to_string(alerts_fired)});
   t.add_row({"jobs per run", std::to_string(jobs.size())});
-  t.add_row({"plane-off run (ms)", format_double(off_ms, 1)});
-  t.add_row({"plane-on run (ms)", format_double(on_ms, 1)});
-  t.add_row({"duty-cycle overhead", format_double(overhead_pct, 1) + "%"});
+  t.add_row({"plane-off run (ms)", format_double(overhead.off_ms, 1)});
+  t.add_row({"plane-on run (ms)", format_double(overhead.on_ms, 1)});
+  t.add_row({"duty-cycle overhead", format_double(overhead.pct, 1) + "%"});
   ctx.print(t);
 
   std::cout << "Full instrumentation leaves the schedule byte-identical; "
                "telemetry + tracing cost "
-            << format_double(overhead_pct, 1) << "% of the queue duty cycle ("
-            << format_double(off_ms, 1) << " -> " << format_double(on_ms, 1)
-            << " ms per " << jobs.size() << "-job run).\n";
+            << format_double(overhead.pct, 1) << "% of the queue duty cycle ("
+            << format_double(overhead.off_ms, 1) << " -> "
+            << format_double(overhead.on_ms, 1) << " ms per " << jobs.size()
+            << "-job run).\n";
 
-  if (ctx.json) {
-    std::ofstream os("BENCH_obs.json");
-    os << "{\n  \"budget_w\": " << format_double(budget, 0)
-       << ",\n  \"jobs\": " << jobs.size()
-       << ",\n  \"identical_reports\": " << (identical ? 1 : 0)
-       << ",\n  \"endpoints_ok\": " << endpoints_ok
-       << ",\n  \"alert_rules\": " << obs::AlertEngine::default_rules().size()
-       << ",\n  \"alerts_fired\": " << alerts_fired
-       << ",\n  \"plane_off_ms\": " << format_double(off_ms, 1)
-       << ",\n  \"plane_on_ms\": " << format_double(on_ms, 1)
-       << ",\n  \"overhead_pct\": " << static_cast<int>(overhead_pct)
-       << "\n}\n";
-    std::cerr << "wrote BENCH_obs.json\n";
-  }
-  return identical && endpoints_ok == 4 ? 0 : 1;
+  constexpr int kMaxOverheadPct = 3;
+  const int overhead_pct = static_cast<int>(overhead.pct);
+  const bool pass =
+      identical && endpoints_ok == 4 && overhead_pct <= kMaxOverheadPct;
+  std::cerr << (pass ? "pass" : "FAIL") << ": reports "
+            << (identical ? "identical" : "DIFFER") << ", " << endpoints_ok
+            << "/4 endpoints, telemetry + tracing overhead " << overhead_pct
+            << "% (bound " << kMaxOverheadPct << "%)\n";
+  return pass ? 0 : 1;
 }

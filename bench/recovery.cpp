@@ -6,14 +6,10 @@
 // run is not byte-identical to the reference (report fingerprint + timeline
 // CSV). It then prices the journal: the ext_queue_throughput budget sweep
 // (FCFS + backfill at five budgets) runs journal-off and journal-on, and
-// the median of paired CPU-time ratios is reported as overhead_pct (floored
-// to an integer in the JSON). `--json` writes
-// BENCH_recovery.json (schema in bench/README.md), which
-// `scripts/regression_gate.sh --recovery` gates on: zero recovery failures,
-// overhead within its bound.
+// the median of paired CPU-time ratios is the overhead. The bench exits 1
+// when a kill point fails to recover or the floored overhead is above its
+// bound; scripts/ci.sh's gate stage runs it.
 #include <algorithm>
-#include <ctime>
-#include <fstream>
 #include <iostream>
 #include <optional>
 #include <sstream>
@@ -23,6 +19,7 @@
 #include "fault/injector.hpp"
 #include "fault/plan.hpp"
 #include "obs/timeline.hpp"
+#include "paired_overhead.hpp"
 #include "resilience_scenarios.hpp"
 #include "runtime/journal.hpp"
 #include "runtime/queue.hpp"
@@ -96,7 +93,6 @@ int main(int argc, char** argv) {
   t.set_title("Crash consistency at a " + format_double(budget, 0) +
               " W bound: kill + recover per scenario");
 
-  std::vector<std::string> json_rows;
   int total_kills = 0;
   int total_failures = 0;
   for (const auto& s : bench::make_recovery_scenarios(horizon)) {
@@ -134,18 +130,6 @@ int main(int argc, char** argv) {
                std::to_string(failures),
                std::to_string(ref.report.jobs_completed()),
                format_double(ref.report.makespan_s, 1)});
-
-    std::ostringstream row;
-    row << "    {\"scenario\": \"" << s.name
-        << "\", \"faults\": " << s.plan.size()
-        << ", \"records\": " << reference.size()
-        << ", \"snapshots\": " << snapshots
-        << ", \"kill_points\": " << kills.size()
-        << ", \"failures\": " << failures
-        << ", \"completed\": " << ref.report.jobs_completed()
-        << ", \"makespan_s\": " << format_double(ref.report.makespan_s, 3)
-        << "}";
-    json_rows.push_back(row.str());
   }
   ctx.print(t);
 
@@ -169,89 +153,25 @@ int main(int argc, char** argv) {
       }
     }
   };
-  const auto cpu_ms = [] {
-    // Process CPU time, not steady_clock: on a shared box, co-tenant
-    // preemption adds multi-millisecond bursts to wall-clock that dwarf the
-    // journal itself; CPU time is the same duration minus time stolen from
-    // this process, which is exactly the denominator the overhead bound
-    // means. The bench is single-threaded, so the two agree when idle.
-    timespec ts;
-    // clip-lint: allow(D1) prices the journal in real elapsed ms; a simulated clock has nothing to say here
-    clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
-    return static_cast<double>(ts.tv_sec) * 1e3 +
-           static_cast<double>(ts.tv_nsec) / 1e6;
-  };
-  // One sweep is single-digit milliseconds, so a stray scheduler preemption
-  // dwarfs the journal cost, and on a shared box the baseline itself drifts
-  // by more than the journal costs. Robust estimator: time adjacent
-  // off/on batch pairs (drift cancels within a pair because the sides run
-  // back to back), alternating which side goes first (the second batch of a
-  // pair runs measurably slower, so a fixed order would bias the ratio) and
-  // take the median of the per-pair overhead ratios (a preempted pair is an
-  // outlier the median ignores).
-  constexpr int kSweepsPerSample = 5;
-  constexpr int kPairs = 16;
-  constexpr int kMaxRounds = 4;
-  const auto time_one = [&](bool journaled) {
-    const double t0 = cpu_ms();
-    for (int i = 0; i < kSweepsPerSample; ++i) sweep(journaled);
-    return (cpu_ms() - t0) / kSweepsPerSample;
-  };
-  sweep(false);  // warm the executor's caches before timing either side
-  sweep(true);
-  double off_ms = 0.0;
-  double on_ms = 0.0;
-  std::vector<double> ratios;
-  const auto median_pct = [](std::vector<double> v) {
-    if (v.empty()) return 0.0;
-    std::sort(v.begin(), v.end());
-    const double m = v.size() % 2 == 1
-                         ? v[v.size() / 2]
-                         : 0.5 * (v[v.size() / 2 - 1] + v[v.size() / 2]);
-    return (m - 1.0) * 100.0;
-  };
-  // Escalate sampling while the estimate sits near the gate's 5% bound: a
-  // healthy ~2% journal stops after one round, a borderline reading earns
-  // three more rounds of pairs so one noisy window cannot fail the gate. A
-  // real regression (well above the bound) keeps every round and still
-  // reads high.
-  for (int round = 0; round < kMaxRounds; ++round) {
-    for (int rep = 0; rep < kPairs; ++rep) {
-      const bool off_first = (rep + round * kPairs) % 2 == 0;
-      const double first = time_one(!off_first);
-      const double second = time_one(off_first);
-      const double off = off_first ? first : second;
-      const double on = off_first ? second : first;
-      off_ms = ratios.empty() ? off : std::min(off_ms, off);
-      on_ms = ratios.empty() ? on : std::min(on_ms, on);
-      if (off > 0.0) ratios.push_back(on / off);
-    }
-    if (median_pct(ratios) <= 4.0) break;
-  }
-  const double overhead_pct = std::max(0.0, median_pct(ratios));
+  const bench::PairedOverhead overhead = bench::paired_overhead(
+      sweep, {.sweeps_per_sample = 5, .pairs = 16, .max_rounds = 4,
+              .stop_at_pct = 4.0});
 
   std::cout << "Every kill point recovers byte-identically ("
             << total_kills - total_failures << "/" << total_kills
             << " across the catalog): restore the latest snapshot, replay "
                "the suffix, resume. Journaling the ext_queue_throughput "
                "sweep costs "
-            << format_double(off_ms, 0) << " -> " << format_double(on_ms, 0)
-            << " ms (" << format_double(overhead_pct, 1) << "% overhead).\n";
+            << format_double(overhead.off_ms, 0) << " -> "
+            << format_double(overhead.on_ms, 0) << " ms ("
+            << format_double(overhead.pct, 1) << "% overhead).\n";
 
-  if (ctx.json) {
-    std::ofstream os("BENCH_recovery.json");
-    os << "{\n  \"budget_w\": " << format_double(budget, 0)
-       << ",\n  \"jobs\": " << jobs.size()
-       << ",\n  \"kill_points\": " << total_kills
-       << ",\n  \"recovery_failures\": " << total_failures
-       << ",\n  \"journal_off_ms\": " << format_double(off_ms, 0)
-       << ",\n  \"journal_on_ms\": " << format_double(on_ms, 0)
-       << ",\n  \"overhead_pct\": "
-       << static_cast<int>(overhead_pct) << ",\n  \"scenarios\": [\n";
-    for (std::size_t i = 0; i < json_rows.size(); ++i)
-      os << json_rows[i] << (i + 1 < json_rows.size() ? ",\n" : "\n");
-    os << "  ]\n}\n";
-    std::cerr << "wrote BENCH_recovery.json\n";
-  }
-  return total_failures == 0 ? 0 : 1;
+  constexpr int kMaxOverheadPct = 5;
+  const int overhead_pct = static_cast<int>(overhead.pct);
+  const bool pass = total_failures == 0 && overhead_pct <= kMaxOverheadPct;
+  std::cerr << (pass ? "pass" : "FAIL") << ": "
+            << total_kills - total_failures << "/" << total_kills
+            << " kill points recovered, journal overhead " << overhead_pct
+            << "% (bound " << kMaxOverheadPct << "%)\n";
+  return pass ? 0 : 1;
 }

@@ -3,8 +3,7 @@
 // against the resilient queue (docs/robustness.md) and reports what the
 // cluster salvaged: jobs completed, crash retries, guard claw-backs,
 // violation-seconds above the budget, and makespan inflation relative to the
-// fault-free run. `--json` additionally writes BENCH_resilience.json.
-#include <fstream>
+// fault-free run.
 #include <iostream>
 
 #include "bench_common.hpp"
@@ -16,30 +15,6 @@
 #include "util/strings.hpp"
 
 using namespace clip;
-
-namespace {
-
-using bench::Scenario;
-
-std::string json_row(const Scenario& s, const runtime::QueueReport& r,
-                     double baseline_makespan) {
-  std::ostringstream os;
-  os << "    {\"scenario\": \"" << s.name << "\", \"faults\": " << s.plan.size()
-     << ", \"jobs\": " << r.jobs.size()
-     << ", \"completed\": " << r.jobs_completed()
-     << ", \"failed\": " << r.jobs_failed << ", \"retries\": " << r.retries
-     << ", \"crashed_nodes\": " << r.crashed_nodes.size()
-     << ", \"caps_reprogrammed\": " << r.caps_reprogrammed
-     << ", \"violation_s\": " << format_double(r.violation_s, 3)
-     << ", \"violation_ws\": " << format_double(r.violation_ws, 1)
-     << ", \"meter_reads_rejected\": " << r.meter_reads_rejected
-     << ", \"makespan_s\": " << format_double(r.makespan_s, 3)
-     << ", \"makespan_inflation\": "
-     << format_double(r.makespan_s / baseline_makespan, 4) << "}";
-  return os.str();
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   const bench::BenchContext ctx(argc, argv);
@@ -64,7 +39,6 @@ int main(int argc, char** argv) {
   t.set_title("Resilience under a " + format_double(budget, 0) +
               " W bound: Table II suite vs injected faults");
 
-  std::vector<std::string> json_rows;
   double baseline_makespan = horizon;
   for (const auto& s : bench::make_resilience_scenarios(horizon)) {
     runtime::QueueEventLoop queue(ex, sched, opt, jobs);
@@ -81,7 +55,6 @@ int main(int argc, char** argv) {
                format_double(r.violation_ws, 0),
                format_double(r.makespan_s, 1),
                format_double(r.makespan_s / baseline_makespan, 3) + "x"});
-    json_rows.push_back(json_row(s, r, baseline_makespan));
   }
   ctx.print(t);
   std::cout
@@ -92,14 +65,5 @@ int main(int argc, char** argv) {
          "violation to roughly its reaction latency instead of the full "
          "fault window.\n";
 
-  if (ctx.json) {
-    std::ofstream os("BENCH_resilience.json");
-    os << "{\n  \"budget_w\": " << format_double(budget, 0)
-       << ",\n  \"jobs\": " << jobs.size() << ",\n  \"scenarios\": [\n";
-    for (std::size_t i = 0; i < json_rows.size(); ++i)
-      os << json_rows[i] << (i + 1 < json_rows.size() ? ",\n" : "\n");
-    os << "  ]\n}\n";
-    std::cerr << "wrote BENCH_resilience.json\n";
-  }
   return 0;
 }

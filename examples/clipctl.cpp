@@ -47,7 +47,7 @@
 //   clipctl alerts <run-dir> [--json]    evaluate the SLO/alert rule catalog
 //                    [--rules FILE]      over a recorded run's flight
 //                                        recorder; exit 0 = quiet, 1 = fired
-//                                        (the CI-gate contract), 2 = error
+//                                        (a CI step can gate on it), 2 = error
 //
 // Applications are named as in Table II (e.g. SP-MZ, TeaLeaf, CoMD).
 #include <chrono>

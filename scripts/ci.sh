@@ -1,17 +1,19 @@
 #!/usr/bin/env bash
 # CI entry point: configure, build and test every preset (release, asan,
-# tsan), then run the bench regression gate against the committed
-# BENCH_eval_engine.json. The fault/resilience suite is labeled `fault` and
-# the crash-consistency suite (journal round-trips, kill-point recovery, the
-# randomized kill+recover fuzzer) is labeled `recovery`, and the live
-# observability plane (telemetry server sockets + thread, trace
-# propagation, the SLO/alert engine) is labeled `obs_live`; all run under
-# every preset, so the sanitizers see them on each CI pass. A quick
+# tsan), then run the two bench binaries that price a host cost. The
+# fault/resilience suite is labeled `fault`, the crash-consistency suite
+# (journal round-trips, kill-point recovery, the randomized kill+recover
+# fuzzer) `recovery`, the live observability plane (telemetry server
+# sockets + thread, trace propagation, the SLO/alert engine) `obs_live`,
+# the input fuzzers `fuzz`, and the bench checks (engine output identity
+# and sim.runs pins, the redistribution floor) `bench`; all run under every
+# preset, so the sanitizers see them on each CI pass. A quick
 # sanitizer-only sweep of one suite is:
 #
 #   PRESETS="asan tsan" CTEST_ARGS="-L fault" scripts/ci.sh
 #   PRESETS="asan tsan" CTEST_ARGS="-L recovery" scripts/ci.sh
 #   PRESETS="asan tsan" CTEST_ARGS="-L obs_live" scripts/ci.sh
+#   PRESETS=asan CTEST_ARGS="-L fuzz" scripts/ci.sh
 #
 # On a ctest failure the fault integration suite's flight-recorder dump (a
 # run record written into $CLIP_FLIGHT_DIR — see docs/observability.md) is
@@ -28,15 +30,13 @@
 #   PRESETS        space-separated subset of presets (default: all three)
 #   CTEST_ARGS     extra arguments for ctest (e.g. "-L fault", "-R Queue")
 #   JOBS           parallelism for build and test (default: nproc)
-#   MAX_SLOWDOWN   regression-gate wall-clock threshold in percent (15)
-#   SKIP_GATE      set to 1 to skip the regression-gate step
+#   SKIP_GATE      set to 1 to skip the bench gate stage
 #   SKIP_LINT      set to 1 to skip the clip-lint stage
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 PRESETS="${PRESETS:-release asan tsan}"
 JOBS="${JOBS:-$(nproc)}"
-MAX_SLOWDOWN="${MAX_SLOWDOWN:-15}"
 ARTIFACTS="ci-artifacts"
 
 # Stage 0: static analysis. Runs before the build matrix — a determinism,
@@ -91,9 +91,11 @@ for preset in $PRESETS; do
   fi
 done
 
-# Every gate runs and reports, even after one fails: a failing wall-clock
-# comparison must not hide the recovery or purity verdicts behind it. The
-# stage exits non-zero at the end, naming each gate that failed.
+# The bench gates: the two binaries whose verdicts include a share of a
+# duty cycle, which is host time and so stays out of ctest. Each prints its
+# reading beside its bound and exits 1 on a failed check. Both run and
+# report even after one fails; the stage exits non-zero at the end, naming
+# each gate that failed. Engine timing is the benchmark's (perfbench/).
 failed_gates=""
 gate() {
   name=$1
@@ -105,27 +107,10 @@ gate() {
 }
 
 if [ "${SKIP_GATE:-0}" != "1" ] && [ -d build/bench ]; then
-  echo "==> [gate] regression gate selftest"
-  scripts/regression_gate.sh --selftest
-  echo "==> [gate] bench sweep (release build)"
-  mkdir -p "$ARTIFACTS"
-  sh bench/run_benches.sh build "$ARTIFACTS/BENCH_fresh.json" \
-    "$ARTIFACTS/BENCH_redist_fresh.json" "$ARTIFACTS/BENCH_recovery_fresh.json" \
-    "$ARTIFACTS/BENCH_obs_fresh.json"
-  echo "==> [gate] compare against committed BENCH_eval_engine.json"
-  gate eval-engine scripts/regression_gate.sh --max-slowdown "$MAX_SLOWDOWN" \
-    BENCH_eval_engine.json "$ARTIFACTS/BENCH_fresh.json"
-  echo "==> [gate] batch-core throughput floor"
-  gate batch scripts/regression_gate.sh --batch --max-slowdown "$MAX_SLOWDOWN" \
-    BENCH_eval_engine.json "$ARTIFACTS/BENCH_fresh.json"
-  echo "==> [gate] redistribution improvement floor"
-  gate redist scripts/regression_gate.sh --redist \
-    "$ARTIFACTS/BENCH_redist_fresh.json"
-  echo "==> [gate] crash-consistency: byte-identical recovery + journal overhead"
-  gate recovery scripts/regression_gate.sh --recovery \
-    "$ARTIFACTS/BENCH_recovery_fresh.json"
-  echo "==> [gate] observability plane: purity + endpoints + duty-cycle overhead"
-  gate obs scripts/regression_gate.sh --obs "$ARTIFACTS/BENCH_obs_fresh.json"
+  echo "==> [gate] crash consistency: every kill point + journal overhead"
+  gate recovery build/bench/recovery
+  echo "==> [gate] observability plane: purity + endpoints + overhead"
+  gate obs build/bench/obs_overhead
 fi
 
 if [ -n "$failed_gates" ]; then

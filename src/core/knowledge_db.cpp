@@ -2,6 +2,7 @@
 
 #include <charconv>
 #include <cmath>
+#include <type_traits>
 
 #include "util/check.hpp"
 #include "util/csv.hpp"
@@ -25,14 +26,6 @@ parallel::AffinityPolicy affinity_from_string(const std::string& s) {
   if (s == "scatter") return parallel::AffinityPolicy::kScatter;
   CLIP_REQUIRE(false, "unknown affinity in knowledge DB: " + s);
   return parallel::AffinityPolicy::kScatter;
-}
-
-double to_double(const std::string& s) {
-  try {
-    return std::stod(s);
-  } catch (const std::exception&) {
-    throw PreconditionError("bad numeric field in knowledge DB: " + s);
-  }
 }
 
 }  // namespace
@@ -143,6 +136,22 @@ const std::vector<std::string> kColumns = {
     "time_half",     "time_validation", "validation_threads",
     "cpu_power_all", "mem_power_all",   "cycles_active_all",
     "machine"};
+
+/// The number in cell `col` of `row`, which must be all of the cell: a
+/// trailing suffix, a fraction or exponent in an integer column, and a
+/// value out of T's range are all errors naming the column.
+template <class T>
+T parse_cell(const std::vector<std::string>& row, std::size_t col) {
+  const std::string& cell = row[col];
+  const char* const end = cell.data() + cell.size();
+  T value{};
+  const auto [stop, ec] = std::from_chars(cell.data(), end, value);
+  CLIP_REQUIRE(ec == std::errc() && stop == end,
+               "column '" + kColumns[col] + "' is not " +
+                   (std::is_integral_v<T> ? "an integer" : "a number") +
+                   ": '" + cell + "'");
+  return value;
+}
 }  // namespace
 
 void KnowledgeDb::save(const std::filesystem::path& path) const {
@@ -197,19 +206,19 @@ void KnowledgeDb::load(const std::filesystem::path& path) {
       r.name = row[0];
       r.parameters = row[1];
       r.cls = class_from_string(row[2]);
-      r.inflection = static_cast<int>(to_double(row[3]));
-      r.perf_ratio = to_double(row[4]);
+      r.inflection = parse_cell<int>(row, 3);
+      r.perf_ratio = parse_cell<double>(row, 4);
       r.preferred_affinity = affinity_from_string(row[5]);
-      r.per_core_bw_gbps = to_double(row[6]);
-      r.node_bw_gbps = to_double(row[7]);
-      r.memory_intensity = to_double(row[8]);
-      r.time_all_s = to_double(row[9]);
-      r.time_half_s = to_double(row[10]);
-      r.time_validation_s = to_double(row[11]);
-      r.validation_threads = static_cast<int>(to_double(row[12]));
-      r.cpu_power_all_w = to_double(row[13]);
-      r.mem_power_all_w = to_double(row[14]);
-      r.cycles_active_all = to_double(row[15]);
+      r.per_core_bw_gbps = parse_cell<double>(row, 6);
+      r.node_bw_gbps = parse_cell<double>(row, 7);
+      r.memory_intensity = parse_cell<double>(row, 8);
+      r.time_all_s = parse_cell<double>(row, 9);
+      r.time_half_s = parse_cell<double>(row, 10);
+      r.time_validation_s = parse_cell<double>(row, 11);
+      r.validation_threads = parse_cell<int>(row, 12);
+      r.cpu_power_all_w = parse_cell<double>(row, 13);
+      r.mem_power_all_w = parse_cell<double>(row, 14);
+      r.cycles_active_all = parse_cell<double>(row, 15);
       r.machine = row[16];
     } catch (const PreconditionError& e) {
       throw PreconditionError("knowledge DB " + path.string() + " row " +

@@ -169,8 +169,8 @@ std::vector<Seconds> SimExecutor::run_batch(
 
   std::vector<Seconds> out(caps.size());
   ClusterConfig point = base;
-  // Small frontiers: the scalar path is cheaper than the batch setup (the
-  // fig7 small-frontier regression in BENCH_eval_engine.json was exactly
+  // Small frontiers: the scalar path is cheaper than the batch setup (a
+  // small-frontier slowdown once measured on fig7_inflection was exactly
   // this bookkeeping with nothing to amortize it over).
   if (caps.size() < kMinBatchFrontier) {
     for (std::size_t i = 0; i < caps.size(); ++i) {

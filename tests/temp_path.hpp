@@ -7,17 +7,21 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <string>
 
 namespace clip {
 
-/// `<temp dir>/<stem>.<test case>.<pid><ext>`.
+/// `<temp dir>/<stem>.<test case>.<pid><ext>`, with the `/` of a
+/// parameterized case's name (`Case/3`) replaced by `_`.
 inline std::filesystem::path unique_temp_path(const std::string& stem,
                                               const std::string& ext) {
-  const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
+  std::string name =
+      ::testing::UnitTest::GetInstance()->current_test_info()->name();
+  std::replace(name.begin(), name.end(), '/', '_');
   return std::filesystem::temp_directory_path() /
-         (stem + "." + info->name() + "." + std::to_string(::getpid()) + ext);
+         (stem + "." + name + "." + std::to_string(::getpid()) + ext);
 }
 
 }  // namespace clip

@@ -25,6 +25,7 @@
 #include "sim/executor.hpp"
 #include "sim/power_meter.hpp"
 #include "util/check.hpp"
+#include "util/csv.hpp"
 #include "util/rng.hpp"
 #include "workloads/catalog.hpp"
 #include "temp_path.hpp"
@@ -680,6 +681,42 @@ TEST_F(KnowledgeDbHardening, GarbageNumericRejectsWithRowContext) {
     EXPECT_NE(msg.find("garbage!"), std::string::npos) << msg;
   }
   EXPECT_EQ(db_.size(), 2u);
+}
+
+TEST_F(KnowledgeDbHardening, MalformedCellRejectsNamingFileRowAndColumn) {
+  // Cells std::stod plus an int cast used to take: a numeric prefix with a
+  // suffix, a fraction or an out-of-range exponent in an integer column,
+  // and nan where an integer belongs.
+  struct Cell {
+    std::size_t col;
+    const char* column;
+    const char* text;
+  };
+  const Cell cells[] = {{4, "perf_ratio", "0.85abc"},
+                        {3, "inflection", "12.7"},
+                        {3, "inflection", "1e10"},
+                        {12, "validation_threads", "nan"}};
+  const CsvDocument saved = read_csv(path_);
+  for (const Cell& c : cells) {
+    SCOPED_TRACE(std::string(c.column) + " = " + c.text);
+    CsvDocument doc = saved;
+    doc.rows[1][c.col] = c.text;
+    write_csv(path_, doc);
+    try {
+      db_.load(path_);
+      ADD_FAILURE() << "expected PreconditionError";
+    } catch (const PreconditionError& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find(path_.string()), std::string::npos) << msg;
+      EXPECT_NE(msg.find("row 3"), std::string::npos) << msg;
+      EXPECT_NE(msg.find("'" + std::string(c.column) + "'"),
+                std::string::npos)
+          << msg;
+    }
+    EXPECT_EQ(db_.size(), 2u);
+    EXPECT_TRUE(db_.lookup("app", "n=1").has_value());
+    EXPECT_TRUE(db_.lookup("app", "n=2").has_value());
+  }
 }
 
 // ------------------------------------------- flight recorder integration ----

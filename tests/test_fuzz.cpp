@@ -1,14 +1,18 @@
 // Fuzz-style property suites over randomly generated workloads and swept
 // operating conditions: the simulator's physical invariants and CLIP's
 // guarantees must hold across the whole valid signature space, not just the
-// calibrated catalog.
+// calibrated catalog. The byte-level suites (the knowledge-DB loader, the
+// analyzer) feed mutated input to a parser (`ctest -L fuzz`).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <filesystem>
+#include <fstream>
 #include <optional>
 #include <sstream>
 
+#include "core/knowledge_db.hpp"
 #include "core/profiler.hpp"
 #include "core/scheduler.hpp"
 #include "fault/injector.hpp"
@@ -19,7 +23,9 @@
 #include "runtime/queue.hpp"
 #include "sim/executor.hpp"
 #include "sim/rapl_controller.hpp"
+#include "temp_path.hpp"
 #include "util/check.hpp"
+#include "util/csv.hpp"
 #include "workloads/catalog.hpp"
 #include "workloads/phases.hpp"
 #include "workloads/random.hpp"
@@ -376,6 +382,118 @@ TEST_P(ControllerSweep, ThroughputBoundedAndMonotone) {
   const auto looser = controller.simulate(
       w, 24, parallel::AffinityPolicy::kScatter, 68.0, Watts(cap + 15.0));
   EXPECT_GE(looser.throughput, trace.throughput - 0.02);
+}
+
+// ---------------------------------------------- knowledge-DB loader fuzz ----
+//
+// The knowledge DB is a file that outlives the process: a hand edit, a torn
+// copy or a bad disk can leave any bytes in it. Each load of a mutated file
+// must either throw PreconditionError and leave the database as it was, or
+// succeed with records whose save loads back to the same keys.
+
+std::string read_bytes(const std::filesystem::path& path) {
+  std::ifstream is(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(is),
+          std::istreambuf_iterator<char>()};
+}
+
+/// One seeded edit: a flipped bit, an inserted separator, quote, newline or
+/// digit, a deleted byte, a truncation, or a duplicated line.
+void mutate(std::string& bytes, Rng& rng) {
+  const auto pick = [&](std::size_t n) {
+    return static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+  };
+  const std::int64_t kind = bytes.empty() ? 1 : rng.uniform_int(0, 4);
+  if (kind == 0) {
+    bytes[pick(bytes.size())] ^=
+        static_cast<char>(1 << rng.uniform_int(0, 7));
+  } else if (kind == 1) {
+    static const std::string kInserts = ",\"\n0123456789";
+    bytes.insert(pick(bytes.size() + 1), 1, kInserts[pick(kInserts.size())]);
+  } else if (kind == 2) {
+    bytes.erase(pick(bytes.size()), 1);
+  } else if (kind == 3) {
+    bytes.resize(pick(bytes.size()));
+  } else {
+    const std::size_t at = pick(bytes.size());
+    const std::size_t nl =
+        at == 0 ? std::string::npos : bytes.rfind('\n', at - 1);
+    const std::size_t begin = nl == std::string::npos ? 0 : nl + 1;
+    const std::size_t next = bytes.find('\n', begin);
+    const std::size_t end =
+        next == std::string::npos ? bytes.size() : next + 1;
+    bytes.insert(end, bytes.substr(begin, end - begin));
+  }
+}
+
+std::vector<std::pair<std::string, std::string>> saved_keys(
+    const std::filesystem::path& path) {
+  std::vector<std::pair<std::string, std::string>> keys;
+  for (const auto& row : read_csv(path).rows) keys.emplace_back(row[0], row[1]);
+  return keys;
+}
+
+class KnowledgeDbFuzz : public ::testing::TestWithParam<int> {};
+
+INSTANTIATE_TEST_SUITE_P(Seeds, KnowledgeDbFuzz, ::testing::Range(0, 32));
+
+TEST_P(KnowledgeDbFuzz, MutatedFileRejectsCleanlyOrRoundTrips) {
+  const auto seed = static_cast<std::uint64_t>(GetParam());
+  const std::filesystem::path path = unique_temp_path("clip_kdb_fuzz", ".csv");
+
+  core::KnowledgeDb original;
+  for (const char* app : {"SP-MZ", "CoMD", "TeaLeaf"}) {
+    core::KnowledgeRecord r;
+    r.name = app;
+    r.parameters = "class C, 24 ranks";
+    r.cls = workloads::ScalabilityClass::kParabolic;
+    r.inflection = 14;
+    r.perf_ratio = 0.85;
+    r.per_core_bw_gbps = 2.5;
+    r.node_bw_gbps = 48.0;
+    r.memory_intensity = 0.4;
+    r.time_all_s = 12.5;
+    r.time_half_s = 14.7;
+    r.time_validation_s = 13.1;
+    r.validation_threads = 12;
+    r.cpu_power_all_w = 180.0;
+    r.mem_power_all_w = 30.0;
+    r.cycles_active_all = 2.4e9;
+    r.machine = "haswell-8x24";
+    original.insert(r);
+  }
+  original.save(path);
+  const std::string saved = read_bytes(path);
+
+  core::KnowledgeRecord marker;
+  marker.name = "marker";
+  Rng rng(0xDBF022u + seed);
+  for (int trial = 0; trial < 8; ++trial) {
+    std::string bytes = saved;
+    const auto edits = rng.uniform_int(1, 3);
+    for (std::int64_t e = 0; e < edits; ++e) mutate(bytes, rng);
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+    SCOPED_TRACE("seed " + std::to_string(seed) + " trial " +
+                 std::to_string(trial));
+
+    core::KnowledgeDb db;
+    db.insert(marker);
+    try {
+      db.load(path);
+    } catch (const PreconditionError&) {
+      EXPECT_EQ(db.size(), 1u);
+      EXPECT_TRUE(db.lookup("marker", "").has_value());
+      continue;
+    }
+    db.save(path);
+    const auto keys = saved_keys(path);
+    core::KnowledgeDb again;
+    ASSERT_NO_THROW(again.load(path));
+    again.save(path);
+    EXPECT_EQ(saved_keys(path), keys);
+  }
+  std::filesystem::remove(path);
 }
 
 // ----------------------------------------------- static-analyzer fuzz ----

@@ -68,20 +68,11 @@ BenchContext::~BenchContext() {
     const obs::Counter* c = obs_->metrics().find_counter(name);
     return c == nullptr ? 0 : c->value();
   };
-  // Median frontier width of the batch path, as an integer (clip-lint D3:
-  // the stats line carries counters, not formatted floats).
-  const obs::Histogram* widths =
-      obs_->metrics().find_histogram("sim.batch_width");
-  const std::uint64_t width_p50 =
-      widths == nullptr || widths->count() == 0
-          ? 0
-          : static_cast<std::uint64_t>(std::llround(widths->quantile(0.5)));
   std::cerr << "bench-stats:"
             << " sim.runs=" << value("sim.runs")
             << " sim.exact_cache_hits=" << value("sim.exact_cache_hits")
             << " sim.exact_cache_misses=" << value("sim.exact_cache_misses")
-            << " sim.batch_runs=" << value("sim.batch_runs")
-            << " sim.batch_width_p50=" << width_p50 << '\n';
+            << '\n';
 }
 
 void BenchContext::attach(sim::SimExecutor& executor) const {

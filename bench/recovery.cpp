@@ -159,9 +159,9 @@ int main(int argc, char** argv) {
 
   std::cout << "Every kill point recovers byte-identically ("
             << total_kills - total_failures << "/" << total_kills
-            << " across the catalog): restore the latest snapshot, replay "
-               "the suffix, resume. Journaling the ext_queue_throughput "
-               "sweep costs "
+            << " across the catalog): fold every snapshot's deltas in "
+               "order, restore the latest, replay the suffix, resume. "
+               "Journaling the ext_queue_throughput sweep costs "
             << format_double(overhead.off_ms, 0) << " -> "
             << format_double(overhead.on_ms, 0) << " ms ("
             << format_double(overhead.pct, 1) << "% overhead).\n";

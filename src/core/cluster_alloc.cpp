@@ -20,10 +20,14 @@ ClusterDecision ClusterAllocator::allocate(
   CLIP_REQUIRE(cluster_budget.value() > 0.0,
                "cluster budget must be positive");
 
+  // Every candidate configuration is priced once for the whole plan; the
+  // recommendation and each node count below only pick from the table.
+  CandidateTable table = selector_->price(models);
+
   // Budget-free recommendation: the configuration the application would run
   // at given ample power; its acceptable range anchors the allocation.
   const NodeDecision unbounded =
-      selector_->select(models, Watts(spec_->max_node_w()));
+      selector_->select(table, Watts(spec_->max_node_w()));
   const PowerRange range = models.power.acceptable_range(
       unbounded.config.threads, unbounded.config.affinity,
       unbounded.config.mem_level);
@@ -41,12 +45,12 @@ ClusterDecision ClusterAllocator::allocate(
   CLIP_REQUIRE(!candidates.empty(), "no feasible node counts");
 
   if (options_.strict_algorithm1)
-    return allocate_strict(models, cluster_budget, predefined_counts, range);
-  return allocate_scored(models, cluster_budget, candidates, range);
+    return allocate_strict(table, cluster_budget, predefined_counts, range);
+  return allocate_scored(table, cluster_budget, candidates, range);
 }
 
 ClusterDecision ClusterAllocator::allocate_scored(
-    const AppModels& models, Watts cluster_budget,
+    CandidateTable& table, Watts cluster_budget,
     const std::vector<int>& candidates, const PowerRange& range) const {
   ClusterDecision best;
   double best_score = std::numeric_limits<double>::infinity();
@@ -68,7 +72,7 @@ ClusterDecision ClusterAllocator::allocate_scored(
       obs::ScopedSpan span(obs_, "pipeline.node_select", "pipeline");
       span.arg("nodes", nodes);
       span.arg("node_share_w", node_share);
-      node = selector_->select(models, usable);
+      node = selector_->select(table, usable);
       span.arg("threads", node.config.threads);
     } catch (const PreconditionError&) {
       continue;  // no feasible node config under this share
@@ -92,7 +96,7 @@ ClusterDecision ClusterAllocator::allocate_scored(
 }
 
 ClusterDecision ClusterAllocator::allocate_strict(
-    const AppModels& models, Watts cluster_budget,
+    CandidateTable& table, Watts cluster_budget,
     const std::vector<int>& predefined_counts,
     const PowerRange& range) const {
   const double p_lo = range.low.value();
@@ -125,7 +129,7 @@ ClusterDecision ClusterAllocator::allocate_strict(
   const Watts usable(std::min(d.node_budget.value(), p_hi));
   obs::ScopedSpan span(obs_, "pipeline.node_select", "pipeline");
   span.arg("nodes", nodes);
-  d.node = selector_->select(models, usable);
+  d.node = selector_->select(table, usable);
   d.predicted_score = d.node.predicted_time.value() / nodes;
   return d;
 }

@@ -47,8 +47,9 @@ class ClusterAllocator {
 
   /// Choose node count + per-node budget + node config for a profiled
   /// application under the cluster budget. `predefined_counts` empty = the
-  /// application decomposes at any node count. Every candidate is priced
-  /// with the same `models`, built once by the caller.
+  /// application decomposes at any node count. The node configurations
+  /// are priced once, from `models` (built once by the caller), and every
+  /// node count picks from that one table.
   [[nodiscard]] ClusterDecision allocate(
       const AppModels& models, Watts cluster_budget,
       const std::vector<int>& predefined_counts = {}) const;
@@ -63,11 +64,11 @@ class ClusterAllocator {
 
  private:
   [[nodiscard]] ClusterDecision allocate_scored(
-      const AppModels& models, Watts cluster_budget,
+      CandidateTable& table, Watts cluster_budget,
       const std::vector<int>& candidates, const PowerRange& range) const;
 
   [[nodiscard]] ClusterDecision allocate_strict(
-      const AppModels& models, Watts cluster_budget,
+      CandidateTable& table, Watts cluster_budget,
       const std::vector<int>& predefined_counts,
       const PowerRange& range) const;
 

@@ -1,6 +1,8 @@
 #include "core/node_config.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 
 #include "util/check.hpp"
 
@@ -53,9 +55,8 @@ sim::MemPowerLevel NodeConfigSelector::choose_mem_level(
 
 NodeDecision NodeConfigSelector::select(const AppModels& models,
                                         Watts node_budget) const {
-  return select_from(models, node_budget,
-                     candidate_threads(models.perf.scalability(),
-                                       models.perf.inflection()));
+  CandidateTable table = price(models);
+  return select(table, node_budget);
 }
 
 NodeDecision NodeConfigSelector::select_forced(const AppModels& models,
@@ -63,29 +64,39 @@ NodeDecision NodeConfigSelector::select_forced(const AppModels& models,
                                                int threads) const {
   CLIP_REQUIRE(threads >= 1 && threads <= spec_->shape.total_cores(),
                "forced thread count outside the node");
-  return select_from(models, node_budget, {threads});
+  CandidateTable table = price(models, {threads});
+  return select(table, node_budget);
 }
 
-NodeDecision NodeConfigSelector::select_from(
-    const AppModels& models, Watts node_budget,
-    const std::vector<int>& candidates) const {
-  CLIP_REQUIRE(node_budget.value() > 0.0, "node budget must be positive");
+CandidateTable NodeConfigSelector::price(const AppModels& models) const {
+  return price(models, candidate_threads(models.perf.scalability(),
+                                         models.perf.inflection()));
+}
+
+CandidateTable NodeConfigSelector::price(
+    const AppModels& models, const std::vector<int>& candidates) const {
   const PowerEstimator& power = models.power;
   const PerfPredictor& perf = models.perf;
-  const auto& states = spec_->ladder.states();
+  const std::size_t states = spec_->ladder.state_count();
+  // Affinity: the profiler's memory-intensity preference; once a config
+  // spans both sockets the two policies converge, so the preference only
+  // matters for t <= cores_per_socket.
+  const parallel::AffinityPolicy affinity = models.affinity;
+  const double ceiling = std::max(1.0, perf.observed_bw_ceiling());
 
-  NodeDecision best;
-  bool have_best = false;
+  CandidateTable table(models, states);
   for (int threads : candidates) {
-    // Affinity: the profiler's memory-intensity preference; once a config
-    // spans both sockets the two policies converge, so the preference only
-    // matters for t <= cores_per_socket.
-    const parallel::AffinityPolicy affinity = models.affinity;
-    const double ceiling = std::max(1.0, perf.observed_bw_ceiling());
+    const parallel::Placement placement =
+        parallel::place_threads(spec_->shape, threads, affinity);
+    const std::size_t row = table.base_w_.size();
+    table.base_w_.push_back(power.cpu_base_w(placement));
+    for (std::size_t state = 0; state < states; ++state)
+      table.cpu_w_.push_back(
+          power.cpu_power_at_state(placement, state).value());
 
     // CPU <-> DRAM power split: every memory power level trades DRAM
     // bandwidth (and its activity watts) for CPU frequency headroom. The
-    // predictor prices both sides; we keep the level with the best
+    // predictor prices both sides; the pick keeps the level with the best
     // predicted time (paper Fig. 1: the split is a first-class dimension).
     for (sim::MemPowerLevel level : sim::kAllMemLevels) {
       // The level caps the observed ceiling proportionally; the app never
@@ -101,59 +112,73 @@ NodeDecision NodeConfigSelector::select_from(
           level != sim::MemPowerLevel::kL0 && level_bw < raw_demand * 0.99)
         continue;
       const double planned_bw = std::min(level_bw, demand);
-      const Watts mem_cap =
-          power.mem_power_at_bw(threads, affinity, planned_bw) +
-          Watts(options_.mem_cap_slack_w);
-      // The slack is part of the DRAM allocation: CPU + DRAM caps add up
-      // to exactly the node budget.
-      const Watts cpu_budget = node_budget - mem_cap;
-      if (cpu_budget.value() <= 0.0) continue;
-
-      // Highest DVFS state the predicted CPU power fits under the
-      // remaining budget; if even the lowest state does not fit, model the
-      // RAPL duty-cycle penalty.
-      std::size_t state = states.size();
-      bool fits = false;
-      while (!fits && state > 0)
-        fits = power.cpu_power_at_state(threads, affinity, --state) <=
-               cpu_budget;
-      double duty = 1.0;
-      if (!fits) {
-        // Clock-modulation region (state is the lowest): gating cuts
-        // dynamic power only, so the duty solves
-        // cpu_budget = base + load(f_min)*duty (mirroring the enforcement
-        // model).
-        const Watts floor_w =
-            power.cpu_power_at_state(threads, affinity, state);
-        const double base_w = power.cpu_base_w(threads, affinity);
-        const double load_w = std::max(1e-6, floor_w.value() - base_w);
-        duty = std::clamp((cpu_budget.value() - base_w) / load_w,
-                          1.0 / 16.0, 1.0);
-      }
-      const double f_rel = spec_->ladder.relative(states[state]);
-
-      const double bw_for_prediction = std::max(planned_bw, 1e-3);
-      const double predicted =
-          perf.predict_time(threads, f_rel, bw_for_prediction).value() /
-          duty;
-
-      NodeDecision d;
-      d.config.threads = threads;
-      d.config.affinity = affinity;
-      d.config.mem_level = level;
-      d.config.mem_cap = mem_cap;
-      d.config.cpu_cap = cpu_budget;
-      d.f_rel_expected = f_rel * duty;
-      d.predicted_time = Seconds(predicted);
-      d.predicted_power =
-          power.cpu_power_at_state(threads, affinity, state) * duty +
-          mem_cap;
-      if (!have_best ||
-          d.predicted_time.value() < best.predicted_time.value()) {
-        best = d;
-        have_best = true;
-      }
+      table.pairs_.push_back(CandidateTable::Pair{
+          .threads = threads,
+          .row = row,
+          .level = level,
+          .mem_cap = power.mem_power_at_bw(placement, planned_bw) +
+                     Watts(options_.mem_cap_slack_w),
+          .bw = std::max(planned_bw, 1e-3)});
     }
+  }
+  table.times_.assign(table.pairs_.size() * states,
+                      std::numeric_limits<double>::quiet_NaN());
+  return table;
+}
+
+NodeDecision NodeConfigSelector::select(CandidateTable& table,
+                                        Watts node_budget) const {
+  CLIP_REQUIRE(node_budget.value() > 0.0, "node budget must be positive");
+  const auto& states = spec_->ladder.states();
+  const std::size_t n = table.states_;
+
+  NodeDecision best;
+  bool have_best = false;
+  for (std::size_t i = 0; i < table.pairs_.size(); ++i) {
+    const CandidateTable::Pair& pair = table.pairs_[i];
+    // The slack is part of the DRAM allocation: CPU + DRAM caps add up
+    // to exactly the node budget.
+    const Watts cpu_budget = node_budget - pair.mem_cap;
+    if (cpu_budget.value() <= 0.0) continue;
+
+    // Highest DVFS state the predicted CPU power fits under the remaining
+    // budget; if even the lowest state does not fit, model the RAPL
+    // duty-cycle penalty.
+    const double* cpu_w = table.cpu_w_.data() + pair.row * n;
+    std::size_t state = n;
+    bool fits = false;
+    while (!fits && state > 0) fits = Watts(cpu_w[--state]) <= cpu_budget;
+    double duty = 1.0;
+    if (!fits) {
+      // Clock-modulation region (state is the lowest): gating cuts
+      // dynamic power only, so the duty solves
+      // cpu_budget = base + load(f_min)*duty (mirroring the enforcement
+      // model).
+      const double base_w = table.base_w_[pair.row];
+      const double load_w = std::max(1e-6, cpu_w[state] - base_w);
+      duty = std::clamp((cpu_budget.value() - base_w) / load_w,
+                        1.0 / 16.0, 1.0);
+    }
+    const double f_rel = spec_->ladder.relative(states[state]);
+
+    // Memoized per (pair, state): the same call on the same operands as
+    // a fresh pricing makes, so the same bits.
+    double& time = table.times_[i * n + state];
+    if (std::isnan(time))
+      time = table.models_->perf.predict_time(pair.threads, f_rel, pair.bw)
+                 .value();
+    const double predicted = time / duty;
+    if (have_best && !(predicted < best.predicted_time.value())) continue;
+
+    best.config.threads = pair.threads;
+    best.config.affinity = table.models_->affinity;
+    best.config.mem_level = pair.level;
+    best.config.mem_cap = pair.mem_cap;
+    best.config.cpu_cap = cpu_budget;
+    best.f_rel_expected = f_rel * duty;
+    best.predicted_time = Seconds(predicted);
+    best.predicted_power = Watts(cpu_w[state]) * duty + pair.mem_cap;
+    have_best = true;
   }
   CLIP_REQUIRE(have_best,
                "no feasible node configuration under this budget");

@@ -11,7 +11,12 @@
 // Candidates are ranked with the *prediction models* only — no exhaustive
 // execution — which is the paper's central claim ("identify a (near) optimal
 // configuration without exhaustively searching the configuration space").
+// A plan prices each candidate once (price() builds its CandidateTable);
+// each node budget the plan tries then only picks from that table.
 #pragma once
+
+#include <cstddef>
+#include <vector>
 
 #include "core/power_range.hpp"
 #include "core/predictor.hpp"
@@ -51,11 +56,58 @@ struct AppModels {
   PerfPredictor perf;
 };
 
+/// One plan's candidates, priced once: everything a pick reads that
+/// depends on the machine and the plan but not on the node budget. For
+/// each candidate thread count, the socket base watts and the CPU watts at
+/// every ladder state; for each (threads, memory level) pair the
+/// unpriced-bandwidth rule keeps, its DRAM cap and the bandwidth the
+/// predictor prices it at; for each pair and ladder state, one predicted
+/// time, filled the first time a pick lands on that state (so a predictor
+/// that throws does so at the same budget as a fresh pricing would). Built
+/// by NodeConfigSelector::price(); it reads the plan's predictor, so it
+/// must not outlive the AppModels it was built from.
+class CandidateTable {
+ private:
+  friend class NodeConfigSelector;
+
+  struct Pair {
+    int threads;
+    std::size_t row;           ///< the thread count's row in cpu_w_
+    sim::MemPowerLevel level;
+    Watts mem_cap;             ///< the DRAM cap, slack included
+    double bw;                 ///< the bandwidth the time is predicted at
+  };
+
+  CandidateTable(const AppModels& models, std::size_t states)
+      : models_(&models), states_(states) {}
+
+  const AppModels* models_;
+  std::size_t states_;          ///< ladder states per row
+  std::vector<double> base_w_;  ///< cpu_base_w per thread count
+  std::vector<double> cpu_w_;   ///< cpu_power_at_state, [row * states_ + s]
+  std::vector<Pair> pairs_;     ///< in (threads, level) order
+  std::vector<double> times_;   ///< [pair * states_ + s]; NaN until used
+};
+
 class NodeConfigSelector {
  public:
   NodeConfigSelector(const sim::MachineSpec& spec,
                      NodeSelectorOptions options = NodeSelectorOptions{})
       : spec_(&spec), options_(options) {}
+
+  /// Price the class-dependent candidates of one plan (paper §II
+  /// conclusions: see candidate_threads()), once for every budget the
+  /// plan tries.
+  [[nodiscard]] CandidateTable price(const AppModels& models) const;
+  CandidateTable price(const AppModels&& models) const = delete;
+
+  /// Choose the best priced configuration under `node_budget` (CPU+DRAM
+  /// watts): per candidate, subtract its DRAM cap, find the highest ladder
+  /// state that fits (or the duty cycle below the lowest) and compare the
+  /// predicted times, the first of equal times winning. Fills the table's
+  /// time slots it reaches.
+  [[nodiscard]] NodeDecision select(CandidateTable& table,
+                                    Watts node_budget) const;
 
   /// Choose the best node configuration under `node_budget` (CPU+DRAM watts).
   [[nodiscard]] NodeDecision select(const AppModels& models,
@@ -82,9 +134,8 @@ class NodeConfigSelector {
       parallel::AffinityPolicy affinity) const;
 
  private:
-  [[nodiscard]] NodeDecision select_from(const AppModels& models,
-                                         Watts node_budget,
-                                         const std::vector<int>& candidates)
+  [[nodiscard]] CandidateTable price(const AppModels& models,
+                                     const std::vector<int>& candidates)
       const;
 
   const sim::MachineSpec* spec_;

@@ -19,27 +19,17 @@ PowerEstimator::PowerEstimator(const sim::MachineSpec& spec,
   per_core_load_w_ = load_w / all;
   CLIP_REQUIRE(per_core_load_w_ >= 0.0, "negative per-core load power");
   per_core_bw_gbps_ = profile.per_core_bw_gbps;
-  placements_.reserve(static_cast<std::size_t>(all) * 2);
-  for (int threads = 1; threads <= all; ++threads) {
-    placements_.push_back(parallel::place_threads(
-        spec.shape, threads, parallel::AffinityPolicy::kCompact));
-    placements_.push_back(parallel::place_threads(
-        spec.shape, threads, parallel::AffinityPolicy::kScatter));
-  }
   ladder_pow_.reserve(spec.ladder.state_count());
   for (const GHz f : spec.ladder.states())
     ladder_pow_.push_back(
         std::pow(spec.ladder.relative(f), spec.power_exponent));
 }
 
-const parallel::Placement& PowerEstimator::placement(
+parallel::Placement PowerEstimator::placement(
     int threads, parallel::AffinityPolicy affinity) const {
   CLIP_REQUIRE(threads >= 1 && threads <= spec_->shape.total_cores(),
                "threads outside the node");
-  const std::size_t i =
-      static_cast<std::size_t>(threads - 1) * 2 +
-      (affinity == parallel::AffinityPolicy::kCompact ? 0 : 1);
-  return placements_[i];
+  return parallel::place_threads(spec_->shape, threads, affinity);
 }
 
 double PowerEstimator::bw_demand_gbps(int threads) const {
@@ -48,8 +38,13 @@ double PowerEstimator::bw_demand_gbps(int threads) const {
 
 double PowerEstimator::cpu_base_w(int threads,
                                   parallel::AffinityPolicy affinity) const {
+  return cpu_base_w(placement(threads, affinity));
+}
+
+double PowerEstimator::cpu_base_w(
+    const parallel::Placement& placement) const {
   double total = 0.0;
-  for (int t : placement(threads, affinity).threads_per_socket)
+  for (int t : placement.threads_per_socket)
     total += t > 0 ? spec_->socket_base_w : spec_->socket_parked_w;
   return total;
 }
@@ -66,25 +61,36 @@ Watts PowerEstimator::cpu_power(int threads,
 Watts PowerEstimator::cpu_power_at_state(int threads,
                                          parallel::AffinityPolicy affinity,
                                          std::size_t state) const {
+  return cpu_power_at_state(placement(threads, affinity), state);
+}
+
+Watts PowerEstimator::cpu_power_at_state(const parallel::Placement& placement,
+                                         std::size_t state) const {
   CLIP_REQUIRE(state < ladder_pow_.size(), "state outside the ladder");
-  return Watts(cpu_base_w(threads, affinity) +
-               threads * per_core_load_w_ * ladder_pow_[state]);
+  return Watts(cpu_base_w(placement) + placement.total_threads() *
+                                           per_core_load_w_ *
+                                           ladder_pow_[state]);
 }
 
 Watts PowerEstimator::mem_power(int threads,
                                 parallel::AffinityPolicy affinity,
                                 sim::MemPowerLevel level) const {
-  const double level_bw = placement(threads, affinity).active_sockets() *
-                          spec_->socket_bw_gbps * sim::bw_fraction(level);
-  return mem_power_at_bw(threads, affinity,
-                         std::min(bw_demand_gbps(threads), level_bw));
+  const parallel::Placement at = placement(threads, affinity);
+  const double level_bw = at.active_sockets() * spec_->socket_bw_gbps *
+                          sim::bw_fraction(level);
+  return mem_power_at_bw(at, std::min(bw_demand_gbps(threads), level_bw));
 }
 
 Watts PowerEstimator::mem_power_at_bw(int threads,
                                       parallel::AffinityPolicy affinity,
                                       double achieved_bw_gbps) const {
+  return mem_power_at_bw(placement(threads, affinity), achieved_bw_gbps);
+}
+
+Watts PowerEstimator::mem_power_at_bw(const parallel::Placement& placement,
+                                      double achieved_bw_gbps) const {
   CLIP_REQUIRE(achieved_bw_gbps >= 0.0, "achieved bandwidth must be >= 0");
-  const int active = placement(threads, affinity).active_sockets();
+  const int active = placement.active_sockets();
   const int parked = spec_->shape.sockets - active;
   return Watts(active * spec_->mem_base_w_per_socket +
                parked * spec_->mem_parked_w_per_socket +

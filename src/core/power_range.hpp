@@ -38,7 +38,7 @@ class PowerEstimator {
   /// cpu_power() at state `state` of the machine's DVFS ladder (ascending,
   /// as FrequencyLadder::states()), bit for bit: the f_rel^exponent term of
   /// every state is taken once, when the estimator is built, so a selector
-  /// scanning the ladder for each candidate pays no pow() per probe.
+  /// pricing the ladder for each candidate pays no pow() per state.
   [[nodiscard]] Watts cpu_power_at_state(int threads,
                                          parallel::AffinityPolicy affinity,
                                          std::size_t state) const;
@@ -47,6 +47,16 @@ class PowerEstimator {
   /// holding threads plus parked power of the empty ones.
   [[nodiscard]] double cpu_base_w(int threads,
                                   parallel::AffinityPolicy affinity) const;
+
+  /// cpu_power_at_state(), cpu_base_w() and mem_power_at_bw() at the
+  /// placement parallel::place_threads gives (threads, affinity), bit for
+  /// bit: a caller pricing many states and levels at one thread count
+  /// places its threads once.
+  [[nodiscard]] Watts cpu_power_at_state(
+      const parallel::Placement& placement, std::size_t state) const;
+  [[nodiscard]] double cpu_base_w(const parallel::Placement& placement) const;
+  [[nodiscard]] Watts mem_power_at_bw(const parallel::Placement& placement,
+                                      double achieved_bw_gbps) const;
 
   /// Predicted memory-domain power (achieved bandwidth capped by the level).
   [[nodiscard]] Watts mem_power(int threads,
@@ -75,17 +85,12 @@ class PowerEstimator {
   [[nodiscard]] double bw_demand_gbps(int threads) const;
 
  private:
-  /// The placement for (threads, affinity) — the estimator asks for the
-  /// same handful of placements tens of thousands of times per budget
-  /// sweep, so they are built once here instead of per call. The returned
-  /// object is identical to a fresh place_threads result.
-  [[nodiscard]] const parallel::Placement& placement(
+  [[nodiscard]] parallel::Placement placement(
       int threads, parallel::AffinityPolicy affinity) const;
 
   const sim::MachineSpec* spec_;
   double per_core_load_w_ = 0.0;
   double per_core_bw_gbps_ = 0.0;
-  std::vector<parallel::Placement> placements_;  ///< [(threads-1)*2 + policy]
   std::vector<double> ladder_pow_;  ///< f_rel^exponent per ladder state
 };
 

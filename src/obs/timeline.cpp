@@ -26,12 +26,17 @@ namespace {
 
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
-double parse_double(const std::string& s, const char* what) {
-  char* end = nullptr;
-  const double v = std::strtod(s.c_str(), &end);
-  CLIP_REQUIRE(end != s.c_str() && *end == '\0',
-               std::string("timeline CSV: bad ") + what + " '" + s + "'");
-  return v;
+/// The number in a timeline CSV cell, which must be all of the cell, as
+/// format_exact writes it: a blank, a '+', a suffix, a hex form or a value
+/// out of range is an error naming the column.
+double parse_cell(const std::string& cell, const char* column) {
+  const char* const end = cell.data() + cell.size();
+  double value = 0.0;
+  const auto [stop, ec] = std::from_chars(cell.data(), end, value);
+  CLIP_REQUIRE(ec == std::errc() && stop == end,
+               std::string("column '") + column + "' is not a number: '" +
+                   cell + "'");
+  return value;
 }
 
 /// Step-function value of a sorted point deque at `t_s` (NaN before the
@@ -468,15 +473,21 @@ void Timeline::load_csv_document(const CsvDocument& doc,
                    std::vector<std::string>(
                        {"kind", "series", "t_s", "value", "label"}),
                "not a timeline CSV: " + context);
-  for (const auto& row : doc.rows) {
-    const std::string& kind = row[0];
-    const double t_s = parse_double(row[2], "t_s");
-    if (kind == "sample") {
-      record(row[1], t_s, parse_double(row[3], "value"));
-    } else if (kind == "event") {
-      event(row[1], t_s, row[4]);
-    } else {
-      CLIP_REQUIRE(false, "timeline CSV: unknown kind '" + kind + "'");
+  for (std::size_t i = 0; i < doc.rows.size(); ++i) {
+    const auto& row = doc.rows[i];
+    try {
+      const std::string& kind = row[0];
+      const double t_s = parse_cell(row[2], "t_s");
+      if (kind == "sample") {
+        record(row[1], t_s, parse_cell(row[3], "value"));
+      } else if (kind == "event") {
+        event(row[1], t_s, row[4]);
+      } else {
+        CLIP_REQUIRE(false, "unknown kind '" + kind + "'");
+      }
+    } catch (const PreconditionError& e) {
+      throw PreconditionError("timeline CSV " + context + " row " +
+                              std::to_string(i + 2) + ": " + e.what());
     }
   }
 }

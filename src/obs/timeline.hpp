@@ -165,8 +165,10 @@ class Timeline {
   /// One JSON object per line, same order as the CSV.
   void write_jsonl(const std::filesystem::path& path) const;
 
-  /// Append the contents of a write_csv() file into this timeline. Throws
-  /// on malformed input. load then write round-trips byte-identically.
+  /// Append the contents of a write_csv() file into this timeline. Each
+  /// number cell must be all number, as format_exact writes it (no blank,
+  /// no '+'); malformed input throws PreconditionError naming the file, the
+  /// row and the column. load then write round-trips byte-identically.
   void load_csv(const std::filesystem::path& path);
 
   void clear();

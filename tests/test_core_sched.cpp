@@ -2,9 +2,12 @@
 // allocator (Algorithm 1), variability coordinator, scheduler facade.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <string>
 #include <type_traits>
 
 #include "core/cluster_alloc.hpp"
@@ -303,6 +306,177 @@ TEST_F(SchedTest, LadderTableCpuPowerIsCpuPowerAtEveryState) {
                              .value()))
               << name << " t=" << threads << " state=" << s;
   }
+}
+
+TEST_F(SchedTest, PlanningDecisionsArePinned) {
+  // Every decision the planning layer returns, each field rendered with %a
+  // and hashed: a change to how or when a candidate is priced that moves a
+  // pick, a tie, a cap or a reported prediction moves this hash. A call
+  // that throws feeds "x;", so where the planner refuses is pinned too.
+  std::uint64_t h = 0xcbf29ce484222325ull;  // FNV-1a over the rendered text
+  const auto feed = [&h](const std::string& s) {
+    for (const unsigned char c : s) {
+      h ^= c;
+      h *= 0x100000001b3ull;
+    }
+  };
+  const auto render_config = [&](const sim::NodeConfig& c) {
+    char row[160];
+    // clip-lint: allow(D3) %a renders every decision double bit for bit
+    std::snprintf(row, sizeof(row), "%d,%d,%d,%a,%a,", c.threads,
+                  static_cast<int>(c.affinity), static_cast<int>(c.mem_level),
+                  c.cpu_cap.value(), c.mem_cap.value());
+    feed(row);
+  };
+  const auto render_node = [&](const NodeDecision& d) {
+    render_config(d.config);
+    char row[160];
+    // clip-lint: allow(D3) %a renders every decision double bit for bit
+    std::snprintf(row, sizeof(row), "%a,%a,%a;", d.f_rel_expected,
+                  d.predicted_time.value(), d.predicted_power.value());
+    feed(row);
+  };
+  const auto render_range = [&](const PowerRange& r) {
+    char row[96];
+    // clip-lint: allow(D3) %a renders every decision double bit for bit
+    std::snprintf(row, sizeof(row), "%a,%a,", r.low.value(), r.high.value());
+    feed(row);
+  };
+  const auto attempt = [&](const auto& plan) {
+    try {
+      plan();
+    } catch (const PreconditionError&) {
+      feed("x;");
+    }
+  };
+
+  const sim::MachineSpec& spec = ex_.spec();
+  const double idle_w = spec.shape.sockets * (spec.socket_parked_w +
+                                              spec.mem_parked_w_per_socket) +
+                        2.0;
+  int unpriced_levels = 0;  // levels the unpriced-bandwidth rule skips
+  int refused_counts = 0;   // node counts the scored allocator skips
+  ClusterAllocator strict(spec, selector_,
+                          ClusterAllocOptions{.strict_algorithm1 = true});
+  Rng rng(0x91A4);
+  std::vector<workloads::WorkloadSignature> apps =
+      workloads::paper_benchmarks();
+  for (int i = 0; i < 14; ++i) {
+    workloads::WorkloadSignature w = workloads::random_signature(rng);
+    w.name = "pinned-" + std::to_string(i);  // independent of draw order
+    apps.push_back(w);
+  }
+  for (const auto& w : apps) {
+    ProfileData p = profiler_.profile(w);
+    const auto cls = classifier_.classify(p);
+    int np = 0;
+    if (cls != workloads::ScalabilityClass::kLinear) {
+      np = 2 * static_cast<int>(rng.uniform_int(1, 12));
+      profiler_.validate_at(w, p, np);
+    }
+    const AppModels m = models(p, cls, np);
+    const double ceiling = std::max(1.0, m.perf.observed_bw_ceiling());
+    if (m.perf.recovered_memory_boundedness() <= 0.0)
+      for (int t : selector_.candidate_threads(cls, np))
+        for (const sim::MemPowerLevel level : sim::kAllMemLevels)
+          if (level != sim::MemPowerLevel::kL0 &&
+              ceiling * sim::bw_fraction(level) <
+                  m.power.bw_demand_gbps(t) * 0.99)
+            ++unpriced_levels;
+
+    for (const double budget :
+         {rng.uniform(30.0, 60.0), rng.uniform(60.0, 90.0), 9.0, 120.0,
+          170.0, 260.0})
+      attempt([&] { render_node(selector_.select(m, Watts(budget))); });
+    const int odd = 2 * static_cast<int>(rng.uniform_int(0, 11)) + 1;
+    const int even = 2 * static_cast<int>(rng.uniform_int(1, 12));
+    for (const int threads : {odd, even})
+      for (const double budget : {rng.uniform(30.0, 90.0), 150.0})
+        attempt([&] {
+          render_node(selector_.select_forced(m, Watts(budget), threads));
+        });
+
+    for (const double budget :
+         {rng.uniform(30.0, 90.0), rng.uniform(60.0, 90.0), 300.0, 700.0,
+          1400.0}) {
+      for (int n = 1; n <= spec.nodes; ++n) {
+        const double share = budget / n;
+        if (share <= idle_w) continue;
+        try {
+          (void)selector_.select(m, Watts(share));
+        } catch (const PreconditionError&) {
+          ++refused_counts;
+        }
+      }
+      for (const ClusterAllocator* a : {&allocator_, &strict})
+        for (const bool powers_of_two : {false, true})
+          attempt([&] {
+            const ClusterDecision d = a->allocate(
+                m, Watts(budget),
+                powers_of_two ? allocator_.power_of_two_counts()
+                              : std::vector<int>{});
+            char row[96];
+            // clip-lint: allow(D3) %a renders every decision double bit for bit
+            std::snprintf(row, sizeof(row), "%d,%a,%a,", d.nodes,
+                          d.node_budget.value(), d.predicted_score);
+            feed(row);
+            render_range(d.node_range);
+            render_node(d.node);
+          });
+    }
+  }
+  EXPECT_GT(unpriced_levels, 0);
+  EXPECT_GT(refused_counts, 0);
+
+  // The scheduler's two other entry points, on one trained scheduler.
+  ClipScheduler sched(ex_, workloads::training_benchmarks());
+  const auto render_schedule = [&](const ScheduleDecision& d) {
+    char row[160];
+    // clip-lint: allow(D3) %a renders every decision double bit for bit
+    std::snprintf(row, sizeof(row), "%d,%d,%d,%a,%a,%d,%a,", d.cluster.nodes,
+                  static_cast<int>(d.cls), d.inflection, d.node_budget.value(),
+                  d.predicted_node_time.value(),
+                  static_cast<int>(d.from_knowledge_db),
+                  d.profiling_cost.value());
+    feed(row);
+    render_config(d.cluster.node);
+    for (const Watts cap : d.cluster.cpu_cap_overrides) {
+      // clip-lint: allow(D3) %a renders every decision double bit for bit
+      std::snprintf(row, sizeof(row), "%a,", cap.value());
+      feed(row);
+    }
+    render_range(d.node_range);
+    feed(";");
+  };
+  for (std::size_t i = 0; i < apps.size(); ++i) {
+    const auto& w = apps[i];
+    const int nodes = 1 + static_cast<int>(i % 8);
+    const int odd = 2 * static_cast<int>(rng.uniform_int(0, 11)) + 1;
+    const int even = 2 * static_cast<int>(rng.uniform_int(1, 12));
+    for (const int threads : {0, odd, even})
+      for (const double per_node : {rng.uniform(30.0, 90.0), 140.0})
+        attempt([&] {
+          render_schedule(sched.schedule_constrained(
+              w, Watts(per_node * nodes), nodes, threads));
+        });
+  }
+  for (const auto& p : workloads::phased_benchmarks())
+    for (const double budget : {rng.uniform(240.0, 720.0), 1400.0})
+      attempt([&] {
+        const ClipScheduler::PhasedDecision d =
+            sched.schedule_phased(p, Watts(budget));
+        char row[96];
+        // clip-lint: allow(D3) %a renders every decision double bit for bit
+        std::snprintf(row, sizeof(row), "%d,%a,", d.cluster.nodes,
+                      d.node_budget.value());
+        feed(row);
+        for (const sim::NodeConfig& c : d.cluster.phase_nodes) render_config(c);
+        for (std::size_t k = 0; k < d.phase_classes.size(); ++k)
+          feed(std::to_string(static_cast<int>(d.phase_classes[k])) + "," +
+               std::to_string(d.phase_inflections[k]) + ",");
+        feed(";");
+      });
+  EXPECT_EQ(h, 0xf39c817205c5d514ull) << std::hex << h;
 }
 
 // ------------------------------------------------------------- variability ----

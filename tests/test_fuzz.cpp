@@ -11,6 +11,7 @@
 #include <fstream>
 #include <optional>
 #include <sstream>
+#include <string_view>
 
 #include "core/knowledge_db.hpp"
 #include "core/profiler.hpp"
@@ -397,9 +398,11 @@ std::string read_bytes(const std::filesystem::path& path) {
           std::istreambuf_iterator<char>()};
 }
 
-/// One seeded edit: a flipped bit, an inserted separator, quote, newline or
-/// digit, a deleted byte, a truncation, or a duplicated line.
-void mutate(std::string& bytes, Rng& rng) {
+/// One seeded edit: a flipped bit, an inserted byte from `inserts` (by
+/// default a separator, quote, newline or digit), a deleted byte, a
+/// truncation, or a duplicated line.
+void mutate(std::string& bytes, Rng& rng,
+            std::string_view inserts = ",\"\n0123456789") {
   const auto pick = [&](std::size_t n) {
     return static_cast<std::size_t>(
         rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
@@ -409,8 +412,7 @@ void mutate(std::string& bytes, Rng& rng) {
     bytes[pick(bytes.size())] ^=
         static_cast<char>(1 << rng.uniform_int(0, 7));
   } else if (kind == 1) {
-    static const std::string kInserts = ",\"\n0123456789";
-    bytes.insert(pick(bytes.size() + 1), 1, kInserts[pick(kInserts.size())]);
+    bytes.insert(pick(bytes.size() + 1), 1, inserts[pick(inserts.size())]);
   } else if (kind == 2) {
     bytes.erase(pick(bytes.size()), 1);
   } else if (kind == 3) {
@@ -492,6 +494,81 @@ TEST_P(KnowledgeDbFuzz, MutatedFileRejectsCleanlyOrRoundTrips) {
     ASSERT_NO_THROW(again.load(path));
     again.save(path);
     EXPECT_EQ(saved_keys(path), keys);
+  }
+  std::filesystem::remove(path);
+}
+
+// ------------------------------------------------ timeline loader fuzz ----
+//
+// A run record's flight recorder (timeline.csv) is read back by
+// `clipctl report` (runtime::load_record) and `clipctl alerts`. Each load of a mutated recording must either
+// throw PreconditionError or give a timeline whose CSV loads back to the
+// same CSV: whatever a load accepts, it reads as write_csv would write it.
+
+/// The timeline of a queue run under every fault kind, as write_csv writes
+/// it. Its own executor and scheduler: the recording does not depend on
+/// which cases ran before it in the process.
+const std::string& faulted_timeline_csv() {
+  static const std::string csv = [] {
+    sim::SimExecutor ex{sim::MachineSpec{}, no_noise()};
+    core::ClipScheduler sched{ex, workloads::training_benchmarks()};
+    fault::FaultPlanShape shape;
+    shape.crashes = 1;
+    shape.degrades = 1;
+    shape.meter_faults = 2;
+    shape.cap_violations = 2;
+    shape.meter_blackouts = 1;
+    shape.budget_cuts = 1;
+    // The fault-free stream ends after about 81 simulated seconds.
+    const auto plan =
+        fault::FaultPlan::random(0x71CE, ex.spec().nodes, 70.0, shape);
+    runtime::QueueOptions opt;
+    opt.cluster_budget = Watts(700.0);
+    opt.redist.enabled = true;
+    std::vector<runtime::QueueJob> jobs;
+    for (const auto& a : workloads::paper_benchmarks()) jobs.push_back({a, 0});
+    runtime::QueueEventLoop queue(ex, sched, opt, jobs);
+    fault::FaultInjector injector(plan, ex.spec().nodes);
+    queue.set_fault_injector(&injector);
+    obs::Timeline timeline;
+    queue.set_timeline(&timeline);
+    (void)queue.run();
+    return timeline.to_csv_string();
+  }();
+  return csv;
+}
+
+class TimelineCsvFuzz : public ::testing::TestWithParam<int> {};
+
+INSTANTIATE_TEST_SUITE_P(Seeds, TimelineCsvFuzz, ::testing::Range(0, 32));
+
+TEST_P(TimelineCsvFuzz, MutatedRecordingRejectsCleanlyOrRoundTrips) {
+  const auto seed = static_cast<std::uint64_t>(GetParam());
+  const std::filesystem::path path = unique_temp_path("clip_tl_fuzz", ".csv");
+  const std::string& recorded = faulted_timeline_csv();
+  ASSERT_NE(recorded.find("\nevent,fault,"), std::string::npos);
+
+  Rng rng(0x71F022u + seed);
+  for (int trial = 0; trial < 8; ++trial) {
+    std::string bytes = recorded;
+    const auto edits = rng.uniform_int(1, 3);
+    for (std::int64_t e = 0; e < edits; ++e)
+      mutate(bytes, rng, ",\"\n0123456789 +-.e");
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+    SCOPED_TRACE("seed " + std::to_string(seed) + " trial " +
+                 std::to_string(trial));
+
+    obs::Timeline loaded;
+    try {
+      loaded.load_csv(path);
+    } catch (const PreconditionError&) {
+      continue;
+    }
+    const std::string csv = loaded.to_csv_string();
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << csv;
+    obs::Timeline again;
+    ASSERT_NO_THROW(again.load_csv(path));
+    EXPECT_EQ(again.to_csv_string(), csv);
   }
   std::filesystem::remove(path);
 }

@@ -293,6 +293,40 @@ TEST(Timeline, LoadCsvRejectsMalformedInput) {
   std::filesystem::remove(p);
 }
 
+TEST(Timeline, LoadCsvTakesOnlyCellsWriteCsvWrites) {
+  // write_csv never writes a blank or a '+' in a number cell. A load that
+  // took " 1" and "+2" would write back other bytes ("sample,a,1,2,")
+  // than it read; such a cell is refused, naming the file, the row and
+  // the column.
+  const auto p = temp_path("tl_cells");
+  {
+    std::ofstream out(p);
+    out << "kind,series,t_s,value,label\nsample,a,0,1,\nsample,a, 1,+2,\n";
+  }
+  obs::Timeline tl;
+  try {
+    tl.load_csv(p);
+    ADD_FAILURE() << "loaded as:\n" << tl.to_csv_string();
+  } catch (const PreconditionError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(p.string() + " row 3"), std::string::npos) << what;
+    EXPECT_NE(what.find("column 't_s' is not a number: ' 1'"),
+              std::string::npos)
+        << what;
+  }
+  for (const char* row : {"sample,a,1,+2,", "sample,a,1,2 ,",
+                          "sample,a,0x1p0,2,", "sample,a,1,1e999,",
+                          "event,a,1e,,x", "event,a,,,x"}) {
+    {
+      std::ofstream out(p);
+      out << "kind,series,t_s,value,label\n" << row << "\n";
+    }
+    obs::Timeline bad;
+    EXPECT_THROW(bad.load_csv(p), PreconditionError) << row;
+  }
+  std::filesystem::remove(p);
+}
+
 // -------------------------------------------------------- Timeline deltas ----
 // The journal's snapshots carry the flight record as write_delta() blocks;
 // recovery folds them back with apply_delta(). The fold must reproduce the

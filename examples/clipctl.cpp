@@ -51,6 +51,7 @@
 //
 // Applications are named as in Table II (e.g. SP-MZ, TeaLeaf, CoMD).
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -70,6 +71,7 @@
 #include "runtime/queue.hpp"
 #include "runtime/run_report.hpp"
 #include "runtime/telemetry.hpp"
+#include "util/parse.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
 #include "workloads/catalog.hpp"
@@ -108,14 +110,21 @@ workloads::WorkloadSignature lookup_or_die(const std::string& name) {
   std::exit(2);
 }
 
+// Numeric arguments are read whole (util/parse.hpp): "700W", "80abc" or
+// "-1" is a usage error, never a prefix or a wrapped value.
+
 double watts_or_die(const std::string& arg) {
-  try {
-    const double v = std::stod(arg);
-    if (v > 0.0) return v;
-  } catch (const std::exception&) {
-  }
+  const auto v = parse_whole<double>(arg);
+  if (v && std::isfinite(*v) && *v > 0.0) return *v;
   std::cerr << "'" << arg << "' is not a positive wattage\n";
-  std::exit(2);
+  std::exit(usage());
+}
+
+/// A TCP port argument: a whole number in 1..65535.
+std::optional<int> port_arg(const std::string& arg) {
+  const auto port = parse_whole<int>(arg);
+  if (port && *port >= 1 && *port <= 65535) return port;
+  return std::nullopt;
 }
 
 /// Raw token after `"key":` in a flat JSON object (StatusSnapshot::to_json
@@ -208,11 +217,8 @@ int main(int argc, char** argv) {
       if (arg == "--json") {
         json = true;
       } else if (arg == "--job" && i + 1 < argc) {
-        try {
-          job = static_cast<std::size_t>(std::stoul(argv[++i]));
-        } catch (const std::exception&) {
-          return usage();
-        }
+        job = parse_whole<std::size_t>(argv[++i]);
+        if (!job) return usage();
       } else {
         return usage();
       }
@@ -327,8 +333,9 @@ int main(int argc, char** argv) {
       if (arg == "--trace") {
         traced = true;
       } else if (arg == "--port" && i + 1 < argc) {
-        port = std::atoi(argv[++i]);
-        if (port <= 0) return usage();
+        const auto p = port_arg(argv[++i]);
+        if (!p) return usage();
+        port = *p;
       } else {
         return usage();
       }
@@ -378,8 +385,9 @@ int main(int argc, char** argv) {
   }
   if (command == "top") {
     if (argc < 3) return usage();
-    const int port = std::atoi(argv[2]);
-    if (port <= 0) return usage();
+    const auto parsed_port = port_arg(argv[2]);
+    if (!parsed_port) return usage();
+    const int port = *parsed_port;
     bool once = false;
     for (int i = 3; i < argc; ++i) {
       if (std::string(argv[i]) == "--once")

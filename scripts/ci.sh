@@ -1,14 +1,17 @@
 #!/usr/bin/env bash
 # CI entry point: configure, build and test every preset (release, asan,
-# tsan), then run the two bench binaries that price a host cost. The
+# tsan); with release, also compile one Release (-O3) tree. The
 # fault/resilience suite is labeled `fault`, the crash-consistency suite
 # (journal round-trips, kill-point recovery, the randomized kill+recover
 # fuzzer) `recovery`, the live observability plane (telemetry server
 # sockets + thread, trace propagation, the SLO/alert engine) `obs_live`,
 # the input fuzzers `fuzz`, and the bench checks (engine output identity
-# and sim.runs pins, the redistribution floor) `bench`; all run under every
-# preset, so the sanitizers see them on each CI pass. A quick
-# sanitizer-only sweep of one suite is:
+# and sim.runs pins, the golden outputs, among them the kill-point
+# recovery report and the obs purity check with their allocation counts,
+# and the redistribution floor) `bench`; all run under every preset, so
+# the sanitizers see them on each CI pass. No stage judges host time;
+# perfbench (perfbench/) times the program. A quick sanitizer-only sweep
+# of one suite is:
 #
 #   PRESETS="asan tsan" CTEST_ARGS="-L fault" scripts/ci.sh
 #   PRESETS="asan tsan" CTEST_ARGS="-L recovery" scripts/ci.sh
@@ -30,7 +33,6 @@
 #   PRESETS        space-separated subset of presets (default: all three)
 #   CTEST_ARGS     extra arguments for ctest (e.g. "-L fault", "-R Queue")
 #   JOBS           parallelism for build and test (default: nproc)
-#   SKIP_GATE      set to 1 to skip the bench gate stage
 #   SKIP_LINT      set to 1 to skip the clip-lint stage
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -88,33 +90,13 @@ for preset in $PRESETS; do
   if [ "$preset" = release ]; then
     echo "==> [$preset] perfbench traced run: purity + golden fingerprints"
     python3 perfbench/tests/test_trace.py
+    # -O3 inlines more than the presets' -O2 and Debug, and GCC 12 warns in
+    # code they never see; with CLIP_WERROR=ON that fails the build. Compile
+    # only: the presets run the tests.
+    echo "==> [$preset] Release (-O3) build, compile only"
+    cmake -S . -B build-o3 -DCMAKE_BUILD_TYPE=Release >/dev/null
+    cmake --build build-o3 -j "$JOBS"
   fi
 done
 
-# The bench gates: the two binaries whose verdicts include a share of a
-# duty cycle, which is host time and so stays out of ctest. Each prints its
-# reading beside its bound and exits 1 on a failed check. Both run and
-# report even after one fails; the stage exits non-zero at the end, naming
-# each gate that failed. Engine timing is the benchmark's (perfbench/).
-failed_gates=""
-gate() {
-  name=$1
-  shift
-  if ! "$@"; then
-    echo "==> [gate] FAILED: $name" >&2
-    failed_gates="$failed_gates $name"
-  fi
-}
-
-if [ "${SKIP_GATE:-0}" != "1" ] && [ -d build/bench ]; then
-  echo "==> [gate] crash consistency: every kill point + journal overhead"
-  gate recovery build/bench/recovery
-  echo "==> [gate] observability plane: purity + endpoints + overhead"
-  gate obs build/bench/obs_overhead
-fi
-
-if [ -n "$failed_gates" ]; then
-  echo "==> bench gates failed:$failed_gates" >&2
-  exit 1
-fi
 echo "==> all presets passed: $PRESETS"

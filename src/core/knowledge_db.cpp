@@ -1,12 +1,11 @@
 #include "core/knowledge_db.hpp"
 
-#include <charconv>
 #include <cmath>
-#include <type_traits>
 
 #include "util/check.hpp"
 #include "util/csv.hpp"
 #include "util/fsio.hpp"
+#include "util/parse.hpp"
 #include "util/strings.hpp"
 
 namespace clip::core {
@@ -137,20 +136,11 @@ const std::vector<std::string> kColumns = {
     "cpu_power_all", "mem_power_all",   "cycles_active_all",
     "machine"};
 
-/// The number in cell `col` of `row`, which must be all of the cell: a
-/// trailing suffix, a fraction or exponent in an integer column, and a
-/// value out of T's range are all errors naming the column.
+/// The number in cell `col` of `row`, which must be all of the cell
+/// (util/parse.hpp); a malformed cell is an error naming the column.
 template <class T>
-T parse_cell(const std::vector<std::string>& row, std::size_t col) {
-  const std::string& cell = row[col];
-  const char* const end = cell.data() + cell.size();
-  T value{};
-  const auto [stop, ec] = std::from_chars(cell.data(), end, value);
-  CLIP_REQUIRE(ec == std::errc() && stop == end,
-               "column '" + kColumns[col] + "' is not " +
-                   (std::is_integral_v<T> ? "an integer" : "a number") +
-                   ": '" + cell + "'");
-  return value;
+T column(const std::vector<std::string>& row, std::size_t col) {
+  return parse_cell<T>(row[col], kColumns[col]);
 }
 }  // namespace
 
@@ -206,19 +196,19 @@ void KnowledgeDb::load(const std::filesystem::path& path) {
       r.name = row[0];
       r.parameters = row[1];
       r.cls = class_from_string(row[2]);
-      r.inflection = parse_cell<int>(row, 3);
-      r.perf_ratio = parse_cell<double>(row, 4);
+      r.inflection = column<int>(row, 3);
+      r.perf_ratio = column<double>(row, 4);
       r.preferred_affinity = affinity_from_string(row[5]);
-      r.per_core_bw_gbps = parse_cell<double>(row, 6);
-      r.node_bw_gbps = parse_cell<double>(row, 7);
-      r.memory_intensity = parse_cell<double>(row, 8);
-      r.time_all_s = parse_cell<double>(row, 9);
-      r.time_half_s = parse_cell<double>(row, 10);
-      r.time_validation_s = parse_cell<double>(row, 11);
-      r.validation_threads = parse_cell<int>(row, 12);
-      r.cpu_power_all_w = parse_cell<double>(row, 13);
-      r.mem_power_all_w = parse_cell<double>(row, 14);
-      r.cycles_active_all = parse_cell<double>(row, 15);
+      r.per_core_bw_gbps = column<double>(row, 6);
+      r.node_bw_gbps = column<double>(row, 7);
+      r.memory_intensity = column<double>(row, 8);
+      r.time_all_s = column<double>(row, 9);
+      r.time_half_s = column<double>(row, 10);
+      r.time_validation_s = column<double>(row, 11);
+      r.validation_threads = column<int>(row, 12);
+      r.cpu_power_all_w = column<double>(row, 13);
+      r.mem_power_all_w = column<double>(row, 14);
+      r.cycles_active_all = column<double>(row, 15);
       r.machine = row[16];
     } catch (const PreconditionError& e) {
       throw PreconditionError("knowledge DB " + path.string() + " row " +

@@ -18,6 +18,7 @@
 #include "obs/chrome_trace.hpp"
 #include "util/check.hpp"
 #include "util/csv.hpp"
+#include "util/parse.hpp"
 #include "util/strings.hpp"
 
 namespace clip::obs {
@@ -25,19 +26,6 @@ namespace clip::obs {
 namespace {
 
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
-
-/// The number in a timeline CSV cell, which must be all of the cell, as
-/// format_exact writes it: a blank, a '+', a suffix, a hex form or a value
-/// out of range is an error naming the column.
-double parse_cell(const std::string& cell, const char* column) {
-  const char* const end = cell.data() + cell.size();
-  double value = 0.0;
-  const auto [stop, ec] = std::from_chars(cell.data(), end, value);
-  CLIP_REQUIRE(ec == std::errc() && stop == end,
-               std::string("column '") + column + "' is not a number: '" +
-                   cell + "'");
-  return value;
-}
 
 /// Step-function value of a sorted point deque at `t_s` (NaN before the
 /// first sample). std::upper_bound over the deque keeps queries O(log n).
@@ -473,23 +461,41 @@ void Timeline::load_csv_document(const CsvDocument& doc,
                    std::vector<std::string>(
                        {"kind", "series", "t_s", "value", "label"}),
                "not a timeline CSV: " + context);
+  // The rows land in copies of the series, swapped in only once every row
+  // has loaded: a load that throws leaves the timeline as it was.
+  std::lock_guard lock(mu_);
+  auto samples = samples_;
+  auto events = events_;
+  std::uint64_t dropped = dropped_;
   for (std::size_t i = 0; i < doc.rows.size(); ++i) {
     const auto& row = doc.rows[i];
     try {
       const std::string& kind = row[0];
-      const double t_s = parse_cell(row[2], "t_s");
+      const std::string& series = row[1];
+      const double t_s = parse_cell<double>(row[2], "t_s");
+      CLIP_REQUIRE(kind == "sample" || kind == "event",
+                   "unknown kind '" + kind + "'");
+      CLIP_REQUIRE(!series.empty(), "timeline series name must not be empty");
+      bool evicted = false;
       if (kind == "sample") {
-        record(row[1], t_s, parse_cell(row[3], "value"));
-      } else if (kind == "event") {
-        event(row[1], t_s, row[4]);
+        const double value = parse_cell<double>(row[3], "value");
+        evicted = push_point(series_of(samples, series),
+                             TimelinePoint{t_s, value},
+                             options_.ring_capacity, "series", series);
       } else {
-        CLIP_REQUIRE(false, "unknown kind '" + kind + "'");
+        evicted = push_point(series_of(events, series),
+                             TimelineEvent{t_s, row[4]},
+                             options_.ring_capacity, "event series", series);
       }
+      dropped += evicted ? 1 : 0;
     } catch (const PreconditionError& e) {
       throw PreconditionError("timeline CSV " + context + " row " +
                               std::to_string(i + 2) + ": " + e.what());
     }
   }
+  samples_.swap(samples);
+  events_.swap(events);
+  dropped_ = dropped;
 }
 
 void Timeline::write_delta(std::string& out, TimelineMark& mark) const {

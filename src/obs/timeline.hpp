@@ -168,7 +168,8 @@ class Timeline {
   /// Append the contents of a write_csv() file into this timeline. Each
   /// number cell must be all number, as format_exact writes it (no blank,
   /// no '+'); malformed input throws PreconditionError naming the file, the
-  /// row and the column. load then write round-trips byte-identically.
+  /// row and the column, and leaves the timeline as it was. load then write
+  /// round-trips byte-identically.
   void load_csv(const std::filesystem::path& path);
 
   void clear();

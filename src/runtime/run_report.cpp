@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
+#include <cstdint>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -11,6 +11,7 @@
 #include "runtime/journal.hpp"
 #include "util/check.hpp"
 #include "util/csv.hpp"
+#include "util/parse.hpp"
 #include "util/strings.hpp"
 
 // Journal::load salvages torn tails and reports the gap; a report that
@@ -24,16 +25,26 @@ namespace {
 
 using obs::format_exact;
 
-double to_double(const std::string& s, const char* what) {
-  char* end = nullptr;
-  const double v = std::strtod(s.c_str(), &end);
-  CLIP_REQUIRE(end != s.c_str() && *end == '\0',
-               std::string("run record: bad ") + what + " '" + s + "'");
-  return v;
+/// A number cell of a run record, which must be finite as well as all
+/// number: a run writes only finite times, powers and energies, and a NaN
+/// would break the slowest-spans sort and the JSON report.
+double finite(const std::string& cell, const char* column) {
+  const double value = parse_cell<double>(cell, column);
+  CLIP_REQUIRE(std::isfinite(value), std::string("column '") + column +
+                                         "' is not finite: '" + cell + "'");
+  return value;
 }
 
-int to_int(const std::string& s, const char* what) {
-  return static_cast<int>(to_double(s, what));
+/// `read()`, with a PreconditionError it throws renamed to name the record
+/// file and the row (the header is row 1).
+template <typename Read>
+auto in_row(const std::filesystem::path& file, std::size_t row, Read read) {
+  try {
+    return read();
+  } catch (const PreconditionError& e) {
+    throw PreconditionError("run record " + file.string() + " row " +
+                            std::to_string(row) + ": " + e.what());
+  }
 }
 
 const std::vector<std::string>& jobs_header() {
@@ -64,62 +75,81 @@ const std::vector<std::string>& spans_header() {
 /// Everything a render needs, loaded from a record directory. Holds the
 /// (non-movable) Timeline by value, so it is constructed in place.
 struct LoadedRecord {
-  std::map<std::string, std::string> summary;
+  std::filesystem::path summary_path;
+  /// summary.csv key -> its value and row. A value is parsed when read, as
+  /// the type its key holds.
+  std::map<std::string, std::pair<std::string, std::size_t>> summary;
   std::vector<QueuedJobResult> jobs;
   obs::Timeline timeline;
   std::vector<obs::SpanRecord> spans;
 
-  [[nodiscard]] double scalar(const std::string& key) const {
+  /// The value of `key`: all of its cell a T, finite and not negative,
+  /// since every key counts or measures something.
+  template <typename T>
+  [[nodiscard]] T scalar(const std::string& key) const {
     const auto it = summary.find(key);
-    CLIP_REQUIRE(it != summary.end(),
-                 "run record summary missing key '" + key + "'");
-    return to_double(it->second, key.c_str());
+    CLIP_REQUIRE(it != summary.end(), "run record " + summary_path.string() +
+                                          " has no key '" + key + "'");
+    const std::string& cell = it->second.first;
+    return in_row(summary_path, it->second.second, [&] {
+      const T value = parse_cell<T>(cell, key);
+      CLIP_REQUIRE(std::isfinite(value) && value >= T{},
+                   "column '" + key + "' is negative or not finite: '" +
+                       cell + "'");
+      return value;
+    });
   }
   /// Like scalar(), for keys newer than the record (e.g. the redist.*
   /// accounting on records written before redistribution existed).
-  [[nodiscard]] double scalar_or(const std::string& key,
-                                 double fallback) const {
-    const auto it = summary.find(key);
-    return it != summary.end() ? to_double(it->second, key.c_str())
-                               : fallback;
+  template <typename T>
+  [[nodiscard]] T scalar_or(const std::string& key, T fallback) const {
+    return summary.count(key) != 0 ? scalar<T>(key) : fallback;
   }
   [[nodiscard]] std::vector<int> crashed_nodes() const {
-    std::vector<int> nodes;
     const auto it = summary.find("crashed_nodes");
-    if (it == summary.end() || it->second.empty()) return nodes;
-    for (const auto& field : split(it->second, ';'))
-      nodes.push_back(to_int(field, "crashed_nodes"));
-    return nodes;
+    if (it == summary.end() || it->second.first.empty()) return {};
+    return in_row(summary_path, it->second.second, [&] {
+      std::vector<int> nodes;
+      for (const auto& field : split(it->second.first, ';'))
+        nodes.push_back(parse_cell<int>(field, "crashed_nodes"));
+      return nodes;
+    });
   }
 };
 
 void load_record(const std::filesystem::path& dir, LoadedRecord& rec) {
   CLIP_REQUIRE(std::filesystem::is_directory(dir),
                "not a run-record directory: " + dir.string());
-  const CsvDocument summary = read_csv(dir / RunRecordFiles::kSummary);
+  rec.summary_path = dir / RunRecordFiles::kSummary;
+  const CsvDocument summary = read_csv(rec.summary_path);
   CLIP_REQUIRE(summary.header == std::vector<std::string>({"key", "value"}),
                "malformed summary.csv in " + dir.string());
-  for (const auto& row : summary.rows) rec.summary[row[0]] = row[1];
+  for (std::size_t i = 0; i < summary.rows.size(); ++i)
+    rec.summary[summary.rows[i][0]] = {summary.rows[i][1], i + 2};
 
-  const CsvDocument jobs = read_csv(dir / RunRecordFiles::kJobs);
+  const auto jobs_path = dir / RunRecordFiles::kJobs;
+  const CsvDocument jobs = read_csv(jobs_path);
   const bool traced = jobs.header == jobs_header_traced();
   CLIP_REQUIRE(traced || jobs.header == jobs_header(),
                "malformed jobs.csv in " + dir.string());
-  for (const auto& row : jobs.rows) {
-    QueuedJobResult j;
-    j.app = row[0];
-    j.parameters = row[1];
-    j.submit_s = to_double(row[2], "submit_s");
-    j.start_s = to_double(row[3], "start_s");
-    j.end_s = to_double(row[4], "end_s");
-    j.nodes = to_int(row[5], "nodes");
-    j.budget_w = to_double(row[6], "budget_w");
-    j.power_w = to_double(row[7], "power_w");
-    j.attempts = to_int(row[8], "attempts");
-    j.completed = row[9] == "1";
-    j.crashed_node = to_int(row[10], "crashed_node");
-    if (traced) j.trace_id = row[11];
-    rec.jobs.push_back(std::move(j));
+  for (std::size_t i = 0; i < jobs.rows.size(); ++i) {
+    const auto& row = jobs.rows[i];
+    rec.jobs.push_back(in_row(jobs_path, i + 2, [&] {
+      QueuedJobResult j;
+      j.app = row[0];
+      j.parameters = row[1];
+      j.submit_s = finite(row[2], "submit_s");
+      j.start_s = finite(row[3], "start_s");
+      j.end_s = finite(row[4], "end_s");
+      j.nodes = parse_cell<int>(row[5], "nodes");
+      j.budget_w = finite(row[6], "budget_w");
+      j.power_w = finite(row[7], "power_w");
+      j.attempts = parse_cell<int>(row[8], "attempts");
+      j.completed = row[9] == "1";
+      j.crashed_node = parse_cell<int>(row[10], "crashed_node");
+      if (traced) j.trace_id = row[11];
+      return j;
+    }));
   }
 
   rec.timeline.load_csv(dir / RunRecordFiles::kTimeline);
@@ -129,15 +159,18 @@ void load_record(const std::filesystem::path& dir, LoadedRecord& rec) {
     const CsvDocument spans = read_csv(spans_path);
     CLIP_REQUIRE(spans.header == spans_header(),
                  "malformed spans.csv in " + dir.string());
-    for (const auto& row : spans.rows) {
-      obs::SpanRecord s;
-      s.name = row[0];
-      s.category = row[1];
-      s.start_us = to_double(row[2], "start_us");
-      s.duration_us = to_double(row[3], "duration_us");
-      s.tid = to_int(row[4], "tid");
-      s.depth = to_int(row[5], "depth");
-      rec.spans.push_back(std::move(s));
+    for (std::size_t i = 0; i < spans.rows.size(); ++i) {
+      const auto& row = spans.rows[i];
+      rec.spans.push_back(in_row(spans_path, i + 2, [&] {
+        obs::SpanRecord s;
+        s.name = row[0];
+        s.category = row[1];
+        s.start_us = finite(row[2], "start_us");
+        s.duration_us = finite(row[3], "duration_us");
+        s.tid = parse_cell<int>(row[4], "tid");
+        s.depth = parse_cell<int>(row[5], "depth");
+        return s;
+      }));
     }
   }
 }
@@ -150,10 +183,9 @@ std::vector<int> power_nodes(const obs::Timeline& timeline) {
     const auto dot = name.find('.');
     if (dot == std::string::npos || name.substr(dot) != ".power_w") continue;
     const std::string digits = name.substr(4, dot - 4);
-    if (digits.empty() ||
-        digits.find_first_not_of("0123456789") != std::string::npos)
+    if (digits.find_first_not_of("0123456789") != std::string::npos)
       continue;
-    nodes.push_back(std::stoi(digits));
+    if (const auto node = parse_whole<int>(digits)) nodes.push_back(*node);
   }
   std::sort(nodes.begin(), nodes.end());
   return nodes;
@@ -253,11 +285,11 @@ std::string render_markdown_report(const std::filesystem::path& dir,
   LoadedRecord rec;
   load_record(dir, rec);
 
-  const double budget_w = rec.scalar("cluster_budget_w");
-  const double makespan_s = rec.scalar("makespan_s");
-  const double total_energy_j = rec.scalar("total_energy_j");
-  const double used = rec.scalar("node_seconds_used");
-  const double avail = rec.scalar("node_seconds_available");
+  const double budget_w = rec.scalar<double>("cluster_budget_w");
+  const double makespan_s = rec.scalar<double>("makespan_s");
+  const double total_energy_j = rec.scalar<double>("total_energy_j");
+  const double used = rec.scalar<double>("node_seconds_used");
+  const double avail = rec.scalar<double>("node_seconds_available");
   const double node_util = avail > 0.0 ? used / avail : 0.0;
   const double budget_util = budget_w > 0.0 && makespan_s > 0.0
                                  ? total_energy_j / (budget_w * makespan_s)
@@ -272,27 +304,26 @@ std::string render_markdown_report(const std::filesystem::path& dir,
   out << "| makespan (s) | " << format_double(makespan_s, 3) << " |\n";
   out << "| jobs completed | " << completed << "/" << rec.jobs.size()
       << " |\n";
-  out << "| retries | " << static_cast<int>(rec.scalar("retries")) << " |\n";
-  out << "| jobs failed | " << static_cast<int>(rec.scalar("jobs_failed"))
-      << " |\n";
+  out << "| retries | " << rec.scalar<int>("retries") << " |\n";
+  out << "| jobs failed | " << rec.scalar<int>("jobs_failed") << " |\n";
   out << "| total energy (kJ) | " << format_double(total_energy_j / 1000.0, 2)
       << " |\n";
   out << "| node utilization | " << format_double(node_util, 3) << " |\n";
   out << "| budget utilization | " << format_double(budget_util, 3) << " |\n";
   // Violation figures print shortest-exact: they are the BudgetGuard's
   // ground-truth accounting and tests compare them bit-for-bit.
-  out << "| cap violation (s) | " << rec.summary.at("violation_s") << " |\n";
-  out << "| cap violation (W·s) | " << rec.summary.at("violation_ws")
+  out << "| cap violation (s) | "
+      << format_exact(rec.scalar<double>("violation_s")) << " |\n";
+  out << "| cap violation (W·s) | "
+      << format_exact(rec.scalar<double>("violation_ws")) << " |\n";
+  out << "| caps clawed back | " << rec.scalar<int>("caps_reprogrammed")
       << " |\n";
-  out << "| caps clawed back | "
-      << static_cast<int>(rec.scalar("caps_reprogrammed")) << " |\n";
   out << "| meter reads rejected | "
-      << static_cast<int>(rec.scalar("meter_reads_rejected")) << " |\n";
+      << rec.scalar<std::uint64_t>("meter_reads_rejected") << " |\n";
   out << "| redistribution (claws/regrants/shifts) | "
-      << static_cast<int>(rec.scalar_or("redist_claw_backs", 0.0)) << "/"
-      << static_cast<int>(rec.scalar_or("redist_regrants", 0.0)) << "/"
-      << static_cast<int>(rec.scalar_or("redist_subsystem_shifts", 0.0))
-      << " |\n";
+      << rec.scalar_or("redist_claw_backs", 0) << "/"
+      << rec.scalar_or("redist_regrants", 0) << "/"
+      << rec.scalar_or("redist_subsystem_shifts", 0) << " |\n";
   out << "| watts reclaimed / re-granted | "
       << format_double(rec.scalar_or("redist_reclaimed_w", 0.0), 1) << " / "
       << format_double(rec.scalar_or("redist_granted_w", 0.0), 1) << " |\n";
@@ -371,11 +402,11 @@ std::string render_json_report(const std::filesystem::path& dir,
   LoadedRecord rec;
   load_record(dir, rec);
 
-  const double budget_w = rec.scalar("cluster_budget_w");
-  const double makespan_s = rec.scalar("makespan_s");
-  const double total_energy_j = rec.scalar("total_energy_j");
-  const double used = rec.scalar("node_seconds_used");
-  const double avail = rec.scalar("node_seconds_available");
+  const double budget_w = rec.scalar<double>("cluster_budget_w");
+  const double makespan_s = rec.scalar<double>("makespan_s");
+  const double total_energy_j = rec.scalar<double>("total_energy_j");
+  const double used = rec.scalar<double>("node_seconds_used");
+  const double avail = rec.scalar<double>("node_seconds_available");
   std::size_t completed = 0;
   for (const auto& j : rec.jobs)
     if (j.completed) ++completed;
@@ -386,10 +417,8 @@ std::string render_json_report(const std::filesystem::path& dir,
   out << "  \"makespan_s\": " << format_exact(makespan_s) << ",\n";
   out << "  \"jobs_total\": " << rec.jobs.size() << ",\n";
   out << "  \"jobs_completed\": " << completed << ",\n";
-  out << "  \"retries\": " << static_cast<int>(rec.scalar("retries"))
-      << ",\n";
-  out << "  \"jobs_failed\": " << static_cast<int>(rec.scalar("jobs_failed"))
-      << ",\n";
+  out << "  \"retries\": " << rec.scalar<int>("retries") << ",\n";
+  out << "  \"jobs_failed\": " << rec.scalar<int>("jobs_failed") << ",\n";
   out << "  \"total_energy_j\": " << format_exact(total_energy_j) << ",\n";
   out << "  \"node_utilization\": "
       << format_exact(avail > 0.0 ? used / avail : 0.0) << ",\n";
@@ -398,21 +427,22 @@ std::string render_json_report(const std::filesystem::path& dir,
                           ? total_energy_j / (budget_w * makespan_s)
                           : 0.0)
       << ",\n";
-  out << "  \"violation_s\": " << rec.summary.at("violation_s") << ",\n";
-  out << "  \"violation_ws\": " << rec.summary.at("violation_ws") << ",\n";
-  out << "  \"caps_reprogrammed\": "
-      << static_cast<int>(rec.scalar("caps_reprogrammed")) << ",\n";
-  out << "  \"meter_reads_rejected\": "
-      << static_cast<int>(rec.scalar("meter_reads_rejected")) << ",\n";
-  out << "  \"redist_claw_backs\": "
-      << static_cast<int>(rec.scalar_or("redist_claw_backs", 0.0)) << ",\n";
-  out << "  \"redist_regrants\": "
-      << static_cast<int>(rec.scalar_or("redist_regrants", 0.0)) << ",\n";
-  out << "  \"redist_subsystem_shifts\": "
-      << static_cast<int>(rec.scalar_or("redist_subsystem_shifts", 0.0))
+  out << "  \"violation_s\": "
+      << format_exact(rec.scalar<double>("violation_s")) << ",\n";
+  out << "  \"violation_ws\": "
+      << format_exact(rec.scalar<double>("violation_ws")) << ",\n";
+  out << "  \"caps_reprogrammed\": " << rec.scalar<int>("caps_reprogrammed")
       << ",\n";
+  out << "  \"meter_reads_rejected\": "
+      << rec.scalar<std::uint64_t>("meter_reads_rejected") << ",\n";
+  out << "  \"redist_claw_backs\": " << rec.scalar_or("redist_claw_backs", 0)
+      << ",\n";
+  out << "  \"redist_regrants\": " << rec.scalar_or("redist_regrants", 0)
+      << ",\n";
+  out << "  \"redist_subsystem_shifts\": "
+      << rec.scalar_or("redist_subsystem_shifts", 0) << ",\n";
   out << "  \"redist_regrants_rejected\": "
-      << static_cast<int>(rec.scalar_or("redist_regrants_rejected", 0.0))
+      << rec.scalar_or<std::uint64_t>("redist_regrants_rejected", 0)
       << ",\n";
   out << "  \"redist_reclaimed_w\": "
       << format_exact(rec.scalar_or("redist_reclaimed_w", 0.0)) << ",\n";

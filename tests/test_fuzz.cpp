@@ -1,8 +1,9 @@
 // Fuzz-style property suites over randomly generated workloads and swept
 // operating conditions: the simulator's physical invariants and CLIP's
 // guarantees must hold across the whole valid signature space, not just the
-// calibrated catalog. The byte-level suites (the knowledge-DB loader, the
-// analyzer) feed mutated input to a parser (`ctest -L fuzz`).
+// calibrated catalog. The byte-level suites (the knowledge-DB, timeline and
+// run-record loaders, the analyzer) feed mutated input to a parser
+// (`ctest -L fuzz`).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,9 +20,12 @@
 #include "fault/injector.hpp"
 #include "fault/plan.hpp"
 #include "lint.hpp"
+#include "obs/session.hpp"
+#include "obs/sink.hpp"
 #include "obs/timeline.hpp"
 #include "runtime/journal.hpp"
 #include "runtime/queue.hpp"
+#include "runtime/run_report.hpp"
 #include "sim/executor.hpp"
 #include "sim/rapl_controller.hpp"
 #include "temp_path.hpp"
@@ -505,11 +509,11 @@ TEST_P(KnowledgeDbFuzz, MutatedFileRejectsCleanlyOrRoundTrips) {
 // throw PreconditionError or give a timeline whose CSV loads back to the
 // same CSV: whatever a load accepts, it reads as write_csv would write it.
 
-/// The timeline of a queue run under every fault kind, as write_csv writes
-/// it. Its own executor and scheduler: the recording does not depend on
-/// which cases ran before it in the process.
-const std::string& faulted_timeline_csv() {
-  static const std::string csv = [] {
+/// A queue run under every fault kind, with its flight recorder and spans.
+/// Its own executor and scheduler: the recording does not depend on which
+/// cases ran before it in the process.
+struct FaultedRun {
+  FaultedRun() {
     sim::SimExecutor ex{sim::MachineSpec{}, no_noise()};
     core::ClipScheduler sched{ex, workloads::training_benchmarks()};
     fault::FaultPlanShape shape;
@@ -523,19 +527,31 @@ const std::string& faulted_timeline_csv() {
     const auto plan =
         fault::FaultPlan::random(0x71CE, ex.spec().nodes, 70.0, shape);
     runtime::QueueOptions opt;
-    opt.cluster_budget = Watts(700.0);
+    opt.cluster_budget = budget;
     opt.redist.enabled = true;
     std::vector<runtime::QueueJob> jobs;
     for (const auto& a : workloads::paper_benchmarks()) jobs.push_back({a, 0});
+    obs::ObsSession session;
+    obs::MemorySink sink;
+    session.set_sink(&sink);
     runtime::QueueEventLoop queue(ex, sched, opt, jobs);
     fault::FaultInjector injector(plan, ex.spec().nodes);
     queue.set_fault_injector(&injector);
-    obs::Timeline timeline;
     queue.set_timeline(&timeline);
-    (void)queue.run();
-    return timeline.to_csv_string();
-  }();
-  return csv;
+    queue.set_observer(&session);
+    report = queue.run();
+    spans = sink.spans();
+  }
+
+  Watts budget{700.0};
+  runtime::QueueReport report;
+  obs::Timeline timeline;
+  std::vector<obs::SpanRecord> spans;
+};
+
+const FaultedRun& faulted_run() {
+  static const FaultedRun run;
+  return run;
 }
 
 class TimelineCsvFuzz : public ::testing::TestWithParam<int> {};
@@ -545,7 +561,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, TimelineCsvFuzz, ::testing::Range(0, 32));
 TEST_P(TimelineCsvFuzz, MutatedRecordingRejectsCleanlyOrRoundTrips) {
   const auto seed = static_cast<std::uint64_t>(GetParam());
   const std::filesystem::path path = unique_temp_path("clip_tl_fuzz", ".csv");
-  const std::string& recorded = faulted_timeline_csv();
+  const std::string recorded = faulted_run().timeline.to_csv_string();
   ASSERT_NE(recorded.find("\nevent,fault,"), std::string::npos);
 
   Rng rng(0x71F022u + seed);
@@ -571,6 +587,54 @@ TEST_P(TimelineCsvFuzz, MutatedRecordingRejectsCleanlyOrRoundTrips) {
     EXPECT_EQ(again.to_csv_string(), csv);
   }
   std::filesystem::remove(path);
+}
+
+// ---------------------------------------------- run-record loader fuzz ----
+//
+// `clipctl report` renders a recorded run from its directory. Each render
+// of a record whose jobs.csv, summary.csv or spans.csv took seeded byte
+// edits must either throw PreconditionError naming the edited file or
+// render.
+
+class RunRecordFuzz : public ::testing::TestWithParam<int> {};
+
+INSTANTIATE_TEST_SUITE_P(Seeds, RunRecordFuzz, ::testing::Range(0, 32));
+
+TEST_P(RunRecordFuzz, MutatedRecordRejectsNamingTheFileOrRenders) {
+  const auto seed = static_cast<std::uint64_t>(GetParam());
+  const std::filesystem::path dir = unique_temp_path("clip_rr_fuzz", "");
+  const FaultedRun& run = faulted_run();
+  ASSERT_FALSE(run.spans.empty());
+  runtime::write_run_record(dir, run.budget, run.report, run.timeline,
+                            run.spans);
+  const std::string files[] = {runtime::RunRecordFiles::kJobs,
+                               runtime::RunRecordFiles::kSummary,
+                               runtime::RunRecordFiles::kSpans};
+  std::vector<std::string> saved;
+  for (const auto& f : files) saved.push_back(read_bytes(dir / f));
+
+  Rng rng(0x22F022u + seed);
+  for (int trial = 0; trial < 8; ++trial) {
+    const auto which = static_cast<std::size_t>(rng.uniform_int(0, 2));
+    std::string bytes = saved[which];
+    const auto edits = rng.uniform_int(1, 3);
+    for (std::int64_t e = 0; e < edits; ++e)
+      mutate(bytes, rng, ",\"\n0123456789 +-.e");
+    std::ofstream(dir / files[which], std::ios::binary | std::ios::trunc)
+        << bytes;
+    SCOPED_TRACE("seed " + std::to_string(seed) + " trial " +
+                 std::to_string(trial) + " " + files[which]);
+
+    try {
+      (void)runtime::render_json_report(dir);
+    } catch (const PreconditionError& e) {
+      EXPECT_NE(std::string(e.what()).find(files[which]), std::string::npos)
+          << e.what();
+    }
+    std::ofstream(dir / files[which], std::ios::binary | std::ios::trunc)
+        << saved[which];
+  }
+  std::filesystem::remove_all(dir);
 }
 
 // ----------------------------------------------- static-analyzer fuzz ----

@@ -27,6 +27,7 @@
 #include "sim/power_meter.hpp"
 #include "sim/rapl_controller.hpp"
 #include "util/check.hpp"
+#include "util/csv.hpp"
 #include "util/rng.hpp"
 #include "workloads/catalog.hpp"
 
@@ -324,6 +325,25 @@ TEST(Timeline, LoadCsvTakesOnlyCellsWriteCsvWrites) {
     obs::Timeline bad;
     EXPECT_THROW(bad.load_csv(p), PreconditionError) << row;
   }
+  std::filesystem::remove(p);
+}
+
+TEST(Timeline, FailedLoadLeavesTheTimelineAsItWas) {
+  // A load stages its rows and swaps them in only once all of them have
+  // loaded, as KnowledgeDb::load does: a bad third row keeps neither of the
+  // two rows before it.
+  const auto p = temp_path("tl_staged");
+  {
+    std::ofstream out(p);
+    out << "kind,series,t_s,value,label\n"
+           "sample,a,0,1,\nsample,a,1,2,\nsample,a,x,3,\n";
+  }
+  obs::Timeline tl;
+  tl.record("b", 0.0, 5.0);
+  const std::string before = tl.to_csv_string();
+  EXPECT_THROW(tl.load_csv(p), PreconditionError);
+  EXPECT_EQ(tl.to_csv_string(), before);
+  EXPECT_TRUE(tl.samples("a").empty());
   std::filesystem::remove(p);
 }
 
@@ -711,6 +731,73 @@ TEST(RunReport, RecordAndReportAreByteStable) {
 
   std::filesystem::remove_all(d1);
   std::filesystem::remove_all(d2);
+}
+
+TEST(RunReport, NumberCellsReadWholeAsTheirColumnsType) {
+  // Every number cell is read whole, integer columns and keys as integers,
+  // and finite. An edited cell is refused, naming the file, the row and the
+  // column, instead of being read by its prefix (" +8.9" as 8 nodes), cast
+  // out of an int's range ("1e10" attempts, which is undefined) or ranked
+  // among the slowest spans as a NaN.
+  RecordedRun run;
+  obs::ObsSession session;
+  obs::MemorySink sink;
+  run_recorded(Watts(900.0), run, &session, &sink);
+  ASSERT_FALSE(sink.spans().empty());
+  const auto dir = temp_path("runrec_cells");
+
+  using Files = runtime::RunRecordFiles;
+  struct Edit {
+    const char* file;
+    std::size_t row;     ///< 1 is the header
+    std::size_t column;
+    std::string cell;
+    std::string error;
+  };
+  // summary.csv rows, as write_run_record orders its keys.
+  constexpr std::size_t kMakespanRow = 3;
+  constexpr std::size_t kRetriesRow = 8;
+  constexpr std::size_t kCrashedNodesRow = 14;
+  const std::vector<Edit> edits = {
+      {Files::kJobs, 2, 5, " +8.9", "column 'nodes' is not an integer"},
+      {Files::kJobs, 2, 5, "8.9", "column 'nodes' is not an integer"},
+      {Files::kJobs, 3, 8, "1e10", "column 'attempts' is not an integer"},
+      {Files::kJobs, 2, 10, "-1.0", "column 'crashed_node' is not an integer"},
+      {Files::kJobs, 2, 2, "1x", "column 'submit_s' is not a number"},
+      {Files::kSummary, kRetriesRow, 1, "2.5",
+       "column 'retries' is not an integer"},
+      {Files::kSummary, kCrashedNodesRow, 1, "3;4.0",
+       "column 'crashed_nodes' is not an integer"},
+      {Files::kSummary, kMakespanRow, 1, "-1",
+       "column 'makespan_s' is negative or not finite"},
+      {Files::kJobs, 2, 7, "inf", "column 'power_w' is not finite"},
+      {Files::kSpans, 2, 3, "nan", "column 'duration_us' is not finite"},
+      {Files::kSpans, 2, 4, "1.5", "column 'tid' is not an integer"},
+      {Files::kSpans, 3, 5, "1e1", "column 'depth' is not an integer"},
+  };
+  for (const Edit& e : edits) {
+    SCOPED_TRACE(std::string(e.file) + " row " + std::to_string(e.row) +
+                 ": '" + e.cell + "'");
+    std::filesystem::remove_all(dir);
+    runtime::write_run_record(dir, Watts(900.0), run.report, run.timeline,
+                              sink.spans());
+    CsvDocument doc = read_csv(dir / e.file);
+    ASSERT_LT(e.row - 2, doc.rows.size());
+    doc.rows[e.row - 2][e.column] = e.cell;
+    write_csv(dir / e.file, doc);
+    try {
+      const std::string json = runtime::render_json_report(dir);
+      ADD_FAILURE() << "rendered:\n" << json;
+    } catch (const PreconditionError& err) {
+      const std::string what = err.what();
+      EXPECT_NE(what.find((dir / e.file).string() + " row " +
+                          std::to_string(e.row) + ":"),
+                std::string::npos)
+          << what;
+      EXPECT_NE(what.find(e.error + ": '"), std::string::npos) << what;
+    }
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(RunReport, RejectsMissingDirectory) {

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# CI entry point: configure, build and test every preset (release, asan,
-# tsan); with release, also compile one Release (-O3) tree. The
+# CI entry point: scan the whole tree once with clip-analyze
+# (scripts/lint.sh), then configure, build and test every preset (release,
+# asan, tsan); with release, also compile one Release (-O3) tree. The
 # fault/resilience suite is labeled `fault`, the crash-consistency suite
 # (journal round-trips, kill-point recovery, the randomized kill+recover
 # fuzzer) `recovery`, the live observability plane (telemetry server
@@ -45,30 +46,12 @@ ARTIFACTS="ci-artifacts"
 # crash-consistency, lock-discipline or error-handling invariant broken at
 # the token level fails fast, before any compile minute is spent. Fails on
 # any unsuppressed finding; the JSON report (suppression-count trend
-# included) and the SARIF 2.1.0 report are archived with the artifacts. The
-# scan runs twice against a fresh incremental cache and prints both
-# timings: the cold pass is the real gate, the warm pass proves the cache
-# keeps a full-tree rescan cheap (and cannot change the verdict — the
-# driver diffs the two JSON reports).
+# included) and the SARIF 2.1.0 report are archived with the artifacts.
 if [ "${SKIP_LINT:-0}" != "1" ]; then
   echo "==> [lint] clip-analyze full-tree scan (src examples bench tests tools)"
   mkdir -p "$ARTIFACTS"
-  lint_cache="ci-lint-cache.txt"
-  rm -f "$lint_cache"
-  t0=$(date +%s%N)
-  LINT_CACHE="$lint_cache" scripts/lint.sh \
-    --json "$ARTIFACTS/lint_report.json" \
+  scripts/lint.sh --json "$ARTIFACTS/lint_report.json" \
     --sarif "$ARTIFACTS/lint_report.sarif" --quiet
-  t1=$(date +%s%N)
-  LINT_CACHE="$lint_cache" scripts/lint.sh \
-    --json "$ARTIFACTS/lint_report_warm.json" \
-    --sarif "$ARTIFACTS/lint_report.sarif" --quiet
-  t2=$(date +%s%N)
-  cmp -s "$ARTIFACTS/lint_report.json" "$ARTIFACTS/lint_report_warm.json" \
-    || { echo "==> [lint] warm cache changed the report" >&2; exit 1; }
-  rm -f "$ARTIFACTS/lint_report_warm.json" "$lint_cache"
-  echo "==> [lint] clean; cold $(( (t1 - t0) / 1000000 )) ms," \
-    "warm $(( (t2 - t1) / 1000000 )) ms (incremental cache)"
 fi
 
 for preset in $PRESETS; do

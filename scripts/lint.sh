@@ -1,9 +1,10 @@
 #!/usr/bin/env sh
-# clip-analyze driver (binary: clip-lint): build the analyzer and scan the
-# whole tree — src/, examples/, bench/, tests/ and the analyzer's own
-# sources (tests/lint_fixtures/ are deliberately-violating lint inputs and
-# are excluded). Exit 0 = zero unsuppressed findings (suppressions with
-# reasons are fine), 1 = violations, 2 = build/usage error. The JSON report
+# clip-analyze driver (binary: clip-lint): bring the analyzer up to date
+# with its sources and scan the whole tree — src/, examples/, bench/,
+# tests/ and the analyzer's own sources (tests/lint_fixtures/ are
+# deliberately-violating lint inputs and are excluded). Exit 0 = zero
+# unsuppressed findings (suppressions with reasons are fine), 1 =
+# violations, 2 = build/usage error. The JSON report
 # (default build/lint_report.json) records per-rule counts and the
 # suppression total so reviews can watch it trend; the SARIF 2.1.0 report
 # (default build/lint_report.sarif) is what code-review UIs ingest — see
@@ -14,8 +15,6 @@
 # Environment:
 #   BUILD_DIR   cmake build tree holding (or receiving) the clip-lint target
 #               (default: build)
-#   LINT_CACHE  incremental result cache path (default:
-#               $BUILD_DIR/lint_cache.txt); set empty to scan cold
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -30,21 +29,16 @@ while [ $# -ge 2 ]; do
   esac
 done
 
-LINT_BIN="$BUILD_DIR/tools/clip-lint/clip-lint"
-if [ ! -x "$LINT_BIN" ]; then
-  echo "lint: building clip-lint into $BUILD_DIR" >&2
+# Always build: a no-op when the binary is current, and a scan never runs an
+# analyzer older than its sources.
+if [ ! -f "$BUILD_DIR/CMakeCache.txt" ]; then
   cmake -B "$BUILD_DIR" -S . >/dev/null
-  cmake --build "$BUILD_DIR" --target clip-lint -j "$(nproc)" >/dev/null
 fi
+cmake --build "$BUILD_DIR" --target clip-lint -j "$(nproc)" >/dev/null
 
-CACHE="${LINT_CACHE-$BUILD_DIR/lint_cache.txt}"
-set -- --root . --json "$JSON_OUT" --sarif "$SARIF_OUT" \
-  --exclude tests/lint_fixtures "$@"
-if [ -n "$CACHE" ]; then
-  set -- --cache "$CACHE" "$@"
-fi
-
-"$LINT_BIN" "$@" src examples bench tests tools/clip-lint
+"$BUILD_DIR/tools/clip-lint/clip-lint" --root . --json "$JSON_OUT" \
+  --sarif "$SARIF_OUT" --exclude tests/lint_fixtures "$@" \
+  src examples bench tests tools/clip-lint
 echo "lint: reports written to $JSON_OUT and $SARIF_OUT" >&2
 
 # Observability doc drift: every series/metric/span/event name emitted in

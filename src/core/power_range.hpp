@@ -78,9 +78,6 @@ class PowerEstimator {
       int threads, parallel::AffinityPolicy affinity,
       sim::MemPowerLevel level) const;
 
-  /// Calibrated per-core load power at nominal frequency.
-  [[nodiscard]] double per_core_load_w() const { return per_core_load_w_; }
-
   /// Predicted DRAM demand (GB/s) of `threads` threads at nominal frequency.
   [[nodiscard]] double bw_demand_gbps(int threads) const;
 

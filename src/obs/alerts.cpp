@@ -3,11 +3,12 @@
 #include <algorithm>
 #include <cctype>
 #include <cmath>
-#include <cstdlib>
+#include <optional>
 #include <sstream>
 
 #include "obs/chrome_trace.hpp"
 #include "util/check.hpp"
+#include "util/parse.hpp"
 #include "util/strings.hpp"
 
 namespace clip::obs {
@@ -36,11 +37,10 @@ std::string trim(std::string_view s) {
 }
 
 double parse_number(const std::string& s, const std::string& context) {
-  char* end = nullptr;
-  const double v = std::strtod(s.c_str(), &end);
-  CLIP_REQUIRE(end != s.c_str() && *end == '\0' && std::isfinite(v),
+  const std::optional<double> v = parse_whole<double>(s);
+  CLIP_REQUIRE(v.has_value() && std::isfinite(*v),
                context + ": bad number '" + s + "'");
-  return v;
+  return *v;
 }
 
 bool mode_label_matches(const std::string& label, const std::string& prefix) {
@@ -76,7 +76,8 @@ const char* to_string(AlertSeverity severity) {
 void AlertRule::validate() const {
   CLIP_REQUIRE(!name.empty(), "alert rule needs a name");
   CLIP_REQUIRE(name.find_first_of(" \t\n\"") == std::string::npos,
-               "alert rule name '" + name + "' must not contain whitespace");
+               "alert rule name '" + name +
+                   "' must not contain whitespace or a quote");
   CLIP_REQUIRE(std::isfinite(threshold),
                "alert rule '" + name + "': threshold must be finite");
   if (kind == AlertKind::kModeTransition) {
@@ -103,9 +104,16 @@ std::string AlertRule::expression() const {
     case AlertKind::kTimeAbove:
       expr = "time_above(" + series + ", " + format_exact(level) + ")";
       break;
-    case AlertKind::kQuantileAbove:
-      expr = "p" + format_exact(level * 100.0) + "(" + series + ")";
+    case AlertKind::kQuantileAbove: {
+      // A whole percent renders as the digits parse_rules reads back.
+      const double q = std::round(level * 100.0);
+      expr = "p" +
+             (q >= 1.0 && q <= 100.0 && q / 100.0 == level
+                  ? std::to_string(static_cast<int>(q))
+                  : format_exact(level * 100.0)) +
+             "(" + series + ")";
       break;
+    }
     case AlertKind::kEventCount:
       expr = "events(" + series + (prefix.empty() ? "" : ", " + prefix) + ")";
       break;
@@ -371,7 +379,11 @@ std::vector<AlertRule> AlertEngine::parse_rules(const std::string& text,
     } else {
       CLIP_REQUIRE(false, where + ": unknown rule function '" + fn + "'");
     }
-    rule.validate();
+    try {
+      rule.validate();
+    } catch (const PreconditionError& e) {
+      throw PreconditionError(where + ": " + e.what());
+    }
     rules.push_back(std::move(rule));
   }
   return rules;

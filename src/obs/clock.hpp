@@ -43,7 +43,6 @@ class FakeClock final : public Clock {
  public:
   [[nodiscard]] double now_us() const override { return now_us_; }
 
-  void set_us(double us) { now_us_ = us; }
   void advance_us(double us) { now_us_ += us; }
 
  private:

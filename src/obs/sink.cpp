@@ -1,8 +1,8 @@
 #include "obs/sink.hpp"
 
-// MemorySink collects from whatever thread emits spans/counters; storage
-// mutates only under mu_ (clip-analyze L1 enforces the write side).
-// clip-lint: guards(mu_: spans_, counters_)
+// MemorySink collects from whatever thread emits spans; storage mutates
+// only under mu_ (clip-analyze L1 enforces the write side).
+// clip-lint: guards(mu_: spans_)
 
 #include "obs/chrome_trace.hpp"
 #include "util/check.hpp"
@@ -14,19 +14,9 @@ void MemorySink::on_span(const SpanRecord& span) {
   spans_.push_back(span);
 }
 
-void MemorySink::on_counter(const CounterSample& sample) {
-  const std::lock_guard<std::mutex> lock(mu_);
-  counters_.push_back(sample);
-}
-
 std::vector<SpanRecord> MemorySink::spans() const {
   const std::lock_guard<std::mutex> lock(mu_);
   return spans_;
-}
-
-std::vector<CounterSample> MemorySink::counters() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return counters_;
 }
 
 std::size_t MemorySink::span_count() const {
@@ -37,7 +27,6 @@ std::size_t MemorySink::span_count() const {
 void MemorySink::clear() {
   const std::lock_guard<std::mutex> lock(mu_);
   spans_.clear();
-  counters_.clear();
 }
 
 JsonlFileSink::JsonlFileSink(const std::filesystem::path& path) : out_(path) {
@@ -49,13 +38,6 @@ void JsonlFileSink::on_span(const SpanRecord& span) {
   const std::lock_guard<std::mutex> lock(mu_);
   out_ << line << '\n';
   out_.flush();  // crash tolerance beats throughput for a debug stream
-}
-
-void JsonlFileSink::on_counter(const CounterSample& sample) {
-  const std::string line = counter_to_json(sample);
-  const std::lock_guard<std::mutex> lock(mu_);
-  out_ << line << '\n';
-  out_.flush();
 }
 
 }  // namespace clip::obs

@@ -1,11 +1,11 @@
 // Trace records and the pluggable sink interface.
 //
-// The tracer hands each *completed* span (and each counter sample) to one
-// sink. Three implementations cover the deployment spectrum: NullSink
-// (attached but discarding — the upper bound on instrumentation overhead),
-// MemorySink (tests and the clipctl trace subcommand, exported to
-// Chrome-trace JSON afterwards), and JsonlFileSink (streaming one JSON object
-// per line for long-running services, tail-able and crash-tolerant).
+// The tracer hands each *completed* span to one sink. Three implementations
+// cover the deployment spectrum: NullSink (attached but discarding — the
+// upper bound on instrumentation overhead), MemorySink (tests and the clipctl
+// trace subcommand, exported to Chrome-trace JSON afterwards), and
+// JsonlFileSink (streaming one JSON object per line for long-running
+// services, tail-able and crash-tolerant).
 // With no sink attached at all, instrumented code takes a single predictable
 // branch per call site and records nothing.
 #pragma once
@@ -51,35 +51,30 @@ class TraceSink {
  public:
   virtual ~TraceSink() = default;
   virtual void on_span(const SpanRecord& span) = 0;
-  virtual void on_counter(const CounterSample& sample) { (void)sample; }
 };
 
 /// Discards everything. Benchmarks the full recording path minus storage.
 class NullSink final : public TraceSink {
  public:
   void on_span(const SpanRecord&) override {}
-  void on_counter(const CounterSample&) override {}
 };
 
 /// Accumulates records in memory for later export or inspection.
 class MemorySink final : public TraceSink {
  public:
   void on_span(const SpanRecord& span) override;
-  void on_counter(const CounterSample& sample) override;
 
-  /// Snapshot copies (the sink may keep recording concurrently).
+  /// Snapshot copy (the sink may keep recording concurrently).
   [[nodiscard]] std::vector<SpanRecord> spans() const;
-  [[nodiscard]] std::vector<CounterSample> counters() const;
   [[nodiscard]] std::size_t span_count() const;
   void clear();
 
  private:
   mutable std::mutex mu_;
   std::vector<SpanRecord> spans_;
-  std::vector<CounterSample> counters_;
 };
 
-/// Streams each record as one JSON object per line (JSONL). The objects use
+/// Streams each span as one JSON object per line (JSONL). The objects use
 /// the same schema as the Chrome-trace `traceEvents` entries, so a JSONL
 /// file wraps into a loadable trace with `jq -s '{traceEvents:.}'`.
 class JsonlFileSink final : public TraceSink {
@@ -87,7 +82,6 @@ class JsonlFileSink final : public TraceSink {
   explicit JsonlFileSink(const std::filesystem::path& path);
 
   void on_span(const SpanRecord& span) override;
-  void on_counter(const CounterSample& sample) override;
 
  private:
   std::mutex mu_;

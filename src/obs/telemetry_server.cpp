@@ -16,16 +16,17 @@
 #include <unistd.h>
 
 #include <condition_variable>
-#include <cstdlib>
 #include <cstring>
 #include <exception>
 #include <functional>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <thread>
 
 #include "obs/chrome_trace.hpp"
 #include "util/check.hpp"
+#include "util/parse.hpp"
 
 namespace clip::obs {
 
@@ -56,8 +57,9 @@ std::string http_response(int code, std::string_view reason,
   return out.str();
 }
 
-/// `key` from a query string "a=1&b=2"; empty when absent.
-std::string query_param(std::string_view query, std::string_view key) {
+/// `key` from a query string "a=1&b=2"; nullopt when absent.
+std::optional<std::string> query_param(std::string_view query,
+                                       std::string_view key) {
   std::size_t pos = 0;
   while (pos < query.size()) {
     auto amp = query.find('&', pos);
@@ -68,7 +70,7 @@ std::string query_param(std::string_view query, std::string_view key) {
       return std::string(pair.substr(eq + 1));
     pos = amp + 1;
   }
-  return "";
+  return std::nullopt;
 }
 
 void send_all(int fd, const std::string& data) {
@@ -346,17 +348,15 @@ std::string TelemetryServer::respond(const std::string& target) const {
   }
 
   if (path == "/timeline") {
-    const std::string series = query_param(query, "series");
-    if (series.empty())
+    const std::string series = query_param(query, "series").value_or("");
+    // `n`, when given, is a whole positive integer.
+    const std::optional<std::string> n = query_param(query, "n");
+    const std::optional<std::size_t> n_value =
+        n ? parse_whole<std::size_t>(*n) : std::nullopt;
+    if (series.empty() || (n && n_value.value_or(0) == 0))
       return http_response(400, "Bad Request", "text/plain",
                            "usage: /timeline?series=<name>[&n=<tail>]\n");
-    std::size_t tail = options_.timeline_tail;
-    if (const std::string n = query_param(query, "n"); !n.empty()) {
-      char* end = nullptr;
-      const long v = std::strtol(n.c_str(), &end, 10);
-      if (end != n.c_str() && *end == '\0' && v > 0)
-        tail = static_cast<std::size_t>(v);
-    }
+    const std::size_t tail = n ? *n_value : options_.timeline_tail;
     std::ostringstream body;
     if (options_.timeline != nullptr) {
       auto samples = options_.timeline->samples(series);

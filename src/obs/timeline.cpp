@@ -12,10 +12,8 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <limits>
 
-#include "obs/chrome_trace.hpp"
 #include "util/check.hpp"
 #include "util/csv.hpp"
 #include "util/parse.hpp"
@@ -430,25 +428,6 @@ CsvDocument Timeline::to_csv_document() const {
       doc.rows.push_back(
           {"event", name, format_exact(ev.t_s), "", ev.label});
   return doc;
-}
-
-void Timeline::write_jsonl(const std::filesystem::path& path) const {
-  std::lock_guard lock(mu_);
-  if (path.has_parent_path())
-    std::filesystem::create_directories(path.parent_path());
-  std::ofstream out(path, std::ios::trunc);
-  CLIP_REQUIRE(out.good(), "cannot open " + path.string());
-  for (const auto& [name, s] : samples_)
-    for (const auto& p : s.points)
-      out << "{\"kind\":\"sample\",\"series\":\"" << json_escape(name)
-          << "\",\"t_s\":" << format_exact(p.t_s)
-          << ",\"value\":" << format_exact(p.value) << "}\n";
-  for (const auto& [name, e] : events_)
-    for (const auto& ev : e.points)
-      out << "{\"kind\":\"event\",\"series\":\"" << json_escape(name)
-          << "\",\"t_s\":" << format_exact(ev.t_s) << ",\"label\":\""
-          << json_escape(ev.label) << "\"}\n";
-  CLIP_REQUIRE(out.good(), "write failed: " + path.string());
 }
 
 void Timeline::load_csv(const std::filesystem::path& path) {

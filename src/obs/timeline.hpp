@@ -8,9 +8,10 @@
 //
 //   * bounded ring-buffer mode (keep the newest N points per series; the
 //     count of evicted points is reported by dropped());
-//   * deterministic CSV / JSONL export (doubles print as shortest-exact
-//     %.17g, series in name order, points in time order — two identical
-//     runs serialize byte-identically);
+//   * deterministic CSV export (doubles print as shortest-exact %.17g,
+//     series in name order, points in time order — two identical runs
+//     serialize byte-identically; the telemetry server's /timeline
+//     endpoint renders one series' tail as JSON lines);
 //   * compact deltas: each series counts the points ever appended to it,
 //     and write_delta() renders only the points appended since a caller's
 //     TimelineMark — the scheduler journal's snapshots carry the flight
@@ -161,9 +162,6 @@ class Timeline {
 
   /// The mark a delta written now would leave: every point counted.
   [[nodiscard]] TimelineMark mark() const;
-
-  /// One JSON object per line, same order as the CSV.
-  void write_jsonl(const std::filesystem::path& path) const;
 
   /// Append the contents of a write_csv() file into this timeline. Each
   /// number cell must be all number, as format_exact writes it (no blank,

@@ -22,11 +22,6 @@ void Tracer::emit(const SpanRecord& span) {
     sink->on_span(span);
 }
 
-void Tracer::emit_counter(const CounterSample& sample) {
-  if (TraceSink* sink = sink_.load(std::memory_order_acquire))
-    sink->on_counter(sample);
-}
-
 int Tracer::thread_index() {
   const std::lock_guard<std::mutex> lock(mu_);
   const auto [it, inserted] = thread_indices_.emplace(

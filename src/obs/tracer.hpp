@@ -42,9 +42,6 @@ class Tracer {
   /// Deliver a completed span to the sink, if one is still attached.
   void emit(const SpanRecord& span);
 
-  /// Forward a counter sample (used by the telemetry bridge).
-  void emit_counter(const CounterSample& sample);
-
   /// Stable small index for the calling thread (0 for the first thread).
   [[nodiscard]] int thread_index();
 

@@ -3,13 +3,13 @@
 #include <algorithm>
 #include <array>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <map>
 #include <sstream>
 
 #include "util/check.hpp"
 #include "util/fsio.hpp"
+#include "util/parse.hpp"
 
 namespace clip::runtime {
 
@@ -155,13 +155,14 @@ JournalLoadResult Journal::load(const std::filesystem::path& path) {
       break;
     }
     JournalRecord r;
-    char* end = nullptr;
-    r.seq = std::strtoull(body.c_str(), &end, 10);
-    if (end != body.c_str() + sp1 || r.seq != records_.size() + 1) {
+    const std::optional<std::uint64_t> seq =
+        parse_whole<std::uint64_t>(std::string_view(body).substr(0, sp1));
+    if (seq != records_.size() + 1) {
       bad("sequence break (expected " + std::to_string(records_.size() + 1) +
           ")");
       break;
     }
+    r.seq = *seq;
     r.kind = body.substr(sp1 + 1, sp2 - sp1 - 1);
     r.payload = body.substr(sp2 + 1);
     if (r.kind.empty()) {

@@ -6,11 +6,13 @@
 #include <concepts>
 #include <cstdlib>
 #include <limits>
+#include <optional>
 
 #include "obs/telemetry_server.hpp"
 #include "obs/timeline.hpp"
 #include "runtime/journal.hpp"
 #include "util/check.hpp"
+#include "util/parse.hpp"
 #include "util/strings.hpp"
 
 // The event loop's journaled state: every mutation of these fields must
@@ -295,10 +297,10 @@ class SnapshotReader {
   template <typename T>
   void parse(T& v) {
     const std::string_view s = field();
-    const auto r = std::from_chars(s.data(), s.data() + s.size(), v);
-    CLIP_REQUIRE(!s.empty() && r.ec == std::errc() &&
-                     r.ptr == s.data() + s.size(),
+    const std::optional<T> parsed = parse_whole<T>(s);
+    CLIP_REQUIRE(parsed.has_value(),
                  "bad snapshot " + where() + ": '" + std::string(s) + "'");
+    v = *parsed;
   }
   template <typename T>
   void get(T& v) {  // doubles and integers

@@ -1,9 +1,9 @@
 // Fuzz-style property suites over randomly generated workloads and swept
 // operating conditions: the simulator's physical invariants and CLIP's
 // guarantees must hold across the whole valid signature space, not just the
-// calibrated catalog. The byte-level suites (the knowledge-DB, timeline and
-// run-record loaders, the analyzer) feed mutated input to a parser
-// (`ctest -L fuzz`).
+// calibrated catalog. The byte-level suites (the knowledge-DB, timeline,
+// run-record and journal loaders, the alert-rule parser, the analyzer) feed
+// mutated input to a parser (`ctest -L fuzz`).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,6 +20,7 @@
 #include "fault/injector.hpp"
 #include "fault/plan.hpp"
 #include "lint.hpp"
+#include "obs/alerts.hpp"
 #include "obs/session.hpp"
 #include "obs/sink.hpp"
 #include "obs/timeline.hpp"
@@ -509,9 +510,9 @@ TEST_P(KnowledgeDbFuzz, MutatedFileRejectsCleanlyOrRoundTrips) {
 // throw PreconditionError or give a timeline whose CSV loads back to the
 // same CSV: whatever a load accepts, it reads as write_csv would write it.
 
-/// A queue run under every fault kind, with its flight recorder and spans.
-/// Its own executor and scheduler: the recording does not depend on which
-/// cases ran before it in the process.
+/// A queue run under every fault kind, with its flight recorder, journal and
+/// spans. Its own executor and scheduler: the recording does not depend on
+/// which cases ran before it in the process.
 struct FaultedRun {
   FaultedRun() {
     sim::SimExecutor ex{sim::MachineSpec{}, no_noise()};
@@ -539,6 +540,7 @@ struct FaultedRun {
     queue.set_fault_injector(&injector);
     queue.set_timeline(&timeline);
     queue.set_observer(&session);
+    queue.set_journal(&journal);
     report = queue.run();
     spans = sink.spans();
   }
@@ -546,6 +548,7 @@ struct FaultedRun {
   Watts budget{700.0};
   runtime::QueueReport report;
   obs::Timeline timeline;
+  runtime::Journal journal;
   std::vector<obs::SpanRecord> spans;
 };
 
@@ -635,6 +638,168 @@ TEST_P(RunRecordFuzz, MutatedRecordRejectsNamingTheFileOrRenders) {
         << saved[which];
   }
   std::filesystem::remove_all(dir);
+}
+
+// ---------------------------------------------- alert-rule parser fuzz ----
+//
+// `clipctl alerts` reads its rules from a file a person wrote. Each parse of
+// a mutated catalog must either throw PreconditionError naming the file, or
+// give rules whose rendering (`name severity expression()`, one per line)
+// parses back to the same rules.
+
+std::string render_rules(const std::vector<obs::AlertRule>& rules) {
+  std::string text;
+  for (const obs::AlertRule& r : rules)
+    text += r.name + " " + obs::to_string(r.severity) + " " +
+            r.expression() + "\n";
+  return text;
+}
+
+class AlertRulesFuzz : public ::testing::TestWithParam<int> {};
+
+INSTANTIATE_TEST_SUITE_P(Seeds, AlertRulesFuzz, ::testing::Range(0, 32));
+
+TEST_P(AlertRulesFuzz, MutatedRulesRejectNamingTheFileOrRoundTrip) {
+  const auto seed = static_cast<std::uint64_t>(GetParam());
+  const std::string catalog =
+      render_rules(obs::AlertEngine::default_rules());
+
+  Rng rng(0xA1F022u + seed);
+  for (int trial = 0; trial < 8; ++trial) {
+    std::string text = catalog;
+    const auto edits = rng.uniform_int(1, 3);
+    for (std::int64_t e = 0; e < edits; ++e)
+      mutate(text, rng, " \n0123456789+-.e(),>#p");
+    SCOPED_TRACE("seed " + std::to_string(seed) + " trial " +
+                 std::to_string(trial) + "\n" + text);
+
+    std::vector<obs::AlertRule> rules;
+    try {
+      rules = obs::AlertEngine::parse_rules(text, "fuzz.rules");
+    } catch (const PreconditionError& e) {
+      EXPECT_NE(std::string(e.what()).find("fuzz.rules:"), std::string::npos)
+          << e.what();
+      continue;
+    }
+    const std::string rendered = render_rules(rules);
+    std::vector<obs::AlertRule> again;
+    ASSERT_NO_THROW(again = obs::AlertEngine::parse_rules(rendered, "again"))
+        << rendered;
+    ASSERT_EQ(again.size(), rules.size());
+    for (std::size_t i = 0; i < rules.size(); ++i) {
+      EXPECT_EQ(again[i].name, rules[i].name);
+      EXPECT_EQ(again[i].kind, rules[i].kind);
+      EXPECT_EQ(again[i].severity, rules[i].severity);
+      EXPECT_EQ(again[i].series, rules[i].series);
+      EXPECT_EQ(again[i].level, rules[i].level);
+      EXPECT_EQ(again[i].prefix, rules[i].prefix);
+      EXPECT_EQ(again[i].threshold, rules[i].threshold);
+    }
+  }
+}
+
+// ------------------------------------------------- journal loader fuzz ----
+//
+// Recovery reads the journal back from disk, where a torn write or a bad
+// disk can leave any bytes. Journal::load may throw only for a bad header.
+// Otherwise it keeps records numbered 1, 2, ... whose lines carry valid
+// CRCs, counts every other record line as dropped, and what it kept saves
+// and loads back unsalvaged. Odd trials re-sign every edited line, so the
+// edits reach the record parser instead of stopping at the checksum.
+
+std::vector<std::string> lines_of(const std::string& bytes) {
+  std::vector<std::string> lines;
+  std::istringstream in(bytes);
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  return lines;
+}
+
+/// `#` and the record's CRC-32 in lower-case hex, as Journal::save ends a
+/// line.
+std::string crc_suffix(std::string_view body) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  const std::uint32_t crc = runtime::crc32(body);
+  std::string out = "#";
+  for (int shift = 28; shift >= 0; shift -= 4)
+    out += kHex[(crc >> shift) & 0xFu];
+  return out;
+}
+
+/// Every line after the header that has a checksum slot, re-signed.
+std::string reseal(const std::string& bytes) {
+  std::string out;
+  const std::vector<std::string> lines = lines_of(bytes);
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    std::string line = lines[i];
+    if (i > 0 && line.size() >= 10 && line[line.size() - 9] == '#') {
+      line.resize(line.size() - 9);
+      line += crc_suffix(line);
+    }
+    out += line + "\n";
+  }
+  return out;
+}
+
+class JournalLoadFuzz : public ::testing::TestWithParam<int> {};
+
+INSTANTIATE_TEST_SUITE_P(Seeds, JournalLoadFuzz, ::testing::Range(0, 32));
+
+TEST_P(JournalLoadFuzz, MutatedJournalKeepsAValidPrefixOrRejectsTheHeader) {
+  const auto seed = static_cast<std::uint64_t>(GetParam());
+  const std::filesystem::path path =
+      unique_temp_path("clip_journal_fuzz", ".clipj");
+  const FaultedRun& run = faulted_run();
+  ASSERT_GT(run.journal.size(), 10u);
+  run.journal.save(path);
+  const std::string saved = read_bytes(path);
+  const std::string header = lines_of(saved).front();
+
+  Rng rng(0x70F022u + seed);
+  for (int trial = 0; trial < 8; ++trial) {
+    std::string bytes = saved;
+    const auto edits = rng.uniform_int(1, 3);
+    for (std::int64_t e = 0; e < edits; ++e)
+      mutate(bytes, rng, " \n0123456789+-#");
+    if (trial % 2 == 1) bytes = reseal(bytes);
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+    SCOPED_TRACE("seed " + std::to_string(seed) + " trial " +
+                 std::to_string(trial));
+    const std::vector<std::string> lines = lines_of(bytes);
+
+    runtime::Journal loaded;
+    runtime::JournalLoadResult res;
+    try {
+      res = loaded.load(path);
+    } catch (const PreconditionError& e) {
+      EXPECT_TRUE(lines.empty() || lines.front() != header) << e.what();
+      continue;
+    }
+    ASSERT_FALSE(lines.empty());
+    EXPECT_EQ(lines.front(), header);
+    EXPECT_EQ(res.records, loaded.size());
+    EXPECT_EQ(res.records + res.dropped_lines, lines.size() - 1);
+    EXPECT_EQ(res.salvaged, res.dropped_lines > 0);
+    for (std::size_t i = 0; i < loaded.size(); ++i) {
+      const runtime::JournalRecord& r = loaded.records()[i];
+      const std::string& line = lines[i + 1];
+      EXPECT_EQ(r.seq, i + 1);
+      ASSERT_GE(line.size(), 10u);
+      const std::string body = line.substr(0, line.size() - 9);
+      EXPECT_EQ(line.substr(body.size()), crc_suffix(body)) << line;
+      EXPECT_TRUE(body.ends_with(" " + r.kind + " " + r.payload)) << line;
+    }
+
+    loaded.save(path);
+    runtime::Journal again;
+    EXPECT_FALSE(again.load(path).salvaged);
+    ASSERT_EQ(again.size(), loaded.size());
+    for (std::size_t i = 0; i < again.size(); ++i) {
+      EXPECT_EQ(again.records()[i].seq, loaded.records()[i].seq);
+      EXPECT_EQ(again.records()[i].kind, loaded.records()[i].kind);
+      EXPECT_EQ(again.records()[i].payload, loaded.records()[i].payload);
+    }
+  }
+  std::filesystem::remove(path);
 }
 
 // ----------------------------------------------- static-analyzer fuzz ----

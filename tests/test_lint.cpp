@@ -10,7 +10,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -368,97 +367,6 @@ TEST(LintRules, KnownRuleListIsStable) {
   EXPECT_FALSE(is_project_rule("J1"));
   for (const std::string& r : rules)
     EXPECT_FALSE(rule_description(r).empty()) << r;
-}
-
-// ---------------------------------------------------------------------------
-// Incremental cache: a pure accelerator — identical findings served from a
-// warm entry, invalidated by content or rule-list drift, resilient to a
-// corrupt file on disk.
-// ---------------------------------------------------------------------------
-
-TEST(LintCache, RoundTripsFindingsFactsAndSuppressions) {
-  const std::string path = ::testing::TempDir() + "clip_lint_cache_rt.txt";
-  const std::string src = read_file(fixture_path("l2_lock_cycle.cpp"));
-  const std::uint64_t hash = content_hash(src);
-  {
-    ResultCache cache;
-    cache.put(hash, analyze_source(src, "l2_lock_cycle.cpp"));
-    ASSERT_TRUE(cache.save(path));
-  }
-  ResultCache cache;
-  ASSERT_TRUE(cache.load(path));
-  const FileResult* hit = cache.find("l2_lock_cycle.cpp", hash);
-  ASSERT_NE(hit, nullptr);
-  ASSERT_EQ(hit->facts.lock_edges.size(), 2u);
-  EXPECT_EQ(hit->facts.lock_edges[0].held, "@fixture_a");
-  EXPECT_EQ(hit->facts.lock_edges[0].acquired, "@fixture_b");
-  // A different hash for the same path must miss.
-  EXPECT_EQ(cache.find("l2_lock_cycle.cpp", hash + 1), nullptr);
-  std::remove(path.c_str());
-}
-
-TEST(LintCache, WarmEntriesReproduceTheColdScanExactly) {
-  const std::string path = ::testing::TempDir() + "clip_lint_cache_eq.txt";
-  const std::vector<std::string> names = {
-      "j1_unjournaled_mutation.cpp", "j2_kinds_producer.cpp",
-      "j2_kinds_registry.cpp",       "l1_unlocked_write.cpp",
-      "l2_lock_cycle.cpp",           "e1_discarded_result.cpp",
-      "suppressions.cpp"};
-  std::vector<FileResult> cold;
-  {
-    ResultCache cache;
-    for (const std::string& n : names) {
-      const std::string src = read_file(fixture_path(n));
-      cold.push_back(analyze_source(src, n));
-      cache.put(content_hash(src), cold.back());
-    }
-    ASSERT_TRUE(cache.save(path));
-  }
-  ResultCache cache;
-  ASSERT_TRUE(cache.load(path));
-  std::vector<FileResult> warm;
-  for (const std::string& n : names) {
-    const FileResult* hit = cache.find(n, content_hash(read_file(fixture_path(n))));
-    ASSERT_NE(hit, nullptr) << n;
-    warm.push_back(*hit);
-  }
-  const auto cold_findings = all_findings(std::move(cold));
-  const auto warm_findings = all_findings(std::move(warm));
-  ASSERT_EQ(cold_findings.size(), warm_findings.size());
-  for (std::size_t i = 0; i < cold_findings.size(); ++i) {
-    EXPECT_EQ(cold_findings[i].file, warm_findings[i].file);
-    EXPECT_EQ(cold_findings[i].line, warm_findings[i].line);
-    EXPECT_EQ(cold_findings[i].rule, warm_findings[i].rule);
-    EXPECT_EQ(cold_findings[i].suppressed, warm_findings[i].suppressed);
-    EXPECT_EQ(cold_findings[i].message, warm_findings[i].message);
-    EXPECT_EQ(cold_findings[i].reason, warm_findings[i].reason);
-  }
-  std::remove(path.c_str());
-}
-
-TEST(LintCache, CorruptOrForeignFilesLoadAsEmpty) {
-  const std::string path = ::testing::TempDir() + "clip_lint_cache_bad.txt";
-  {
-    std::ofstream os(path, std::ios::binary);
-    os << "not a cache header\nfile\tx\tzzzz\n";
-  }
-  ResultCache cache;
-  EXPECT_FALSE(cache.load(path));
-  EXPECT_EQ(cache.size(), 0u);
-  {
-    // Right magic, corrupt numeric field: load must reject, not throw.
-    ResultCache seed;
-    seed.put(1, FileResult{"a.cpp", {}, {}, {}});
-    ASSERT_TRUE(seed.save(path));
-    std::string text = read_file(path);
-    text += "F\tnot_a_number\tD1\t0\t\tmsg\n";
-    std::ofstream os(path, std::ios::binary);
-    os << text;
-  }
-  ResultCache cache2;
-  EXPECT_FALSE(cache2.load(path));
-  EXPECT_EQ(cache2.size(), 0u);
-  std::remove(path.c_str());
 }
 
 TEST(LintLexer, StringsAndCommentsDoNotLeakIdentifiers) {

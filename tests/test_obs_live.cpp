@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <unistd.h>
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -215,6 +216,30 @@ TEST(TelemetryServer, TimelineEndpointTailsOneSeries) {
             std::string::npos);
   EXPECT_NE(server.respond("/nothing").find("404 Not Found"),
             std::string::npos);
+}
+
+TEST(TelemetryServer, TimelineTailIsAWholePositiveInteger) {
+  obs::Timeline tl;
+  for (int i = 0; i < 10; ++i)
+    tl.record("queue.depth", static_cast<double>(i), static_cast<double>(i));
+  obs::TelemetryServerOptions opt;
+  opt.timeline = &tl;
+  obs::TelemetryServer server(opt);
+
+  const std::string five =
+      obs::http_body(server.respond("/timeline?series=queue.depth&n=5"));
+  EXPECT_EQ(std::count(five.begin(), five.end(), '\n'), 5);
+  // Anything but the whole number is refused, not read as the default
+  // tail or as its leading digits.
+  for (const char* n : {"", "5x", "0", "-1", "+5", "0x5", " 5", "5.0",
+                        "99999999999999999999999"}) {
+    const std::string resp =
+        server.respond(std::string("/timeline?series=queue.depth&n=") + n);
+    EXPECT_NE(resp.find("400 Bad Request"), std::string::npos) << n;
+    EXPECT_NE(obs::http_body(resp).find("usage: /timeline?series="),
+              std::string::npos)
+        << n;
+  }
 }
 
 TEST(TelemetryServer, ServesAllFourEndpointsOverRealSockets) {
@@ -714,6 +739,63 @@ TEST(Alerts, ParseRejectsMalformedRulesWithContext) {
   ASSERT_EQ(rules.size(), 1u);
   EXPECT_EQ(rules[0].expression(),
             "time_above(node0.power_w, 1.2e+02) > 5");  // shortest-exact 120
+}
+
+TEST(Alerts, ParseReadsEveryNumberWhole) {
+  // A threshold or level is all number, finite, as std::from_chars reads
+  // it: no hex form, no '+', no suffix.
+  for (const char* bad : {"0x10", "+5", "5x", "1e999", "nan", "inf", ""}) {
+    SCOPED_TRACE(bad);
+    EXPECT_THROW((void)obs::AlertEngine::parse_rules(
+                     std::string("r critical value(x) > ") + bad, "rules"),
+                 PreconditionError);
+    EXPECT_THROW(
+        (void)obs::AlertEngine::parse_rules(
+            std::string("r critical time_above(x, ") + bad + ") > 1", "rules"),
+        PreconditionError);
+  }
+  try {
+    (void)obs::AlertEngine::parse_rules("\nr critical value(x) > 0x10",
+                                        "rules.txt");
+    ADD_FAILURE() << "0x10 parsed";
+  } catch (const PreconditionError& e) {
+    EXPECT_NE(std::string(e.what()).find("rules.txt:2: bad number '0x10'"),
+              std::string::npos)
+        << e.what();
+  }
+  const auto rules = obs::AlertEngine::parse_rules(
+      "r critical value(x) > -1.5e1", "rules");
+  ASSERT_EQ(rules.size(), 1u);
+  EXPECT_EQ(rules[0].threshold, -15.0);
+}
+
+TEST(Alerts, ParseNamesTheLineOfAnInvalidRule) {
+  // A rule that parses but fails validation (a quantile above p100, a
+  // quote in the name) is reported at its file and line too.
+  for (const char* rule : {"r warning p939(queue.depth) > 1",
+                           "r\"x warning value(queue.depth) > 1"}) {
+    try {
+      (void)obs::AlertEngine::parse_rules(std::string("# catalog\n") + rule,
+                                          "rules.txt");
+      ADD_FAILURE() << rule << " parsed";
+    } catch (const PreconditionError& e) {
+      EXPECT_NE(std::string(e.what()).find("rules.txt:2: "), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(Alerts, QuantileRulesRenderAsTheyParse) {
+  // A whole percent renders as its digits: 0.07 * 100 is
+  // 7.000000000000001 in doubles and 100 renders shortest as 1e+02,
+  // neither of which parse_rules reads back.
+  for (const char* q : {"7", "29", "57", "99", "100"}) {
+    const std::string expr = std::string("p") + q + "(queue.depth) > 1";
+    const auto rules =
+        obs::AlertEngine::parse_rules("r warning " + expr, "rules");
+    ASSERT_EQ(rules.size(), 1u);
+    EXPECT_EQ(rules[0].expression(), expr);
+  }
 }
 
 TEST(Alerts, EvaluateAndRecordAppendsAlertsToTheFlightRecorder) {

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <functional>
@@ -194,6 +195,39 @@ TEST(Journal, LoadSalvagesATornLastLine) {
   EXPECT_TRUE(res.salvaged);
   EXPECT_EQ(res.records, 1u);
   EXPECT_NE(res.gap.find("line 3"), std::string::npos) << res.gap;
+  fs::remove(path);
+}
+
+TEST(Journal, LoadReadsTheSequenceNumberWhole) {
+  // A CRC-valid line whose sequence number is not the whole decimal (a '+',
+  // or a '-' that wraps to the expected value) is a sequence break: only
+  // the records before it are kept.
+  const fs::path path = fs::path(::testing::TempDir()) / "signed_seq.clipj";
+  runtime::Journal j;
+  j.append("begin", "a=1");
+  j.append("launch", "job=0");
+  j.save(path);
+  std::string header;
+  std::getline(std::ifstream(path), header);
+  const auto sealed = [](const std::string& body) {
+    char crc[9];
+    std::snprintf(crc, sizeof crc, "%08x", runtime::crc32(body));
+    return body + "#" + crc + "\n";
+  };
+  for (const std::string seq : {"+2", "-18446744073709551614"}) {
+    SCOPED_TRACE(seq);
+    std::ofstream(path, std::ios::trunc)
+        << header << '\n' << sealed("1 begin a=1")
+        << sealed(seq + " launch job=0");
+    runtime::Journal loaded;
+    const runtime::JournalLoadResult res = loaded.load(path);
+    EXPECT_TRUE(res.salvaged);
+    EXPECT_EQ(res.records, 1u);
+    EXPECT_EQ(res.dropped_lines, 1u);
+    EXPECT_NE(res.gap.find("line 3: sequence break (expected 2)"),
+              std::string::npos)
+        << res.gap;
+  }
   fs::remove(path);
 }
 

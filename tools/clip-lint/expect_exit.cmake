@@ -3,7 +3,8 @@
 #
 #   cmake -DEXIT=<code> [-DEXPECT=<regex>] -P expect_exit.cmake -- <cmd>...
 #
-# With EXPECT, the command's stdout must also match the regex.
+# With EXPECT, the command's output (stdout, then stderr) must also match
+# the regex.
 math(EXPR last "${CMAKE_ARGC} - 1")
 set(command)
 set(in_command OFF)
@@ -21,7 +22,7 @@ if(NOT code STREQUAL EXIT)
   message(FATAL_ERROR "expected exit ${EXIT}, got ${code}: ${command}\n"
     "${out}${err}")
 endif()
-if(DEFINED EXPECT AND NOT out MATCHES "${EXPECT}")
-  message(FATAL_ERROR "stdout does not match '${EXPECT}': ${command}\n"
-    "${out}")
+if(DEFINED EXPECT AND NOT "${out}${err}" MATCHES "${EXPECT}")
+  message(FATAL_ERROR "output does not match '${EXPECT}': ${command}\n"
+    "${out}${err}")
 endif()

@@ -46,8 +46,6 @@
 // own self-scan does not read the examples as live directives)
 #pragma once
 
-#include <cstdint>
-#include <map>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -119,8 +117,7 @@ struct LockEdge {
   int line = 0;
 };
 
-/// Per-file facts the project-level passes (J2, L2) consume. Serialized
-/// into the result cache so unchanged files never re-lex.
+/// Per-file facts the project-level passes (J2, L2) consume.
 struct FileFacts {
   std::vector<KindSite> produced_kinds;
   std::vector<KindSite> registered_kinds;
@@ -149,27 +146,21 @@ struct FileResult {
 /// Lex `source`, strip comments/strings, collect directives.
 [[nodiscard]] LexedFile lex(std::string_view source, std::string path);
 
-/// Run every per-file rule pass over a lexed file. Marks matching
-/// suppressions used, then appends LINT findings for unused or malformed
-/// ones (suppressions naming a project rule are exempt from the unused
-/// check here — project_rules() owns them). The returned list includes
-/// suppressed findings (flagged as such) so reports can count them; CI
-/// gates only on the unsuppressed ones.
-[[nodiscard]] std::vector<Finding> run_rules(LexedFile& file);
-
-/// lex() + run_rules() in one call.
-[[nodiscard]] std::vector<Finding> lint_source(std::string_view source,
-                                               std::string path);
-
-/// lex() + per-file rules + fact extraction, deferring project-rule
-/// suppressions to project_rules().
+/// lex() + every per-file rule pass + fact extraction. Matching
+/// suppressions are marked used, and unused or malformed ones become LINT
+/// findings; suppressions naming a project rule are deferred to
+/// project_rules(). Suppressed findings stay in the list, flagged, so
+/// reports can count them; CI gates only on the unsuppressed ones.
 [[nodiscard]] FileResult analyze_source(std::string_view source,
                                         std::string path);
 
+/// analyze_source(source, path).findings: one file's per-file findings.
+[[nodiscard]] std::vector<Finding> lint_source(std::string_view source,
+                                               std::string path);
+
 /// Project-level passes over per-file facts: J2 bidirectional registry
 /// coverage and L2 lock-order cycle detection. Applies (and unused-checks)
-/// the deferred project suppressions. Returns only the project findings —
-/// they are never written into the per-file cache entries.
+/// the deferred project suppressions. Returns only the project findings.
 [[nodiscard]] std::vector<Finding> project_rules(
     std::vector<FileResult>& files);
 
@@ -196,40 +187,5 @@ struct Summary {
 /// level "error", suppressed ones carried with an inSource suppression and
 /// the reason as justification. Driver name: clip-analyze.
 [[nodiscard]] std::string to_sarif(const std::vector<Finding>& findings);
-
-/// FNV-1a 64 over the file bytes — the incremental-cache key.
-[[nodiscard]] std::uint64_t content_hash(std::string_view source);
-
-/// Incremental result cache: per-file findings + facts keyed by content
-/// hash, persisted as a versioned text file salted with the rule list (a
-/// rule change invalidates everything). Project findings are recomputed
-/// from the cached facts on every run, so J2/L2 stay correct when an
-/// unrelated file changes.
-class ResultCache {
- public:
-  /// Load from `path`. Returns false (and stays empty) when the file is
-  /// missing, from another cache version, or corrupt — never an error.
-  bool load(const std::string& path);
-  [[nodiscard]] bool save(const std::string& path) const;
-
-  /// Entry for `path` whose stored hash matches, else nullptr.
-  [[nodiscard]] const FileResult* find(const std::string& path,
-                                       std::uint64_t hash) const;
-  /// Entry for `path` regardless of hash (the --changed merge trusts the
-  /// cache for every file NOT on the changed list).
-  [[nodiscard]] const FileResult* find_any(const std::string& path) const;
-
-  void put(std::uint64_t hash, FileResult result);
-
-  [[nodiscard]] std::vector<std::string> paths() const;
-  [[nodiscard]] std::size_t size() const { return entries_.size(); }
-
- private:
-  struct Entry {
-    std::uint64_t hash = 0;
-    FileResult result;
-  };
-  std::map<std::string, Entry> entries_;
-};
 
 }  // namespace clip::lint

@@ -4,17 +4,13 @@
 // remains, 1 when the tree has violations, 2 on usage or I/O errors — the
 // contract scripts/ci.sh and the `ctest -L lint` entry gate on.
 //
-// Usage:
-//   clip-lint [--root DIR] [--json PATH] [--sarif PATH] [--cache PATH]
-//             [--exclude PREFIX]... [--changed] [--quiet] [--list-rules]
-//             PATH...
+// Every run is a full scan of the files it is given: no result is kept
+// between runs, so the verdict always comes from the analyzer being run.
 //
-// --cache PATH    load/refresh the incremental result cache: files whose
-//                 content hash matches are served from the cache (the
-//                 project passes still rerun over everyone's cached facts).
-// --changed       PATHs are the files that changed; everything else in the
-//                 cache is trusted as-is with no tree walk. Requires
-//                 --cache with an existing cache file (exit 2 otherwise).
+// Usage:
+//   clip-lint [--root DIR] [--json PATH] [--sarif PATH]
+//             [--exclude PREFIX]... [--quiet] [--list-rules] PATH...
+//
 // --exclude P     drop scanned files whose root-relative path starts with P
 //                 (lint fixtures are deliberately-violating inputs).
 
@@ -60,9 +56,7 @@ int main(int argc, char** argv) {
   fs::path root = fs::current_path();
   std::string json_path;
   std::string sarif_path;
-  std::string cache_path;
   std::vector<std::string> excludes;
-  bool changed_mode = false;
   bool quiet = false;
   std::vector<fs::path> inputs;
 
@@ -74,12 +68,8 @@ int main(int argc, char** argv) {
       json_path = argv[++i];
     } else if (arg == "--sarif" && i + 1 < argc) {
       sarif_path = argv[++i];
-    } else if (arg == "--cache" && i + 1 < argc) {
-      cache_path = argv[++i];
     } else if (arg == "--exclude" && i + 1 < argc) {
       excludes.emplace_back(argv[++i]);
-    } else if (arg == "--changed") {
-      changed_mode = true;
     } else if (arg == "--quiet") {
       quiet = true;
     } else if (arg == "--list-rules") {
@@ -88,8 +78,8 @@ int main(int argc, char** argv) {
       return 0;
     } else if (arg == "-h" || arg == "--help") {
       std::cout << "usage: clip-lint [--root DIR] [--json PATH] "
-                   "[--sarif PATH] [--cache PATH] [--exclude PREFIX]... "
-                   "[--changed] [--quiet] [--list-rules] PATH...\n"
+                   "[--sarif PATH] [--exclude PREFIX]... [--quiet] "
+                   "[--list-rules] PATH...\n"
                    "exit codes: 0 clean, 1 unsuppressed findings, 2 error\n";
       return 0;
     } else if (arg.rfind("--", 0) == 0) {
@@ -102,17 +92,6 @@ int main(int argc, char** argv) {
   if (inputs.empty()) {
     std::cerr << "clip-lint: no paths given (try: clip-lint src examples "
                  "bench)\n";
-    return 2;
-  }
-
-  clip::lint::ResultCache cache;
-  bool cache_loaded = false;
-  if (!cache_path.empty()) cache_loaded = cache.load(cache_path);
-  if (changed_mode && !cache_loaded) {
-    std::cerr << "clip-lint: --changed needs a warm cache; run a full scan "
-                 "with --cache first ("
-              << (cache_path.empty() ? "no --cache given" : cache_path)
-              << ")\n";
     return 2;
   }
 
@@ -146,27 +125,7 @@ int main(int argc, char** argv) {
     }
     std::ostringstream buf;
     buf << is.rdbuf();
-    const std::string source = buf.str();
-    const std::uint64_t hash = clip::lint::content_hash(source);
-    if (const clip::lint::FileResult* hit = cache.find(display, hash)) {
-      results.push_back(*hit);
-    } else {
-      results.push_back(clip::lint::analyze_source(source, display));
-      if (!cache_path.empty()) cache.put(hash, results.back());
-    }
-  }
-
-  // --changed: merge every cached file that was not re-scanned, so the
-  // project passes (and the report) still see the whole tree.
-  if (changed_mode) {
-    for (const std::string& path : cache.paths()) {
-      if (seen.count(path) != 0) continue;
-      seen.insert(path);
-      results.push_back(*cache.find_any(path));
-    }
-    std::sort(results.begin(), results.end(),
-              [](const clip::lint::FileResult& a,
-                 const clip::lint::FileResult& b) { return a.path < b.path; });
+    results.push_back(clip::lint::analyze_source(buf.str(), display));
   }
 
   std::vector<clip::lint::Finding> findings;
@@ -181,11 +140,6 @@ int main(int argc, char** argv) {
               if (a.line != b.line) return a.line < b.line;
               return a.rule < b.rule;
             });
-
-  if (!cache_path.empty() && !cache.save(cache_path)) {
-    std::cerr << "clip-lint: cannot write cache " << cache_path << '\n';
-    return 2;
-  }
 
   const int files_scanned = static_cast<int>(results.size());
   if (!json_path.empty()) {

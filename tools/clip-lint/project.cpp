@@ -1,8 +1,7 @@
 // Project-level passes for clip-analyze: rules whose truth needs every
-// scanned file at once. They consume the per-file FileFacts (which the
-// incremental cache persists), so a warm run re-evaluates them from cached
-// facts without re-lexing anything — J2/L2 stay correct when an unrelated
-// file changes.
+// scanned file at once. They consume the per-file FileFacts of the whole
+// scanned set, so a registry edit in one file re-judges producers in every
+// other.
 //
 //   J2 — bidirectional journal-kind coverage: every kind produced at a
 //        jlog/append_or_verify site must be listed in known_record_kinds(),

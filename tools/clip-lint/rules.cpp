@@ -550,7 +550,7 @@ void rule_j1(const LexedFile& f, std::vector<Finding>& out) {
 // while B is acquired) for the project-level L2 cycle check.
 // ---------------------------------------------------------------------------
 void rule_l1(const LexedFile& f, std::vector<Finding>& out,
-             std::vector<LockEdge>* edges) {
+             std::vector<LockEdge>& edges) {
   if (f.guards.empty()) return;
   const Tokens& t = f.tokens;
 
@@ -599,12 +599,10 @@ void rule_l1(const LexedFile& f, std::vector<Finding>& out,
         for (std::size_t k = j + 2; k < close; ++k) {
           if (!is_ident(t, k) || tracked_mutexes.count(t[k].text) == 0)
             continue;
-          if (edges != nullptr) {
-            for (const Held& h : held)
-              if (h.mutex != t[k].text)
-                edges->push_back(
-                    {node_id[h.mutex], node_id[t[k].text], t[k].line});
-          }
+          for (const Held& h : held)
+            if (h.mutex != t[k].text)
+              edges.push_back(
+                  {node_id[h.mutex], node_id[t[k].text], t[k].line});
           held.push_back({t[k].text, sim.brace()});
         }
       }
@@ -722,7 +720,7 @@ void extract_facts(const LexedFile& f, FileFacts& facts) {
 }
 
 // ---------------------------------------------------------------------------
-// Suppression machinery shared by run_rules and analyze_source.
+// The per-file pipeline behind analyze_source: rule passes, suppressions.
 // ---------------------------------------------------------------------------
 bool names_project_rule(const Suppression& sup) {
   return std::any_of(sup.rules.begin(), sup.rules.end(),
@@ -730,7 +728,7 @@ bool names_project_rule(const Suppression& sup) {
 }
 
 void run_per_file_rules(const LexedFile& f, std::vector<Finding>& findings,
-                        std::vector<LockEdge>* edges) {
+                        std::vector<LockEdge>& edges) {
   rule_d1(f, findings);
   rule_d2(f, findings);
   rule_d3(f, findings);
@@ -847,27 +845,12 @@ std::string rule_description(const std::string& rule) {
   return it == kDescriptions.end() ? std::string("unknown rule") : it->second;
 }
 
-std::vector<Finding> run_rules(LexedFile& f) {
-  std::vector<Finding> findings = f.lex_findings;
-  run_per_file_rules(f, findings, nullptr);
-  validate_suppressions(f, findings);
-  apply_suppressions(f, findings);
-  flag_unused_suppressions(f, findings);
-  sort_findings(findings);
-  return findings;
-}
-
-std::vector<Finding> lint_source(std::string_view source, std::string path) {
-  LexedFile f = lex(source, std::move(path));
-  return run_rules(f);
-}
-
 FileResult analyze_source(std::string_view source, std::string path) {
   LexedFile f = lex(source, std::move(path));
   FileResult r;
   r.path = f.path;
   r.findings = f.lex_findings;
-  run_per_file_rules(f, r.findings, &r.facts.lock_edges);
+  run_per_file_rules(f, r.findings, r.facts.lock_edges);
   validate_suppressions(f, r.findings);
   apply_suppressions(f, r.findings);
   flag_unused_suppressions(f, r.findings);
@@ -876,6 +859,10 @@ FileResult analyze_source(std::string_view source, std::string path) {
   for (const Suppression& sup : f.suppressions)
     if (names_project_rule(sup)) r.project_suppressions.push_back(sup);
   return r;
+}
+
+std::vector<Finding> lint_source(std::string_view source, std::string path) {
+  return analyze_source(source, std::move(path)).findings;
 }
 
 }  // namespace clip::lint

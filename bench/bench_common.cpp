@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <optional>
+
+#include "util/parse.hpp"
 
 namespace clip::bench {
 
@@ -16,21 +19,16 @@ namespace {
   std::exit(2);
 }
 
-/// Comma-separated cluster budgets, each a positive wattage in full.
+/// Comma-separated cluster budgets, each a positive wattage read whole
+/// (parse_whole: no sign, blank, hex form or suffix).
 std::vector<double> parse_budgets(const std::string& value) {
   std::vector<double> budgets;
   for (const std::string& part : split(value, ',')) {
     if (part.empty()) continue;
-    std::size_t used = 0;
-    double watts = 0.0;
-    try {
-      watts = std::stod(part, &used);
-    } catch (const std::exception&) {
-      used = 0;
-    }
-    if (used != part.size() || !std::isfinite(watts) || watts <= 0.0)
+    const std::optional<double> watts = parse_whole<double>(part);
+    if (!watts || !std::isfinite(*watts) || *watts <= 0.0)
       usage_error("bad value for --budgets: '" + value + "'");
-    budgets.push_back(watts);
+    budgets.push_back(*watts);
   }
   if (budgets.empty()) usage_error("empty --budgets list");
   return budgets;

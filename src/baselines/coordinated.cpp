@@ -27,7 +27,7 @@ sim::ClusterConfig CoordinatedScheduler::plan(
 
   // CPU/DRAM split from the power model: memory gets its demand-driven
   // allocation at the level that feeds all cores.
-  const core::NodeConfigSelector selector(spec, selector_options_);
+  const core::NodeConfigSelector selector(spec);
   const sim::MemPowerLevel level =
       selector.choose_mem_level(power, all_cores, affinity);
   const Watts mem_w = power.mem_power(all_cores, affinity, level);

@@ -32,7 +32,6 @@ class CoordinatedScheduler final : public PowerScheduler {
  private:
   sim::SimExecutor* executor_;
   core::SmartProfiler profiler_;
-  core::NodeSelectorOptions selector_options_;
 };
 
 }  // namespace clip::baselines

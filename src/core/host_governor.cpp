@@ -7,9 +7,8 @@
 
 namespace clip::core {
 
-HostGovernor::HostGovernor(sim::MachineSpec model,
-                           NodeSelectorOptions options)
-    : model_(std::move(model)), selector_(model_, options) {
+HostGovernor::HostGovernor(sim::MachineSpec model)
+    : model_(std::move(model)), selector_(model_) {
   model_.validate();
 }
 

@@ -41,8 +41,7 @@ class HostGovernor {
  public:
   /// `model` describes the host's power behaviour (socket bases, per-core
   /// draw, DVFS ladder); shape.total_cores() should not exceed the pool.
-  HostGovernor(sim::MachineSpec model,
-               NodeSelectorOptions options = NodeSelectorOptions{});
+  explicit HostGovernor(sim::MachineSpec model);
 
   /// Profile the kernel at full/half concurrency on the pool (real runs),
   /// build a CLIP profile from the measurements, decide a configuration

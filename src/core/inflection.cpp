@@ -34,7 +34,7 @@ void InflectionPredictor::train(const std::vector<TrainingSample>& samples) {
     }
     if (x.size() < 3) continue;  // too few samples for this class
     stats::LinRegOptions opt;
-    opt.ridge_lambda = options_.ridge_lambda;
+    opt.ridge_lambda = kRidgeLambda;
     opt.standardize = true;
     models_[cls] = stats::fit_linear(x, y, opt);
   }

@@ -31,17 +31,12 @@ struct TrainingSample {
   double inflection = 0.0;  ///< ground-truth N_P (even)
 };
 
-struct InflectionOptions {
-  double ridge_lambda = 4.0;  ///< few samples vs 8 features: regularize
-};
+/// Ridge penalty of each class's regression: few samples against 8
+/// features, so the fit is regularized.
+inline constexpr double kRidgeLambda = 4.0;
 
 class InflectionPredictor {
  public:
-  using Options = InflectionOptions;
-
-  explicit InflectionPredictor(InflectionOptions options = InflectionOptions{})
-      : options_(options) {}
-
   /// Fit one MLR per non-linear class ("trains each type of workload
   /// independently", §III-A). Linear-class samples are ignored: linear
   /// workloads have no inflection inside the node.
@@ -56,7 +51,6 @@ class InflectionPredictor {
                             int max_threads) const;
 
  private:
-  InflectionOptions options_;
   std::map<workloads::ScalabilityClass, stats::LinearModel> models_;
 };
 

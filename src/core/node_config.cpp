@@ -37,7 +37,7 @@ sim::MemPowerLevel NodeConfigSelector::choose_mem_level(
   const parallel::Placement placement =
       parallel::place_threads(spec_->shape, threads, affinity);
   const double demand =
-      power.bw_demand_gbps(threads) * options_.mem_demand_guardband;
+      power.bw_demand_gbps(threads) * kMemDemandGuardband;
   // Scan from the most frugal level upward; keep the first that feeds the
   // demand. If even L0 cannot (saturated workload), L0 it is.
   sim::MemPowerLevel chosen = sim::MemPowerLevel::kL0;
@@ -103,7 +103,7 @@ CandidateTable NodeConfigSelector::price(
       // draws more than its (guardbanded) demand.
       const double level_bw = ceiling * sim::bw_fraction(level);
       const double raw_demand = power.bw_demand_gbps(threads);
-      const double demand = raw_demand * options_.mem_demand_guardband;
+      const double demand = raw_demand * kMemDemandGuardband;
       // An unsaturated profile cannot reveal the memory-boundedness, so the
       // predictor cannot price a bandwidth cut below the measured demand —
       // never take that unpriced risk. L0 is exempt: it is the most
@@ -117,7 +117,7 @@ CandidateTable NodeConfigSelector::price(
           .row = row,
           .level = level,
           .mem_cap = power.mem_power_at_bw(placement, planned_bw) +
-                     Watts(options_.mem_cap_slack_w),
+                     Watts(kMemCapSlackW),
           .bw = std::max(planned_bw, 1e-3)});
     }
   }

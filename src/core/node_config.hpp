@@ -35,10 +35,10 @@ struct NodeDecision {
   Watts predicted_power{0.0};
 };
 
-struct NodeSelectorOptions {
-  double mem_demand_guardband = 1.10;  ///< level must cover demand * this
-  double mem_cap_slack_w = 0.5;        ///< extra watts on the DRAM cap
-};
+/// A memory level must cover the predicted bandwidth demand times this.
+inline constexpr double kMemDemandGuardband = 1.10;
+/// Extra watts on the DRAM cap above the level's draw.
+inline constexpr double kMemCapSlackW = 0.5;
 
 /// The prediction models one plan prices its candidates with: built once
 /// from the application's profile, class and N_P, then shared by every
@@ -91,9 +91,7 @@ class CandidateTable {
 
 class NodeConfigSelector {
  public:
-  NodeConfigSelector(const sim::MachineSpec& spec,
-                     NodeSelectorOptions options = NodeSelectorOptions{})
-      : spec_(&spec), options_(options) {}
+  explicit NodeConfigSelector(const sim::MachineSpec& spec) : spec_(&spec) {}
 
   /// Price the class-dependent candidates of one plan (paper §II
   /// conclusions: see candidate_threads()), once for every budget the
@@ -139,7 +137,6 @@ class NodeConfigSelector {
       const;
 
   const sim::MachineSpec* spec_;
-  NodeSelectorOptions options_;
 };
 
 }  // namespace clip::core

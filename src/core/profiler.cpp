@@ -6,17 +6,6 @@
 
 namespace clip::core {
 
-SmartProfiler::SmartProfiler(sim::SimExecutor& executor,
-                             ProfilerOptions options)
-    : executor_(&executor), options_(options) {
-  CLIP_REQUIRE(options.profile_fraction > 0.0 &&
-                   options.profile_fraction <= 1.0,
-               "profile fraction in (0,1]");
-  CLIP_REQUIRE(options.scatter_bw_threshold >= 0.0 &&
-                   options.scatter_bw_threshold <= 1.0,
-               "scatter threshold in [0,1]");
-}
-
 SampleProfile SmartProfiler::run_sample(const workloads::WorkloadSignature& w,
                                         int threads,
                                         parallel::AffinityPolicy affinity) {
@@ -29,8 +18,8 @@ SampleProfile SmartProfiler::run_sample(const workloads::WorkloadSignature& w,
   // forks happen once per iteration, so running a fraction of the
   // iterations also runs a fraction of the forks.
   workloads::WorkloadSignature probe = w;
-  probe.node_base_time_s = w.node_base_time_s * options_.profile_fraction;
-  probe.fork_overhead_s = w.fork_overhead_s * options_.profile_fraction;
+  probe.node_base_time_s = w.node_base_time_s * kProfileFraction;
+  probe.fork_overhead_s = w.fork_overhead_s * kProfileFraction;
 
   sim::ClusterConfig cfg;
   cfg.nodes = 1;
@@ -47,7 +36,7 @@ SampleProfile SmartProfiler::run_sample(const workloads::WorkloadSignature& w,
   SampleProfile s;
   s.config = cfg.node;
   // Scale the truncated run back to full-problem time.
-  s.time = Seconds(m.time.value() / options_.profile_fraction);
+  s.time = Seconds(m.time.value() / kProfileFraction);
   s.cpu_power = m.nodes.front().cpu_power;
   s.mem_power = m.nodes.front().mem_power;
   s.events = m.nodes.front().events;
@@ -76,7 +65,7 @@ ProfileData SmartProfiler::profile(const workloads::WorkloadSignature& w) {
   // (scatter); compute-bound ones pack onto as few sockets as possible so
   // unused sockets can park and their power feeds the frequency budget.
   p.preferred_affinity =
-      p.memory_intensity >= options_.scatter_bw_threshold
+      p.memory_intensity >= kScatterBwThreshold
           ? parallel::AffinityPolicy::kScatter
           : parallel::AffinityPolicy::kCompact;
 
@@ -98,7 +87,7 @@ ProfileData SmartProfiler::profile(const workloads::WorkloadSignature& w) {
 
   p.profiling_cost =
       Seconds((p.all_core.time.value() + p.half_core.time.value()) *
-              options_.profile_fraction);
+              kProfileFraction);
   return p;
 }
 
@@ -110,7 +99,7 @@ void SmartProfiler::validate_at(const workloads::WorkloadSignature& w,
   obs::count(obs_, "profiler.validation_samples");
   profile.validation = run_sample(w, threads, profile.preferred_affinity);
   profile.profiling_cost +=
-      Seconds(profile.validation->time.value() * options_.profile_fraction);
+      Seconds(profile.validation->time.value() * kProfileFraction);
 }
 
 }  // namespace clip::core

@@ -13,7 +13,7 @@
 //
 // Profiling executes a truncated problem ("a few iterations ... compared to
 // a full run, which is usually hundreds or thousands of iterations"): we run
-// `profile_fraction` of the workload and scale times back up.
+// kProfileFraction of the workload and scale times back up.
 #pragma once
 
 #include <functional>
@@ -25,16 +25,14 @@
 
 namespace clip::core {
 
-struct ProfilerOptions {
-  double profile_fraction = 0.05;  ///< share of the full run per sample
-  double scatter_bw_threshold = 0.35;  ///< memory intensity above which the
-                                       ///< profiler keeps scatter placement
-};
+/// Share of the full run each sample configuration executes.
+inline constexpr double kProfileFraction = 0.05;
+/// Memory intensity at or above which the profiler keeps scatter placement.
+inline constexpr double kScatterBwThreshold = 0.35;
 
 class SmartProfiler {
  public:
-  SmartProfiler(sim::SimExecutor& executor,
-                ProfilerOptions options = ProfilerOptions{});
+  explicit SmartProfiler(sim::SimExecutor& executor) : executor_(&executor) {}
 
   /// Steps 1 and 2 (always executed). The returned ProfileData has no
   /// validation sample yet; add one with `validate_at` when the predictor
@@ -58,7 +56,6 @@ class SmartProfiler {
       parallel::AffinityPolicy affinity);
 
   sim::SimExecutor* executor_;
-  ProfilerOptions options_;
   obs::ObsSession* obs_ = nullptr;
 };
 

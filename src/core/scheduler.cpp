@@ -23,10 +23,9 @@ ClipScheduler::ClipScheduler(
     SchedulerOptions options)
     : executor_(&executor),
       options_(options),
-      profiler_(executor, options.profiler),
+      profiler_(executor),
       classifier_(options.classifier),
-      inflection_(options.inflection),
-      selector_(executor.spec(), options.selector),
+      selector_(executor.spec()),
       allocator_(executor.spec(), selector_, options.allocator),
       variability_(options.variability),
       db_(KnowledgeDbShape{executor.spec().shape.total_cores(),

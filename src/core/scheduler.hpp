@@ -48,12 +48,9 @@ struct ScheduleDecision {
 };
 
 struct SchedulerOptions {
-  ProfilerOptions profiler;
   ClassifierThresholds classifier;
-  NodeSelectorOptions selector;
   ClusterAllocOptions allocator;
   VariabilityOptions variability;
-  InflectionOptions inflection;
   bool take_validation_sample = true;
 };
 

@@ -6,21 +6,19 @@ namespace clip::fault {
 
 void BudgetGuardOptions::validate() const {
   CLIP_REQUIRE(reaction_s >= 0.0, "guard.reaction_s must be non-negative");
-  CLIP_REQUIRE(min_plausible_node_w >= 0.0,
-               "guard.min_plausible_node_w must be non-negative");
-  CLIP_REQUIRE(max_plausible_node_w > min_plausible_node_w,
-               "guard.max_plausible_node_w must exceed the minimum");
 }
 
-BudgetGuard::BudgetGuard(BudgetGuardOptions options, Watts cluster_budget)
-    : options_(options), budget_w_(cluster_budget.value()) {
+BudgetGuard::BudgetGuard(BudgetGuardOptions options, Watts cluster_budget,
+                         double node_ceiling_w)
+    : options_(options),
+      node_ceiling_w_(node_ceiling_w),
+      budget_w_(cluster_budget.value()) {
   options_.validate();
   CLIP_REQUIRE(budget_w_ > 0.0, "guard needs a positive cluster budget");
 }
 
 double BudgetGuard::filter_reading(double observed_w, double expected_w) {
-  if (observed_w < options_.min_plausible_node_w ||
-      observed_w > options_.max_plausible_node_w) {
+  if (observed_w < kMinPlausibleNodeW || observed_w > node_ceiling_w_) {
     ++rejected_reads_;
     return expected_w;
   }
@@ -29,7 +27,6 @@ double BudgetGuard::filter_reading(double observed_w, double expected_w) {
 
 bool BudgetGuard::admit_regrant(double reserved_total_w, double grant_w) {
   CLIP_REQUIRE(grant_w >= 0.0, "re-grant watts must be non-negative");
-  if (!options_.enabled) return true;
   if (reserved_total_w + grant_w <= budget_w_ + 1e-9) return true;
   ++regrants_rejected_;
   return false;

@@ -20,23 +20,23 @@
 namespace clip::fault {
 
 struct BudgetGuardOptions {
-  bool enabled = true;
   /// Latency between detecting overshoot and the re-programmed caps taking
   /// effect (telemetry period + RAPL MSR writes settling).
   double reaction_s = 2.0;
-  /// Per-node plausibility band for meter readings. Readings outside
-  /// [min_plausible_node_w, max_plausible_node_w] are rejected and replaced
-  /// by the expected draw. The queue widens the upper bound to the machine's
-  /// max node power.
-  double min_plausible_node_w = 1.0;
-  double max_plausible_node_w = 1e9;
 
   void validate() const;
 };
 
+/// Per-node meter readings below this are implausible: a dropout reads 0 W.
+inline constexpr double kMinPlausibleNodeW = 1.0;
+
 class BudgetGuard {
  public:
-  BudgetGuard(BudgetGuardOptions options, Watts cluster_budget);
+  /// Readings above `node_ceiling_w` are implausible too; the queue
+  /// passes 1.5 × the machine's max node power, which a healthy node never
+  /// draws and a spiking meter usually reads.
+  BudgetGuard(BudgetGuardOptions options, Watts cluster_budget,
+              double node_ceiling_w);
 
   [[nodiscard]] const BudgetGuardOptions& options() const { return options_; }
 
@@ -45,10 +45,9 @@ class BudgetGuard {
   /// and bump `rejected_reads`.
   [[nodiscard]] double filter_reading(double observed_w, double expected_w);
 
-  /// Would the guard flag `observed_total_w` as overshoot? (Only meaningful
-  /// when enabled.)
+  /// Would the guard flag `observed_total_w` as overshoot?
   [[nodiscard]] bool overshoot(double observed_total_w) const {
-    return options_.enabled && observed_total_w > budget_w_ + 1e-9;
+    return observed_total_w > budget_w_ + 1e-9;
   }
 
   /// Integrate ground-truth accounting over a dt-long interval during which
@@ -59,9 +58,7 @@ class BudgetGuard {
   /// docs/power-redistribution.md): with `reserved_total_w` already
   /// reserved across the running jobs, may `grant_w` more be committed?
   /// The facility cap is the hard line — a grant that would push the
-  /// reservation past the cluster budget is rejected and counted. A
-  /// disabled guard admits everything (the caller's free-pool arithmetic is
-  /// then the only protection, as before the guard existed).
+  /// reservation past the cluster budget is rejected and counted.
   [[nodiscard]] bool admit_regrant(double reserved_total_w, double grant_w);
   [[nodiscard]] std::uint64_t regrants_rejected() const {
     return regrants_rejected_;
@@ -95,6 +92,7 @@ class BudgetGuard {
 
  private:
   BudgetGuardOptions options_;
+  double node_ceiling_w_;
   double budget_w_;
   double violation_s_ = 0.0;
   double violation_ws_ = 0.0;

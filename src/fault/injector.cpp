@@ -43,16 +43,9 @@ std::vector<double> degrade_breaks(const FaultPlan& plan,
 
 }  // namespace
 
-double RetryPolicy::backoff_s(int attempt) const {
+double backoff_s(int attempt) {
   CLIP_REQUIRE(attempt >= 1, "backoff attempt is 1-based");
-  return backoff_base_s * std::pow(backoff_factor, attempt - 1);
-}
-
-void RetryPolicy::validate() const {
-  CLIP_REQUIRE(max_attempts >= 1, "retry.max_attempts must be >= 1");
-  CLIP_REQUIRE(backoff_base_s >= 0.0,
-               "retry.backoff_base_s must be non-negative");
-  CLIP_REQUIRE(backoff_factor >= 1.0, "retry.backoff_factor must be >= 1");
+  return kBackoffBaseS * std::pow(kBackoffFactor, attempt - 1);
 }
 
 FaultInjector::FaultInjector(FaultPlan plan, int cluster_nodes)

@@ -17,19 +17,16 @@
 
 namespace clip::fault {
 
-/// Bounded-retry policy for crash-killed jobs (exponential backoff; failed
-/// nodes are excluded structurally — a crashed node leaves the healthy pool
-/// for good, so no retry can land on it).
-struct RetryPolicy {
-  int max_attempts = 3;         ///< total placements per job (1 = no retry)
-  double backoff_base_s = 5.0;  ///< delay before the first retry
-  double backoff_factor = 2.0;  ///< multiplier per subsequent retry
+/// Bounded retries for crash-killed jobs, with exponential backoff. Failed
+/// nodes are excluded structurally: a crashed node leaves the healthy pool
+/// for good, so no retry can land on it.
+inline constexpr int kMaxAttempts = 3;         ///< placements per job
+inline constexpr double kBackoffBaseS = 5.0;   ///< delay before the first retry
+inline constexpr double kBackoffFactor = 2.0;  ///< multiplier per later retry
 
-  /// Delay after the `attempt`-th failed placement (1-based).
-  [[nodiscard]] double backoff_s(int attempt) const;
-
-  void validate() const;
-};
+/// Delay after the `attempt`-th failed placement (1-based):
+/// kBackoffBaseS · kBackoffFactor^(attempt − 1).
+[[nodiscard]] double backoff_s(int attempt);
 
 /// What the injector resolved for one placement.
 struct RunResolution {

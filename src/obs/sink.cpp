@@ -4,9 +4,6 @@
 // only under mu_ (clip-analyze L1 enforces the write side).
 // clip-lint: guards(mu_: spans_)
 
-#include "obs/chrome_trace.hpp"
-#include "util/check.hpp"
-
 namespace clip::obs {
 
 void MemorySink::on_span(const SpanRecord& span) {
@@ -27,17 +24,6 @@ std::size_t MemorySink::span_count() const {
 void MemorySink::clear() {
   const std::lock_guard<std::mutex> lock(mu_);
   spans_.clear();
-}
-
-JsonlFileSink::JsonlFileSink(const std::filesystem::path& path) : out_(path) {
-  CLIP_REQUIRE(out_.good(), "cannot open JSONL sink file: " + path.string());
-}
-
-void JsonlFileSink::on_span(const SpanRecord& span) {
-  const std::string line = span_to_json(span);
-  const std::lock_guard<std::mutex> lock(mu_);
-  out_ << line << '\n';
-  out_.flush();  // crash tolerance beats throughput for a debug stream
 }
 
 }  // namespace clip::obs

@@ -1,17 +1,12 @@
 // Trace records and the pluggable sink interface.
 //
-// The tracer hands each *completed* span to one sink. Three implementations
-// cover the deployment spectrum: NullSink (attached but discarding — the
-// upper bound on instrumentation overhead), MemorySink (tests and the clipctl
-// trace subcommand, exported to Chrome-trace JSON afterwards), and
-// JsonlFileSink (streaming one JSON object per line for long-running
-// services, tail-able and crash-tolerant).
-// With no sink attached at all, instrumented code takes a single predictable
-// branch per call site and records nothing.
+// The tracer hands each *completed* span to one sink. MemorySink (tests, the
+// run record and the clipctl trace subcommand, exported to Chrome-trace JSON
+// afterwards) is the one implementation here; a program may attach its own
+// TraceSink. With no sink attached at all, instrumented code takes a single
+// predictable branch per call site and records nothing.
 #pragma once
 
-#include <filesystem>
-#include <fstream>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -53,12 +48,6 @@ class TraceSink {
   virtual void on_span(const SpanRecord& span) = 0;
 };
 
-/// Discards everything. Benchmarks the full recording path minus storage.
-class NullSink final : public TraceSink {
- public:
-  void on_span(const SpanRecord&) override {}
-};
-
 /// Accumulates records in memory for later export or inspection.
 class MemorySink final : public TraceSink {
  public:
@@ -72,20 +61,6 @@ class MemorySink final : public TraceSink {
  private:
   mutable std::mutex mu_;
   std::vector<SpanRecord> spans_;
-};
-
-/// Streams each span as one JSON object per line (JSONL). The objects use
-/// the same schema as the Chrome-trace `traceEvents` entries, so a JSONL
-/// file wraps into a loadable trace with `jq -s '{traceEvents:.}'`.
-class JsonlFileSink final : public TraceSink {
- public:
-  explicit JsonlFileSink(const std::filesystem::path& path);
-
-  void on_span(const SpanRecord& span) override;
-
- private:
-  std::mutex mu_;
-  std::ofstream out_;
 };
 
 }  // namespace clip::obs

@@ -356,7 +356,7 @@ std::string TelemetryServer::respond(const std::string& target) const {
     if (series.empty() || (n && n_value.value_or(0) == 0))
       return http_response(400, "Bad Request", "text/plain",
                            "usage: /timeline?series=<name>[&n=<tail>]\n");
-    const std::size_t tail = n ? *n_value : options_.timeline_tail;
+    const std::size_t tail = n ? *n_value : kTimelineTail;
     std::ostringstream body;
     if (options_.timeline != nullptr) {
       auto samples = options_.timeline->samples(series);

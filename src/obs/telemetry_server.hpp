@@ -14,7 +14,8 @@
 //   /status               JSON: queue depth, running jobs, free watts,
 //                         current mode, journal seq, sim time, job counts
 //   /timeline?series=S    JSONL tail of one flight-recorder series
-//                         (&n=K caps the tail length)
+//                         (&n=K caps the tail length; kTimelineTail
+//                         without it)
 //
 // Plain sockets, no wall-clock reads (clip-lint D1 clean). One accept
 // thread serves every server in the process: it starts with the first
@@ -26,6 +27,7 @@
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <mutex>
 #include <string>
@@ -61,10 +63,10 @@ struct TelemetryServerOptions {
   const MetricsRegistry* metrics = nullptr;
   /// Optional flight recorder behind /timeline. May be null.
   const Timeline* timeline = nullptr;
-  /// Default cap on points returned by /timeline (override per request
-  /// with ?n=K).
-  std::size_t timeline_tail = 256;
 };
+
+/// Points per kind /timeline returns when the request names no ?n=K.
+inline constexpr std::size_t kTimelineTail = 256;
 
 class TelemetryServer {
  public:

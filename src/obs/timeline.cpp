@@ -1,9 +1,9 @@
 #include "obs/timeline.hpp"
 
 // The flight recorder is fed by the simulator thread and tailed by the
-// telemetry server thread; sample/event storage and the ring-drop counter
-// mutate only under mu_ (clip-analyze L1 enforces the write side).
-// clip-lint: guards(mu_: samples_, events_, dropped_)
+// telemetry server thread; sample/event storage mutates only under mu_
+// (clip-analyze L1 enforces the write side).
+// clip-lint: guards(mu_: samples_, events_)
 
 #include <algorithm>
 #include <array>
@@ -35,24 +35,16 @@ double value_at_points(const std::deque<TimelinePoint>& pts, double t_s) {
   return std::prev(it)->value;
 }
 
-/// Append `p` to a series (sample or event) and count it; returns true when
-/// the ring buffer evicted the oldest point to make room. The caller holds
-/// the timeline's lock and bumps dropped_.
-template <typename Series, typename Point>
-bool push_point(Series& s, Point p, std::size_t ring_capacity,
-                const char* what, std::string_view name) {
+/// Append `p` to a series (sample or event). The caller holds the
+/// timeline's lock.
+template <typename Point>
+void push_point(std::deque<Point>& s, Point p, const char* what,
+                std::string_view name) {
   CLIP_REQUIRE(std::isfinite(p.t_s), "timeline timestamp must be finite");
-  CLIP_REQUIRE(s.points.empty() || p.t_s >= s.points.back().t_s,
+  CLIP_REQUIRE(s.empty() || p.t_s >= s.back().t_s,
                std::string("timeline ") + what + " '" + std::string(name) +
                    "' timestamps must be non-decreasing");
-  bool evicted = false;
-  if (ring_capacity > 0 && s.points.size() >= ring_capacity) {
-    s.points.pop_front();
-    evicted = true;
-  }
-  s.points.push_back(std::move(p));
-  ++s.appended;
-  return evicted;
+  s.push_back(std::move(p));
 }
 
 template <typename Map>
@@ -266,24 +258,19 @@ void append_exact(std::string& out, double v) {
   append_exact_slow(out, v);
 }
 
-Timeline::Timeline(TimelineOptions options) : options_(options) {}
-
 void Timeline::record(std::string_view series, double t_s, double value) {
   CLIP_REQUIRE(!series.empty(), "timeline series name must not be empty");
   std::lock_guard lock(mu_);
-  if (push_point(series_of(samples_, series), TimelinePoint{t_s, value},
-                 options_.ring_capacity, "series", series))
-    ++dropped_;
+  push_point(series_of(samples_, series), TimelinePoint{t_s, value}, "series",
+             series);
 }
 
 void Timeline::event(std::string_view series, double t_s,
                      std::string_view label) {
   CLIP_REQUIRE(!series.empty(), "timeline series name must not be empty");
   std::lock_guard lock(mu_);
-  if (push_point(series_of(events_, series),
-                 TimelineEvent{t_s, std::string(label)},
-                 options_.ring_capacity, "event series", series))
-    ++dropped_;
+  push_point(series_of(events_, series),
+             TimelineEvent{t_s, std::string(label)}, "event series", series);
 }
 
 std::vector<std::string> Timeline::series_names() const {
@@ -301,34 +288,29 @@ std::vector<TimelinePoint> Timeline::samples(std::string_view series) const {
   std::lock_guard lock(mu_);
   const auto it = samples_.find(series);
   if (it == samples_.end()) return {};
-  return {it->second.points.begin(), it->second.points.end()};
+  return {it->second.begin(), it->second.end()};
 }
 
 std::vector<TimelineEvent> Timeline::events(std::string_view series) const {
   std::lock_guard lock(mu_);
   const auto it = events_.find(series);
   if (it == events_.end()) return {};
-  return {it->second.points.begin(), it->second.points.end()};
+  return {it->second.begin(), it->second.end()};
 }
 
 std::size_t Timeline::total_samples() const {
   std::lock_guard lock(mu_);
   std::size_t n = 0;
-  for (const auto& [_, s] : samples_) n += s.points.size();
+  for (const auto& [_, s] : samples_) n += s.size();
   return n;
-}
-
-std::uint64_t Timeline::dropped() const {
-  std::lock_guard lock(mu_);
-  return dropped_;
 }
 
 SeriesSummary Timeline::summary(std::string_view series) const {
   std::lock_guard lock(mu_);
   SeriesSummary s;
   const auto it = samples_.find(series);
-  if (it == samples_.end() || it->second.points.empty()) return s;
-  const auto& pts = it->second.points;
+  if (it == samples_.end() || it->second.empty()) return s;
+  const auto& pts = it->second;
   s.count = pts.size();
   s.min = s.max = pts.front().value;
   double sum = 0.0;
@@ -347,7 +329,7 @@ double Timeline::value_at(std::string_view series, double t_s) const {
   std::lock_guard lock(mu_);
   const auto it = samples_.find(series);
   if (it == samples_.end()) return kNaN;
-  return value_at_points(it->second.points, t_s);
+  return value_at_points(it->second, t_s);
 }
 
 std::vector<TimelinePoint> Timeline::resample(std::string_view series,
@@ -366,7 +348,7 @@ std::vector<TimelinePoint> Timeline::resample(std::string_view series,
                                static_cast<double>(points - 1);
     const double v = it == samples_.end()
                          ? kNaN
-                         : value_at_points(it->second.points, t);
+                         : value_at_points(it->second, t);
     out.push_back(TimelinePoint{t, v});
   }
   return out;
@@ -378,7 +360,7 @@ double Timeline::integral(std::string_view series, double t0,
   std::lock_guard lock(mu_);
   const auto it = samples_.find(series);
   if (it == samples_.end()) return 0.0;
-  const auto& pts = it->second.points;
+  const auto& pts = it->second;
   double acc = 0.0;
   for (std::size_t i = 0; i < pts.size(); ++i) {
     const double lo = std::max(pts[i].t_s, t0);
@@ -395,7 +377,7 @@ double Timeline::time_above(std::string_view series, double threshold,
   std::lock_guard lock(mu_);
   const auto it = samples_.find(series);
   if (it == samples_.end()) return 0.0;
-  const auto& pts = it->second.points;
+  const auto& pts = it->second;
   double acc = 0.0;
   for (std::size_t i = 0; i < pts.size(); ++i) {
     if (!(pts[i].value > threshold)) continue;
@@ -420,11 +402,11 @@ CsvDocument Timeline::to_csv_document() const {
   CsvDocument doc;
   doc.header = {"kind", "series", "t_s", "value", "label"};
   for (const auto& [name, s] : samples_)
-    for (const auto& p : s.points)
+    for (const auto& p : s)
       doc.rows.push_back(
           {"sample", name, format_exact(p.t_s), format_exact(p.value), ""});
   for (const auto& [name, e] : events_)
-    for (const auto& ev : e.points)
+    for (const auto& ev : e)
       doc.rows.push_back(
           {"event", name, format_exact(ev.t_s), "", ev.label});
   return doc;
@@ -445,7 +427,6 @@ void Timeline::load_csv_document(const CsvDocument& doc,
   std::lock_guard lock(mu_);
   auto samples = samples_;
   auto events = events_;
-  std::uint64_t dropped = dropped_;
   for (std::size_t i = 0; i < doc.rows.size(); ++i) {
     const auto& row = doc.rows[i];
     try {
@@ -455,18 +436,14 @@ void Timeline::load_csv_document(const CsvDocument& doc,
       CLIP_REQUIRE(kind == "sample" || kind == "event",
                    "unknown kind '" + kind + "'");
       CLIP_REQUIRE(!series.empty(), "timeline series name must not be empty");
-      bool evicted = false;
       if (kind == "sample") {
         const double value = parse_cell<double>(row[3], "value");
-        evicted = push_point(series_of(samples, series),
-                             TimelinePoint{t_s, value},
-                             options_.ring_capacity, "series", series);
+        push_point(series_of(samples, series), TimelinePoint{t_s, value},
+                   "series", series);
       } else {
-        evicted = push_point(series_of(events, series),
-                             TimelineEvent{t_s, row[4]},
-                             options_.ring_capacity, "event series", series);
+        push_point(series_of(events, series), TimelineEvent{t_s, row[4]},
+                   "event series", series);
       }
-      dropped += evicted ? 1 : 0;
     } catch (const PreconditionError& e) {
       throw PreconditionError("timeline CSV " + context + " row " +
                               std::to_string(i + 2) + ": " + e.what());
@@ -474,7 +451,6 @@ void Timeline::load_csv_document(const CsvDocument& doc,
   }
   samples_.swap(samples);
   events_.swap(events);
-  dropped_ = dropped;
 }
 
 void Timeline::write_delta(std::string& out, TimelineMark& mark) const {
@@ -487,15 +463,15 @@ void Timeline::write_delta(std::string& out, TimelineMark& mark) const {
       while (m != marks.end() && m->first < name) ++m;
       if (m == marks.end() || m->first != name)
         m = marks.emplace_hint(m, name, 0);
-      const std::uint64_t fresh = s.appended - m->second;
-      m->second = s.appended;
+      CLIP_REQUIRE(m->second <= s.size(),
+                   "timeline mark is ahead of series '" + name + "'");
+      const std::uint64_t fresh = s.size() - m->second;
+      m->second = s.size();
       if (fresh == 0) continue;
       out += kind;
       append_delta_text(out, name);
-      // Points the ring evicted since the mark are gone: write what is held.
-      const auto n = static_cast<std::ptrdiff_t>(
-          std::min<std::uint64_t>(fresh, s.points.size()));
-      for (auto p = s.points.end() - n; p != s.points.end(); ++p) {
+      for (auto p = s.end() - static_cast<std::ptrdiff_t>(fresh);
+           p != s.end(); ++p) {
         out += ',';
         append_exact(out, p->t_s);
         out += ',';
@@ -529,9 +505,7 @@ void Timeline::apply_delta(std::string_view delta) {
         CLIP_REQUIRE(consume(delta, ','),
                      "timeline delta: sample of '" + name + "' has no value");
         const double value = read_delta_double(delta, "value");
-        if (push_point(s, TimelinePoint{t_s, value}, options_.ring_capacity,
-                       "series", name))
-          ++dropped_;
+        push_point(s, TimelinePoint{t_s, value}, "series", name);
       }
     } else {
       auto& s = series_of(events_, name);
@@ -540,9 +514,7 @@ void Timeline::apply_delta(std::string_view delta) {
         CLIP_REQUIRE(consume(delta, ','),
                      "timeline delta: event of '" + name + "' has no label");
         read_delta_text(delta, label);
-        if (push_point(s, TimelineEvent{t_s, label}, options_.ring_capacity,
-                       "event series", name))
-          ++dropped_;
+        push_point(s, TimelineEvent{t_s, label}, "event series", name);
       }
     }
     CLIP_REQUIRE(consume(delta, ';'),
@@ -554,9 +526,9 @@ TimelineMark Timeline::mark() const {
   std::lock_guard lock(mu_);
   TimelineMark m;
   for (const auto& [name, s] : samples_)
-    m.samples.emplace_hint(m.samples.end(), name, s.appended);
+    m.samples.emplace_hint(m.samples.end(), name, s.size());
   for (const auto& [name, s] : events_)
-    m.events.emplace_hint(m.events.end(), name, s.appended);
+    m.events.emplace_hint(m.events.end(), name, s.size());
   return m;
 }
 
@@ -564,7 +536,6 @@ void Timeline::clear() {
   std::lock_guard lock(mu_);
   samples_.clear();
   events_.clear();
-  dropped_ = 0;
 }
 
 }  // namespace clip::obs

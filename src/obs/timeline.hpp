@@ -6,17 +6,15 @@
 // reader collects (§IV-B4, Figs. 1/3/7–9). It is an append-only, per-series
 // store of (t_s, value) samples and (t_s, label) events with:
 //
-//   * bounded ring-buffer mode (keep the newest N points per series; the
-//     count of evicted points is reported by dropped());
 //   * deterministic CSV export (doubles print as shortest-exact %.17g,
 //     series in name order, points in time order — two identical runs
 //     serialize byte-identically; the telemetry server's /timeline
 //     endpoint renders one series' tail as JSON lines);
-//   * compact deltas: each series counts the points ever appended to it,
-//     and write_delta() renders only the points appended since a caller's
-//     TimelineMark — the scheduler journal's snapshots carry the flight
-//     record this way, and recovery folds the deltas back in order
-//     (apply_delta), so a snapshot costs what changed, not the whole run;
+//   * compact deltas: write_delta() renders only the points appended to
+//     each series since a caller's TimelineMark — the scheduler journal's
+//     snapshots carry the flight record this way, and recovery folds the
+//     deltas back in order (apply_delta), so a snapshot costs what
+//     changed, not the whole run;
 //   * alignment and summary queries over the step-function interpretation
 //     of a series (value_at, resample, integral, time_above, summary).
 //
@@ -56,16 +54,9 @@ struct TimelineEvent {
   std::string label;
 };
 
-struct TimelineOptions {
-  /// Max points kept per sample series (0 = unbounded). When full, the
-  /// oldest point is evicted and dropped() is bumped. Event series are
-  /// bounded the same way.
-  std::size_t ring_capacity = 0;
-};
-
-/// Per series, the count of points ever appended (evicted ones included)
-/// as of the last delta written against this mark. Sample and event series
-/// are counted apart: one name may be both.
+/// Per series, the count of points it held when the last delta was written
+/// against this mark. Sample and event series are counted apart: one name
+/// may be both.
 struct TimelineMark {
   std::map<std::string, std::uint64_t, std::less<>> samples;
   std::map<std::string, std::uint64_t, std::less<>> events;
@@ -83,7 +74,7 @@ struct SeriesSummary {
 
 class Timeline {
  public:
-  explicit Timeline(TimelineOptions options = TimelineOptions{});
+  Timeline() = default;
 
   Timeline(const Timeline&) = delete;
   Timeline& operator=(const Timeline&) = delete;
@@ -106,8 +97,6 @@ class Timeline {
       std::string_view series) const;
 
   [[nodiscard]] std::size_t total_samples() const;
-  /// Points evicted by the ring buffer across all series.
-  [[nodiscard]] std::uint64_t dropped() const;
 
   [[nodiscard]] SeriesSummary summary(std::string_view series) const;
 
@@ -149,15 +138,13 @@ class Timeline {
   ///
   /// Doubles render by append_exact. Names and labels escape backslash,
   /// space, newline, ',' and ';' as \\ \s \n \c \e, so any bytes round-trip
-  /// and the delta is one space-free, single-line token. A point the ring
-  /// buffer evicted before any delta wrote it is lost to the delta;
-  /// everything still held is written.
+  /// and the delta is one space-free, single-line token.
   void write_delta(std::string& out, TimelineMark& mark) const;
 
   /// Append the points of a write_delta() rendering, in order, exactly as
   /// record()/event() would. Throws on malformed input. Folding a run's
-  /// deltas in order into a fresh timeline with the same options
-  /// reproduces its to_csv_string() byte for byte.
+  /// deltas in order into a fresh timeline reproduces its to_csv_string()
+  /// byte for byte.
   void apply_delta(std::string_view delta);
 
   /// The mark a delta written now would leave: every point counted.
@@ -176,17 +163,9 @@ class Timeline {
   [[nodiscard]] CsvDocument to_csv_document() const;
   void load_csv_document(const CsvDocument& doc, const std::string& context);
 
-  template <typename Point>
-  struct Series {
-    std::deque<Point> points;
-    std::uint64_t appended = 0;  ///< ever appended, evicted points included
-  };
-
   mutable std::mutex mu_;
-  TimelineOptions options_;
-  std::map<std::string, Series<TimelinePoint>, std::less<>> samples_;
-  std::map<std::string, Series<TimelineEvent>, std::less<>> events_;
-  std::uint64_t dropped_ = 0;
+  std::map<std::string, std::deque<TimelinePoint>, std::less<>> samples_;
+  std::map<std::string, std::deque<TimelineEvent>, std::less<>> events_;
 };
 
 /// Shortest-exact double formatting (%.17g trimmed): parses back to the

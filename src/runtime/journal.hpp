@@ -18,8 +18,8 @@
 // latest one's other state, replays the suffix records as verification
 // against its own re-derived decisions, and resumes; a clean recovery is
 // byte-identical to a run that never died. The `begin` record names the
-// snapshot format (`snapfmt=3`), so a journal in another one, `snapfmt=2`
-// included, is refused by name.
+// snapshot format (`snapfmt=4`), so a journal in any other one, `snapfmt=2`
+// and `snapfmt=3` included, is refused by name.
 //
 // On disk a journal is line-oriented text: a version header, then one record
 // per line carrying a sequence number, a kind, a payload and a CRC-32 over

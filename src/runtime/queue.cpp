@@ -4,8 +4,8 @@
 #include <bit>
 #include <charconv>
 #include <concepts>
-#include <cstdlib>
 #include <limits>
+#include <numeric>
 #include <optional>
 
 #include "obs/telemetry_server.hpp"
@@ -47,21 +47,9 @@ const QueueOptions& validate_options(const QueueOptions& options) {
       "min_node_power_w (" + format_double(options.min_node_power_w, 3) +
           " W) exceeds cluster_budget (" +
           format_double(options.cluster_budget.value(), 3) + " W)");
-  options.retry.validate();
   options.guard.validate();
   options.redist.validate();
   return options;
-}
-
-/// Budget watchdog; the plausibility ceiling defaults to what the machine
-/// can physically draw (a healthy node never exceeds it, a spiking meter
-/// usually will).
-fault::BudgetGuard make_guard(const QueueOptions& options,
-                              sim::SimExecutor& executor) {
-  fault::BudgetGuardOptions guard_opts = options.guard;
-  if (guard_opts.max_plausible_node_w >= 1e9)
-    guard_opts.max_plausible_node_w = executor.spec().max_node_w() * 1.5;
-  return fault::BudgetGuard(guard_opts, options.cluster_budget);
 }
 
 // --- journal payloads and timeline labels ----------------------------------
@@ -371,9 +359,10 @@ QueueEventLoop::QueueEventLoop(sim::SimExecutor& executor,
       options_(validate_options(options)),
       jobs_(std::move(jobs)),
       total_nodes_(executor.spec().nodes),
-      guard_(make_guard(options, executor)),
-      detector_(options.redist),
-      redistributor_(options.redist) {
+      // A healthy node never draws above the machine's max node power; a
+      // spiking meter usually reads more.
+      guard_(options.guard, options.cluster_budget,
+             executor.spec().max_node_w() * 1.5) {
   CLIP_REQUIRE(!jobs_.empty(), "queue needs at least one job");
   for (const auto& job : jobs_)
     CLIP_REQUIRE(job.requested_nodes >= 0 &&
@@ -759,7 +748,7 @@ void QueueEventLoop::claw_back(int node) {
 // the pass entirely: there is nothing trustworthy to read.
 void QueueEventLoop::guard_sample() {
   if (meters_dark_) return;
-  if (!guard_.options().enabled || running_.empty()) return;
+  if (running_.empty()) return;
   double observed = 0.0;
   for (const auto& r : running_) {
     const double per_node_truth =
@@ -880,7 +869,7 @@ void QueueEventLoop::apply_claw(const PendingClaw& c) {
   const int n_nodes = static_cast<int>(r->node_ids.size());
   const double floor_w =
       std::max(options_.min_node_power_w * n_nodes,
-               out.power_w + options_.redist.headroom_frac * out.budget_w);
+               out.power_w + kHeadroomFrac * out.budget_w);
   const double claw = std::min(c.watts, out.budget_w - floor_w);
   if (claw <= 0.0) {
     // A re-grant since the decision ate the slack.
@@ -936,8 +925,8 @@ void QueueEventLoop::redist_tick() {
     slack_total += slack;
     const double floor_w =
         std::max(options_.min_node_power_w * n_nodes,
-                 out.power_w + options_.redist.headroom_frac * out.budget_w);
-    const double claw = redistributor_.claw_w(out.budget_w, slack, floor_w);
+                 out.power_w + kHeadroomFrac * out.budget_w);
+    const double claw = claw_w(out.budget_w, slack, floor_w);
     if (claw <= 0.0) continue;
     pending_claws_.push_back({now_ + options_.redist.reaction_s, r.job_index,
                               out.attempts, claw});
@@ -951,7 +940,6 @@ void QueueEventLoop::redist_tick() {
   if (timeline_ != nullptr)
     timeline_->record("redist.slack_w", now_, slack_total);
   jlog("tick", "t=", now_, " slack=", slack_total);
-  if (!options_.redist.subsystem_split) return;
   for (auto& r : running_) {
     const QueuedJobResult& out = row_of(r);
     if (!out.completed) continue;
@@ -959,7 +947,7 @@ void QueueEventLoop::redist_tick() {
         jobs_[r.job_index].app, out.start_s, out.end_s, now_);
     if (!sig.memory_bound) continue;
     const sim::ClusterConfig shifted = sim::shift_pkg_to_dram(
-        r.config, Watts(options_.redist.shift_step_w), Watts(1.0));
+        r.config, Watts(kShiftStepW), Watts(1.0));
     if (shifted.node.cpu_cap.value() == r.config.node.cpu_cap.value() &&
         shifted.node.mem_level == r.config.node.mem_level)
       continue;  // already fully shifted
@@ -968,14 +956,14 @@ void QueueEventLoop::redist_tick() {
     if (m1.avg_power.value() > out.budget_w * 1.01 + 1.0)
       continue;  // must keep fitting the reserved slice
     const double gain = out.end_s - projected_end(r, m1);
-    if (gain < options_.redist.min_gain_s) continue;
+    if (gain < kMinGainS) continue;
     rebase_running(r, shifted, m1, out.budget_w);
     ++report_.redist_subsystem_shifts;
     obs::count(action_obs(), "redist.subsystem_shifts");
     if (timeline_ != nullptr)
       timeline_->event("redist", now_,
                        "shift " + out.app + " pkg->dram w=" +
-                           format_double(options_.redist.shift_step_w, 1));
+                           format_double(kShiftStepW, 1));
     jlog("shift", "job=", r.job_index, " t=", now_);
   }
 }
@@ -990,7 +978,7 @@ void QueueEventLoop::try_regrant() {
   for (std::size_t j = 0; j < jobs_.size(); ++j)
     if (state_[j] == State::kPending) return;
   const double free_w = free_power();
-  if (free_w < options_.redist.min_grant_w || running_.empty()) return;
+  if (free_w < kMinGrantW || running_.empty()) return;
   struct Eval {
     sim::ClusterConfig cfg;
     sim::Measurement m;
@@ -1012,7 +1000,7 @@ void QueueEventLoop::try_regrant() {
     candidates.push_back({i, free_w, out.end_s - projected_end(r, m1)});
     evals.push_back({boosted.cluster, m1, slice});
   }
-  const RegrantCandidate* best = redistributor_.pick(candidates);
+  const RegrantCandidate* best = pick_regrant(candidates);
   if (best == nullptr) return;
   Running& r = running_[best->job];
   // The guard admits the grant against the larger of the reservations and
@@ -1081,7 +1069,7 @@ bool QueueEventLoop::finish_one_due() {
     timeline_->event("job", now_,
                      render("crash ", out.app, " node=", r.crashed_node,
                             TraceOf{traces_, j}));
-  if (out.attempts >= options_.retry.max_attempts) {
+  if (out.attempts >= fault::kMaxAttempts) {
     state_[j] = State::kFailed;
     ++report_.jobs_failed;
     obs::count(action_obs(), "queue.jobs_failed");
@@ -1092,7 +1080,7 @@ bool QueueEventLoop::finish_one_due() {
     return true;
   }
   state_[j] = State::kPending;
-  eligible_s_[j] = now_ + options_.retry.backoff_s(out.attempts);
+  eligible_s_[j] = now_ + fault::backoff_s(out.attempts);
   retry_wakeups_.push_back(eligible_s_[j]);
   ++report_.retries;
   obs::ScopedSpan span(action_obs(), "queue.requeue", "runtime");
@@ -1137,7 +1125,7 @@ void QueueEventLoop::prepare_run() {
     // One draw per job in submission order: ids are a pure function of
     // (seed, job index), so a recovery constructed with the same options
     // re-mints exactly the ids the dying run journaled.
-    Rng trace_rng(options_.trace.seed);
+    Rng trace_rng(kTraceSeed);
     traces_.reserve(jobs_.size());
     for (std::size_t j = 0; j < jobs_.size(); ++j) {
       traces_.push_back(obs::TraceContext::make(trace_rng));
@@ -1488,7 +1476,7 @@ std::string QueueEventLoop::begin_payload() const {
   // recovered with a different trace configuration fails the begin check
   // loudly instead of diverging record by record.
   if (options_.trace.enabled)
-    os += " traceseed=" + std::to_string(options_.trace.seed);
+    os += " traceseed=" + std::to_string(kTraceSeed);
   return os;
 }
 
@@ -1606,13 +1594,23 @@ void QueueEventLoop::snapshot_fields(IO& io) {
     double draw_w;
   };
   std::vector<Sample> samples;
-  if (!IO::kReads && options_.redist.enabled)
-    for (const std::string& name : detector_.samples().series_names())
-      for (const auto& p : detector_.samples().samples(name))
-        // Series are named node<N>.power_w: the node id is embedded.
-        samples.push_back({std::atoi(name.c_str() + 4), p.t_s, p.value});
+  if (!IO::kReads && options_.redist.enabled) {
+    // Nodes in the order of their ids as text (10 before 2), the order the
+    // token has always had.
+    std::vector<int> nodes(static_cast<std::size_t>(detector_.node_bound()));
+    std::iota(nodes.begin(), nodes.end(), 0);
+    std::sort(nodes.begin(), nodes.end(), [](int a, int b) {
+      return std::to_string(a) < std::to_string(b);
+    });
+    for (const int n : nodes)
+      for (const SlackDetector::Sample& d : detector_.window(n))
+        samples.push_back({n, d.t_s, d.draw_w});
+  }
   io.list("det", ',', samples,
-          [&](Sample& d) { io(d.node, d.t_s, d.draw_w); },
+          [&](Sample& d) {
+            io(ranged(d.node, 0, last_node, "detector node"), d.t_s,
+               d.draw_w);
+          },
           options_.redist.enabled ? Blank::kEmpty : Blank::kAbsent);
   io.timeline("tl", timeline_, snap_mark_);
   if (IO::kReads) {

@@ -20,10 +20,10 @@
 //
 // Resilience (docs/robustness.md): with a fault::FaultInjector attached the
 // queue survives an imperfect substrate. Node crashes abort the jobs holding
-// them; the queue reclaims the dead node's watts, requeues the job under the
-// RetryPolicy (bounded attempts, exponential backoff; crashed nodes leave
-// the pool for good, so retries are structurally excluded from them) and
-// marks jobs failed once attempts are exhausted. Thermal degradation
+// them; the queue reclaims the dead node's watts, requeues the job after an
+// exponential backoff (fault::backoff_s; crashed nodes leave the pool for
+// good, so retries are structurally excluded from them) and marks it failed
+// once it has had fault::kMaxAttempts placements. Thermal degradation
 // stretches affected jobs. A BudgetGuard watches the (meter-corrupted,
 // plausibility-filtered) cluster draw, detects overshoot from unenforced
 // RAPL caps, claws the violating node's cap back after an actuation latency,
@@ -92,17 +92,17 @@ class Journal;
 /// legacy column set and the run is byte-identical to the untraced queue.
 struct TraceOptions {
   bool enabled = false;
-  /// Seed of the clip::Rng stream trace ids are drawn from; ids are a
-  /// deterministic function of (seed, job order), so recovery re-derives
-  /// the same ids the dying run assigned.
-  std::uint64_t seed = 0x7C11u;
 };
+
+/// Seed of the clip::Rng stream trace ids are drawn from; ids are a
+/// deterministic function of (seed, job order), so recovery re-derives the
+/// same ids the dying run assigned.
+inline constexpr std::uint64_t kTraceSeed = 0x7C11u;
 
 struct QueueOptions {
   Watts cluster_budget{1000.0};
   bool backfill = true;          ///< allow later jobs to jump a blocked head
   double min_node_power_w = 45.0;  ///< below this a node is not worth waking
-  fault::RetryPolicy retry;        ///< crash-killed jobs: bounded retries
   fault::BudgetGuardOptions guard; ///< cluster-budget watchdog
   RedistributionOptions redist;    ///< runtime power redistribution (off)
   TraceOptions trace;              ///< causal per-job trace ids (off)
@@ -416,7 +416,6 @@ class QueueEventLoop {
   int total_nodes_;
   fault::BudgetGuard guard_;
   SlackDetector detector_;
-  Redistributor redistributor_;
 
   bool started_ = false;
   QueueReport report_;

@@ -1,6 +1,7 @@
 #include "runtime/redistribution.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "util/check.hpp"
 #include "util/strings.hpp"
@@ -12,42 +13,37 @@ void RedistributionOptions::validate() const {
   CLIP_REQUIRE(period_s > 0.0, "redist.period_s must be positive (got " +
                                    format_double(period_s, 3) + " s)");
   CLIP_REQUIRE(reaction_s >= 0.0, "redist.reaction_s must be non-negative");
-  CLIP_REQUIRE(headroom_frac >= 0.0 && headroom_frac < 1.0,
-               "redist.headroom_frac must be in [0, 1)");
-  CLIP_REQUIRE(min_claw_w > 0.0, "redist.min_claw_w must be positive");
-  CLIP_REQUIRE(min_grant_w > 0.0, "redist.min_grant_w must be positive");
-  CLIP_REQUIRE(min_gain_s >= 0.0, "redist.min_gain_s must be non-negative");
-  CLIP_REQUIRE(window_samples >= 1,
-               "redist.window_samples must be at least 1");
-  CLIP_REQUIRE(shift_step_w > 0.0, "redist.shift_step_w must be positive");
-}
-
-namespace {
-
-std::string node_series(int node) {
-  return "node" + std::to_string(node) + ".power_w";
-}
-
-}  // namespace
-
-SlackDetector::SlackDetector(const RedistributionOptions& options)
-    : options_(options),
-      timeline_(obs::TimelineOptions{
-          .ring_capacity = static_cast<std::size_t>(options.window_samples)}) {
-  options.validate();
 }
 
 void SlackDetector::observe(int node, double t_s, double draw_w) {
-  timeline_.record(node_series(node), t_s, draw_w);
+  CLIP_REQUIRE(node >= 0, "slack detector: negative node id " +
+                              std::to_string(node));
+  const auto at = static_cast<std::size_t>(node);
+  if (at >= windows_.size()) windows_.resize(at + 1);
+  Window& w = windows_[at];
+  CLIP_REQUIRE(std::isfinite(t_s) &&
+                   (w.size == 0 || t_s >= w.samples[w.size - 1].t_s),
+               "slack detector: node " + std::to_string(node) +
+                   " sample timestamps must be finite and non-decreasing");
+  if (w.size == kWindowSamples) {
+    std::copy(w.samples.begin() + 1, w.samples.end(), w.samples.begin());
+    --w.size;
+  }
+  w.samples[w.size++] = {t_s, draw_w};
+}
+
+std::span<const SlackDetector::Sample> SlackDetector::window(int node) const {
+  if (node < 0 || static_cast<std::size_t>(node) >= windows_.size()) return {};
+  const Window& w = windows_[static_cast<std::size_t>(node)];
+  return {w.samples.data(), w.size};
 }
 
 double SlackDetector::node_slack_w(int node, double cap_w) const {
-  const std::vector<obs::TimelinePoint> window =
-      timeline_.samples(node_series(node));
-  if (window.empty()) return 0.0;  // never claw on no evidence
+  const std::span<const Sample> recent = window(node);
+  if (recent.empty()) return 0.0;  // never claw on no evidence
   double max_draw = 0.0;
-  for (const auto& p : window) max_draw = std::max(max_draw, p.value);
-  const double slack = cap_w - max_draw - options_.headroom_frac * cap_w;
+  for (const Sample& s : recent) max_draw = std::max(max_draw, s.draw_w);
+  const double slack = cap_w - max_draw - kHeadroomFrac * cap_w;
   return std::max(slack, 0.0);
 }
 
@@ -76,22 +72,16 @@ PhaseSignal SlackDetector::phase_at(const workloads::WorkloadSignature& app,
   return signal;
 }
 
-Redistributor::Redistributor(const RedistributionOptions& options)
-    : options_(options) {
-  options.validate();
-}
-
-double Redistributor::claw_w(double reserved_w, double slack_w,
-                             double floor_w) const {
+double claw_w(double reserved_w, double slack_w, double floor_w) {
   const double claw = std::min(slack_w, reserved_w - floor_w);
-  return claw >= options_.min_claw_w ? claw : 0.0;
+  return claw >= kMinClawW ? claw : 0.0;
 }
 
-const RegrantCandidate* Redistributor::pick(
-    const std::vector<RegrantCandidate>& candidates) const {
+const RegrantCandidate* pick_regrant(
+    const std::vector<RegrantCandidate>& candidates) {
   const RegrantCandidate* best = nullptr;
   for (const auto& c : candidates) {
-    if (c.gain_s < options_.min_gain_s) continue;
+    if (c.gain_s < kMinGainS) continue;
     if (best == nullptr || c.gain_s > best->gain_s) best = &c;
   }
   return best;

@@ -12,25 +12,26 @@
 // runtime::QueueEventLoop (docs/power-redistribution.md):
 //
 //   * SlackDetector — estimates per-node slack watts under the current cap
-//     from recent power samples (kept in a private, ring-bounded
-//     obs::Timeline) plus the job's phase signal (the ext_phase_aware phase
-//     model, looked up by application name);
-//   * Redistributor — sizes claw-backs (how much of a job's slice to
-//     reclaim after the reaction latency) and picks the re-grant target:
+//     from each node's newest power samples plus the job's phase signal (the
+//     ext_phase_aware phase model, looked up by application name);
+//   * claw_w and pick_regrant — size claw-backs (how much of a job's slice
+//     to reclaim after the reaction latency) and pick the re-grant target:
 //     the running job whose completion improves the most per granted watt,
 //     as evaluated by the caller through the memoized evaluation engine.
 //
-// Both classes are pure policy: they never touch the executor, the
-// scheduler, or the clock. All decisions are deterministic functions of the
-// samples fed in, so a queue run with redistribution enabled is exactly
-// reproducible — and with it disabled the queue never constructs either
-// class on a hot path and stays byte-identical to the static runtime.
+// All of it is pure policy: it never touches the executor, the scheduler,
+// or the clock. All decisions are deterministic functions of the samples
+// fed in, so a queue run with redistribution enabled is exactly
+// reproducible — and with it disabled no tick fires, no sample is taken,
+// and the queue stays byte-identical to the static runtime.
 #pragma once
 
+#include <array>
+#include <cstddef>
+#include <span>
 #include <string>
 #include <vector>
 
-#include "obs/timeline.hpp"
 #include "workloads/signature.hpp"
 
 namespace clip::runtime {
@@ -45,28 +46,27 @@ struct RedistributionOptions {
   /// effect (telemetry period + RAPL MSR writes settling), mirroring
   /// fault::BudgetGuardOptions::reaction_s.
   double reaction_s = 2.0;
-  /// Slack kept above the observed draw when clawing back, as a fraction of
-  /// the job's current slice: claw down to draw + headroom, never further.
-  double headroom_frac = 0.08;
-  /// Claw-backs below this are not worth the cap rewrite.
-  double min_claw_w = 4.0;
-  /// Re-grants below this are not worth the evaluation.
-  double min_grant_w = 4.0;
-  /// A re-grant or subsystem shift must buy at least this much completion
-  /// time for its job; below it the watts stay in the free pool.
-  double min_gain_s = 0.05;
-  /// Recent samples per node the slack estimator reads (its Timeline ring
-  /// capacity). Slack is judged against the *max* recent draw, so one
-  /// low-power phase sample cannot trigger a claw-back the next compute
-  /// phase would regret.
-  int window_samples = 3;
-  /// Enable intra-node PKG→DRAM shifting for memory-phase jobs.
-  bool subsystem_split = true;
-  /// Watts moved per subsystem shift (per node, PKG cap to DRAM cap).
-  double shift_step_w = 5.0;
 
   void validate() const;
 };
+
+/// Slack kept above the observed draw when clawing back, as a fraction of
+/// the job's current slice: claw down to draw + headroom, never further.
+inline constexpr double kHeadroomFrac = 0.08;
+/// Claw-backs below this are not worth the cap rewrite.
+inline constexpr double kMinClawW = 4.0;
+/// Re-grants below this are not worth the evaluation.
+inline constexpr double kMinGrantW = 4.0;
+/// A re-grant or subsystem shift must buy at least this much completion
+/// time for its job; below it the watts stay in the free pool.
+inline constexpr double kMinGainS = 0.05;
+/// Newest samples per node the slack estimator reads. Slack is judged
+/// against the *max* of them, so one low-power phase sample cannot trigger
+/// a claw-back the next compute phase would regret.
+inline constexpr std::size_t kWindowSamples = 3;
+/// Watts moved per intra-node PKG→DRAM shift (per node, PKG cap to DRAM
+/// cap) for a memory-phase job.
+inline constexpr double kShiftStepW = 5.0;
 
 /// What the phase model says a job is doing at an instant.
 struct PhaseSignal {
@@ -76,15 +76,18 @@ struct PhaseSignal {
 };
 
 /// Estimates per-node slack watts from recent power samples and phase
-/// signals. The detector owns a ring-bounded obs::Timeline of the samples
-/// the queue feeds it — the same flight-recorder machinery, pointed inward —
-/// so "recent" is defined by RedistributionOptions::window_samples and the
-/// estimate is a pure function of the recorded window.
+/// signals. Per node it keeps the kWindowSamples newest samples the queue
+/// feeds it, so the estimate is a pure function of that window.
 class SlackDetector {
  public:
-  explicit SlackDetector(const RedistributionOptions& options);
+  struct Sample {
+    double t_s = 0.0;
+    double draw_w = 0.0;
+  };
 
-  /// Record one plausibility-filtered per-node power sample.
+  /// Record one plausibility-filtered per-node power sample. Throws
+  /// PreconditionError for a negative node, a non-finite time, or a sample
+  /// older than the node's newest.
   void observe(int node, double t_s, double draw_w);
 
   /// Slack watts node `node` holds under `cap_w`: cap minus the max recent
@@ -92,6 +95,13 @@ class SlackDetector {
   /// been recorded yet (an unobserved node is never clawed), never
   /// negative.
   [[nodiscard]] double node_slack_w(int node, double cap_w) const;
+
+  /// Node `node`'s window, oldest first; empty when it was never observed.
+  [[nodiscard]] std::span<const Sample> window(int node) const;
+  /// One past the highest node observed so far.
+  [[nodiscard]] int node_bound() const {
+    return static_cast<int>(windows_.size());
+  }
 
   /// The phase `app` is in at `t_s`, given its run spans [start_s, end_s):
   /// looks up the ext_phase_aware phased model (`<name>-phased` in
@@ -102,12 +112,12 @@ class SlackDetector {
       const workloads::WorkloadSignature& app, double start_s, double end_s,
       double t_s);
 
-  /// The sample store (for tests and the flight recorder bridge).
-  [[nodiscard]] const obs::Timeline& samples() const { return timeline_; }
-
  private:
-  RedistributionOptions options_;
-  obs::Timeline timeline_;
+  struct Window {
+    std::array<Sample, kWindowSamples> samples{};
+    std::size_t size = 0;
+  };
+  std::vector<Window> windows_;  ///< indexed by node id
 };
 
 /// One running job's re-grant evaluation, produced by the caller via the
@@ -119,28 +129,17 @@ struct RegrantCandidate {
   double gain_s = 0.0;        ///< completion-time reduction the watts buy
 };
 
-/// Sizes claw-backs and picks re-grant targets. Pure policy; the queue owns
-/// application of every decision.
-class Redistributor {
- public:
-  explicit Redistributor(const RedistributionOptions& options);
+/// Watts to claw back from a job holding `slack_w` of detected slack over a
+/// slice of `reserved_w`, such that the slice never drops below `floor_w`
+/// (the job's observed draw plus headroom, and never below the queue's
+/// minimum viable reservation). Returns 0 when the worthwhile claw is below
+/// kMinClawW.
+[[nodiscard]] double claw_w(double reserved_w, double slack_w, double floor_w);
 
-  /// Watts to claw back from a job holding `slack_w` of detected slack over
-  /// a slice of `reserved_w`, such that the slice never drops below
-  /// `floor_w` (the job's observed draw plus headroom, and never below the
-  /// queue's minimum viable reservation). Returns 0 when the worthwhile
-  /// claw is below min_claw_w.
-  [[nodiscard]] double claw_w(double reserved_w, double slack_w,
-                              double floor_w) const;
-
-  /// The candidate with the best marginal makespan gain, or nullptr when no
-  /// candidate clears min_gain_s. Ties break toward the first candidate in
-  /// the (deterministic) caller order.
-  [[nodiscard]] const RegrantCandidate* pick(
-      const std::vector<RegrantCandidate>& candidates) const;
-
- private:
-  RedistributionOptions options_;
-};
+/// The candidate with the best marginal makespan gain, or nullptr when no
+/// candidate clears kMinGainS. Ties break toward the first candidate in the
+/// (deterministic) caller order.
+[[nodiscard]] const RegrantCandidate* pick_regrant(
+    const std::vector<RegrantCandidate>& candidates);
 
 }  // namespace clip::runtime

@@ -25,6 +25,9 @@ namespace {
 
 using obs::format_exact;
 
+constexpr int kPowerPoints = 12;      ///< instants in the per-node power table
+constexpr std::size_t kTopSpans = 5;  ///< rows in the slowest-spans table
+
 /// A number cell of a run record, which must be finite as well as all
 /// number: a run writes only finite times, powers and energies, and a NaN
 /// would break the slowest-spans sort and the JSON report.
@@ -191,10 +194,9 @@ std::vector<int> power_nodes(const obs::Timeline& timeline) {
   return nodes;
 }
 
-/// Spans sorted slowest-first with a total (duration, name, start) order,
-/// so the table is deterministic under ties.
-std::vector<obs::SpanRecord> slowest_spans(std::vector<obs::SpanRecord> spans,
-                                           int top) {
+/// The kTopSpans slowest spans, slowest first, in a total (duration, name,
+/// start) order, so the table is deterministic under ties.
+std::vector<obs::SpanRecord> slowest_spans(std::vector<obs::SpanRecord> spans) {
   std::sort(spans.begin(), spans.end(),
             [](const obs::SpanRecord& a, const obs::SpanRecord& b) {
               if (a.duration_us != b.duration_us)
@@ -202,8 +204,7 @@ std::vector<obs::SpanRecord> slowest_spans(std::vector<obs::SpanRecord> spans,
               if (a.name != b.name) return a.name < b.name;
               return a.start_us < b.start_us;
             });
-  if (static_cast<int>(spans.size()) > top)
-    spans.resize(static_cast<std::size_t>(top));
+  if (spans.size() > kTopSpans) spans.resize(kTopSpans);
   return spans;
 }
 
@@ -279,9 +280,7 @@ void write_run_record(const std::filesystem::path& dir, Watts cluster_budget,
   }
 }
 
-std::string render_markdown_report(const std::filesystem::path& dir,
-                                   RunReportOptions options) {
-  CLIP_REQUIRE(options.power_points >= 2, "need at least two power points");
+std::string render_markdown_report(const std::filesystem::path& dir) {
   LoadedRecord rec;
   load_record(dir, rec);
 
@@ -344,9 +343,9 @@ std::string render_markdown_report(const std::filesystem::path& dir,
     out << "\n|---|";
     for (std::size_t i = 0; i < nodes.size(); ++i) out << "---|";
     out << "\n";
-    for (int p = 0; p < options.power_points; ++p) {
-      const double t = makespan_s * p /
-                       static_cast<double>(options.power_points - 1);
+    for (int p = 0; p < kPowerPoints; ++p) {
+      const double t =
+          makespan_s * p / static_cast<double>(kPowerPoints - 1);
       out << "| " << format_double(t, 1) << " |";
       for (int n : nodes) {
         const double v = rec.timeline.value_at(
@@ -390,15 +389,14 @@ std::string render_markdown_report(const std::filesystem::path& dir,
   if (!rec.spans.empty()) {
     out << "\n## Slowest pipeline spans\n\n| span | category | duration "
            "(ms) |\n|---|---|---|\n";
-    for (const auto& s : slowest_spans(rec.spans, options.top_spans))
+    for (const auto& s : slowest_spans(rec.spans))
       out << "| " << s.name << " | " << s.category << " | "
           << format_double(s.duration_us / 1000.0, 3) << " |\n";
   }
   return out.str();
 }
 
-std::string render_json_report(const std::filesystem::path& dir,
-                               RunReportOptions options) {
+std::string render_json_report(const std::filesystem::path& dir) {
   LoadedRecord rec;
   load_record(dir, rec);
 
@@ -487,7 +485,7 @@ std::string render_json_report(const std::filesystem::path& dir,
   out << "],\n";
 
   out << "  \"slowest_spans\": [";
-  const auto top = slowest_spans(rec.spans, options.top_spans);
+  const auto top = slowest_spans(rec.spans);
   for (std::size_t i = 0; i < top.size(); ++i)
     out << (i > 0 ? "," : "") << "{\"name\":\"" << obs::json_escape(top[i].name)
         << "\",\"category\":\"" << obs::json_escape(top[i].category)

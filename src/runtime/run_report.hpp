@@ -50,22 +50,16 @@ void write_run_record(const std::filesystem::path& dir, Watts cluster_budget,
                       const std::vector<obs::SpanRecord>& spans = {},
                       const obs::MetricsRegistry* metrics = nullptr);
 
-struct RunReportOptions {
-  int power_points = 12;  ///< instants in the per-node power table
-  int top_spans = 5;      ///< rows in the slowest-spans table
-};
-
-/// Render a run record as a deterministic Markdown report.
+/// Render a run record as a deterministic Markdown report: the per-node
+/// power table samples 12 evenly spaced instants, and the slowest-spans
+/// table lists 5 spans.
 [[nodiscard]] std::string render_markdown_report(
-    const std::filesystem::path& dir,
-    RunReportOptions options = RunReportOptions{});
+    const std::filesystem::path& dir);
 
-/// Render a run record as a deterministic JSON report. Doubles print
-/// shortest-exact, so e.g. `violation_s` equals the recorded
-/// BudgetGuard figure bit-for-bit after parse-back.
-[[nodiscard]] std::string render_json_report(
-    const std::filesystem::path& dir,
-    RunReportOptions options = RunReportOptions{});
+/// Render a run record as a deterministic JSON report (the 5 slowest
+/// spans). Doubles print shortest-exact, so e.g. `violation_s` equals the
+/// recorded BudgetGuard figure bit-for-bit after parse-back.
+[[nodiscard]] std::string render_json_report(const std::filesystem::path& dir);
 
 /// Render one job's causal story (Markdown): its jobs.csv row, every
 /// flight-recorder event attributable to it (admit/start/finish/crash/

@@ -17,7 +17,7 @@ Telemetry::Telemetry(TelemetryOptions options) : options_(options) {
 std::vector<TelemetrySample> Telemetry::record(const sim::Measurement& m,
                                                int threads) const {
   CLIP_REQUIRE(!m.nodes.empty(), "measurement has no nodes");
-  Rng rng(options_.seed);
+  Rng rng(kTelemetrySeed);
   std::vector<TelemetrySample> series;
   const int samples = std::max(
       1, static_cast<int>(m.time.value() / options_.sample_period_s));
@@ -43,7 +43,7 @@ std::vector<TelemetrySample> Telemetry::record_phased(
     const sim::PhasedMeasurement& m, int nodes) const {
   CLIP_REQUIRE(!m.phases.empty(), "phased measurement has no phases");
   CLIP_REQUIRE(nodes >= 1, "need at least one node");
-  Rng rng(options_.seed);
+  Rng rng(kTelemetrySeed);
   std::vector<TelemetrySample> series;
   double t0 = 0.0;
   for (const auto& phase : m.phases) {

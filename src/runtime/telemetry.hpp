@@ -10,6 +10,7 @@
 // test_runtime.cpp and test_dynamics.cpp.
 #pragma once
 
+#include <cstdint>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -35,13 +36,13 @@ struct TelemetrySample {
 struct TelemetryOptions {
   double sample_period_s = 0.1;
   double noise_sigma = 0.01;  ///< per-sample multiplicative meter noise
-  std::uint64_t seed = 11;
 };
+
+/// Seed of the meter-noise stream each record() draws from.
+inline constexpr std::uint64_t kTelemetrySeed = 11;
 
 class Telemetry {
  public:
-  using Options = TelemetryOptions;
-
   explicit Telemetry(TelemetryOptions options = TelemetryOptions{});
 
   /// Record a flat job: one steady operating point per node.

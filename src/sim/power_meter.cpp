@@ -21,7 +21,7 @@ double corrupt_reading(const MeterFaultState& fault, double truth_w) {
 }
 
 double PowerMeter::jitter(double sigma) {
-  if (!options_.enabled || sigma <= 0.0) return 1.0;
+  if (!options_.enabled) return 1.0;
   // Clamp to ±4 sigma so a single unlucky draw cannot flip a decision in a
   // way no real meter would.
   const double draw = std::clamp(rng_.normal(0.0, sigma), -4.0 * sigma,
@@ -31,11 +31,11 @@ double PowerMeter::jitter(double sigma) {
 
 Watts PowerMeter::read_power(Watts truth) {
   return Watts(corrupt_reading(
-      fault_, truth.value() * jitter(options_.power_noise_sigma)));
+      fault_, truth.value() * jitter(kPowerNoiseSigma)));
 }
 
 Seconds PowerMeter::read_time(Seconds truth) {
-  return Seconds(truth.value() * jitter(options_.time_noise_sigma));
+  return Seconds(truth.value() * jitter(kTimeNoiseSigma));
 }
 
 void PowerMeter::observe(Measurement& m) {

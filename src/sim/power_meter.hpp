@@ -4,8 +4,7 @@
 // Real RAPL energy counters and wall-socket meters read with a small
 // sampling error; the profiler consumes *measured* values, so the noise
 // flows into CLIP's models exactly as it would on hardware. Noise is
-// multiplicative, seeded, and defaults to ±0.5% (1 sigma) for power and
-// ±0.3% for time.
+// multiplicative and seeded: ±0.5% (1 sigma) for power and ±0.3% for time.
 #pragma once
 
 #include <cstdint>
@@ -20,11 +19,12 @@ class Timeline;
 namespace clip::sim {
 
 struct MeterOptions {
-  double power_noise_sigma = 0.005;
-  double time_noise_sigma = 0.003;
-  std::uint64_t seed = 7;
-  bool enabled = true;
+  bool enabled = true;  ///< off: reads return the truth
 };
+
+inline constexpr double kPowerNoiseSigma = 0.005;  ///< 1 sigma, relative
+inline constexpr double kTimeNoiseSigma = 0.003;   ///< 1 sigma, relative
+inline constexpr std::uint64_t kMeterSeed = 7;     ///< the noise stream
 
 /// A programmed meter malfunction layered on top of the noise model: while
 /// active, power reads return a corrupted value instead of the (noisy)
@@ -43,10 +43,8 @@ struct MeterFaultState {
 
 class PowerMeter {
  public:
-  using Options = MeterOptions;
-
   explicit PowerMeter(MeterOptions options = MeterOptions{})
-      : options_(options), rng_(options.seed) {}
+      : options_(options), rng_(kMeterSeed) {}
 
   /// Apply measurement noise (and any programmed fault) to a ground-truth
   /// measurement in place.

@@ -111,13 +111,6 @@ TEST_F(ProfilerTest, FeatureVectorIsTableIWidth) {
   EXPECT_NEAR(p.features()[7], 1.0 / p.perf_ratio_half_over_all, 1e-12);
 }
 
-TEST(ProfilerOptionsTest, InvalidFractionRejected) {
-  sim::SimExecutor ex{sim::MachineSpec{}, no_noise()};
-  ProfilerOptions opt;
-  opt.profile_fraction = 0.0;
-  EXPECT_THROW(SmartProfiler(ex, opt), PreconditionError);
-}
-
 // --------------------------------------------------------------- classifier ----
 
 TEST(Classifier, PaperThresholds) {

@@ -2,9 +2,16 @@
 // operating conditions: the simulator's physical invariants and CLIP's
 // guarantees must hold across the whole valid signature space, not just the
 // calibrated catalog. The byte-level suites (the knowledge-DB, timeline,
-// run-record and journal loaders, the alert-rule parser, the analyzer) feed
-// mutated input to a parser (`ctest -L fuzz`).
+// run-record and journal loaders, the alert-rule parser, the telemetry
+// request line, the analyzer) feed mutated input to a parser (`ctest -L
+// fuzz`).
 #include <gtest/gtest.h>
+
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <sys/time.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cmath>
@@ -23,6 +30,7 @@
 #include "obs/alerts.hpp"
 #include "obs/session.hpp"
 #include "obs/sink.hpp"
+#include "obs/telemetry_server.hpp"
 #include "obs/timeline.hpp"
 #include "runtime/journal.hpp"
 #include "runtime/queue.hpp"
@@ -32,6 +40,7 @@
 #include "temp_path.hpp"
 #include "util/check.hpp"
 #include "util/csv.hpp"
+#include "util/parse.hpp"
 #include "workloads/catalog.hpp"
 #include "workloads/phases.hpp"
 #include "workloads/random.hpp"
@@ -248,7 +257,7 @@ TEST_P(FaultPlanFuzz, QueueSurvivesArbitrarySeededFaults) {
   for (const auto& a : report.jobs) {
     if (a.nodes == 0) continue;  // never placed (all nodes dead)
     EXPECT_LE(a.nodes, ex.spec().nodes);
-    EXPECT_LE(a.attempts, opt.retry.max_attempts);
+    EXPECT_LE(a.attempts, fault::kMaxAttempts);
     double reserved = 0.0;
     for (const auto& b : report.jobs)
       if (b.nodes > 0 && b.start_s <= a.start_s && a.start_s < b.end_s)
@@ -532,7 +541,6 @@ struct FaultedRun {
     opt.redist.enabled = true;
     std::vector<runtime::QueueJob> jobs;
     for (const auto& a : workloads::paper_benchmarks()) jobs.push_back({a, 0});
-    obs::ObsSession session;
     obs::MemorySink sink;
     session.set_sink(&sink);
     runtime::QueueEventLoop queue(ex, sched, opt, jobs);
@@ -543,6 +551,8 @@ struct FaultedRun {
     queue.set_journal(&journal);
     report = queue.run();
     spans = sink.spans();
+    session.set_sink(nullptr);
+    metrics = &session.metrics();
   }
 
   Watts budget{700.0};
@@ -550,6 +560,8 @@ struct FaultedRun {
   obs::Timeline timeline;
   runtime::Journal journal;
   std::vector<obs::SpanRecord> spans;
+  obs::ObsSession session;
+  const obs::MetricsRegistry* metrics = nullptr;  ///< the session's
 };
 
 const FaultedRun& faulted_run() {
@@ -696,6 +708,134 @@ TEST_P(AlertRulesFuzz, MutatedRulesRejectNamingTheFileOrRoundTrip) {
       EXPECT_EQ(again[i].threshold, rules[i].threshold);
     }
   }
+}
+
+// ---------------------------------------------- telemetry request fuzz ----
+//
+// The live plane answers whoever connects to its port. Each mutated target
+// through TelemetryServer::respond must come back as one response: an
+// `HTTP/1.0` status line with code 200, 400, 404 or 503, headers ended by a
+// blank line, and a body of exactly Content-Length bytes. Odd trials also
+// send a mutated raw request line (method, target and version) over a
+// loopback socket: the connection gets exactly one such response, or none
+// when the request holds no newline, and /healthz still answers after the
+// loop.
+
+/// The status code of `response` when it is framed as above; -1 when not.
+int framed_status(const std::string& response) {
+  const std::size_t head_end = response.find("\r\n\r\n");
+  if (!response.starts_with("HTTP/1.0 ") || head_end == std::string::npos)
+    return -1;
+  const std::string_view head(response.data(), head_end);
+  if (head.find("\nHTTP/") != std::string_view::npos) return -1;
+  constexpr std::string_view kLength = "\r\nContent-Length: ";
+  const std::size_t at = head.find(kLength);
+  if (at == std::string_view::npos) return -1;
+  const std::size_t from = at + kLength.size();
+  const std::optional<std::size_t> length = parse_whole<std::size_t>(
+      head.substr(from, head.find("\r\n", from) - from));
+  const std::optional<int> code =
+      parse_whole<int>(std::string_view(response).substr(9, 3));
+  if (!length || *length != response.size() - head_end - 4 || !code ||
+      response.size() < 13 || response[12] != ' ')
+    return -1;
+  return *code;
+}
+
+bool known_status(int code) {
+  return code == 200 || code == 400 || code == 404 || code == 503;
+}
+
+/// `request` sent raw to 127.0.0.1:`port`, the write side then closed, and
+/// everything the server sends until it closes; nullopt when the
+/// connection fails.
+std::optional<std::string> raw_exchange(int port, const std::string& request) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return std::nullopt;
+  timeval tv{};
+  tv.tv_sec = 5;
+  (void)::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<std::uint16_t>(port));
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) !=
+      0) {
+    (void)::close(fd);
+    return std::nullopt;
+  }
+  for (std::size_t sent = 0; sent < request.size();) {
+    const ssize_t n = ::send(fd, request.data() + sent, request.size() - sent,
+                             MSG_NOSIGNAL);
+    if (n <= 0) break;
+    sent += static_cast<std::size_t>(n);
+  }
+  (void)::shutdown(fd, SHUT_WR);
+  std::string response;
+  char buf[4096];
+  for (;;) {
+    const ssize_t n = ::recv(fd, buf, sizeof buf, 0);
+    if (n <= 0) break;
+    response.append(buf, static_cast<std::size_t>(n));
+  }
+  (void)::close(fd);
+  return response;
+}
+
+class TelemetryRequestFuzz : public ::testing::TestWithParam<int> {};
+
+INSTANTIATE_TEST_SUITE_P(Seeds, TelemetryRequestFuzz, ::testing::Range(0, 32));
+
+TEST_P(TelemetryRequestFuzz, EveryRequestGetsOneWellFramedAnswer) {
+  const auto seed = static_cast<std::uint64_t>(GetParam());
+  const FaultedRun& run = faulted_run();
+  obs::TelemetryServer server(obs::TelemetryServerOptions{
+      .port = 0, .metrics = run.metrics, .timeline = &run.timeline});
+  obs::StatusSnapshot snap;
+  snap.mode = seed % 2 == 0 ? "NORMAL" : "METER_BLACKOUT";  // 200 or 503
+  server.publish(snap);
+  const std::vector<std::string> series = run.timeline.series_names();
+  ASSERT_FALSE(series.empty());
+
+  Rng rng(0x7E1E0u + seed);
+  for (int trial = 0; trial < 8; ++trial) {
+    const auto pick = rng.uniform_int(0, 3);
+    std::string target =
+        pick == 0   ? "/metrics"
+        : pick == 1 ? "/healthz"
+        : pick == 2 ? "/status"
+                    : "/timeline?series=" +
+                          series[static_cast<std::size_t>(rng.uniform_int(
+                              0, static_cast<std::int64_t>(series.size()) -
+                                     1))] +
+                          "&n=" + std::to_string(rng.uniform_int(1, 40));
+    const auto edits = rng.uniform_int(1, 3);
+    for (std::int64_t e = 0; e < edits; ++e)
+      mutate(target, rng, "?&=/%# \r\n0123456789+-x");
+    SCOPED_TRACE("seed " + std::to_string(seed) + " trial " +
+                 std::to_string(trial) + " target '" + target + "'");
+
+    std::string response;
+    ASSERT_NO_THROW(response = server.respond(target));
+    EXPECT_TRUE(known_status(framed_status(response))) << response;
+
+    if (trial % 2 == 0) continue;
+    std::string request = "GET " + target + " HTTP/1.0\r\n\r\n";
+    const auto raw_edits = rng.uniform_int(1, 3);
+    for (std::int64_t e = 0; e < raw_edits; ++e)
+      mutate(request, rng, " \r\nGETHP/.0");
+    SCOPED_TRACE("request '" + request + "'");
+    const std::optional<std::string> answer =
+        raw_exchange(server.port(), request);
+    ASSERT_TRUE(answer.has_value());
+    if (request.find('\n') == std::string::npos)
+      EXPECT_EQ(*answer, "");
+    else
+      EXPECT_TRUE(known_status(framed_status(*answer))) << *answer;
+  }
+  const std::string health =
+      obs::http_get("127.0.0.1", server.port(), "/healthz");
+  EXPECT_EQ(framed_status(health), seed % 2 == 0 ? 200 : 503) << health;
 }
 
 // ------------------------------------------------- journal loader fuzz ----

@@ -7,8 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
-#include <filesystem>
-#include <fstream>
 #include <map>
 #include <sstream>
 #include <stdexcept>
@@ -21,7 +19,6 @@
 #include "sim/rapl_controller.hpp"
 #include "util/check.hpp"
 #include "workloads/catalog.hpp"
-#include "temp_path.hpp"
 
 namespace clip {
 namespace {
@@ -476,30 +473,6 @@ TEST(ChromeTraceTest, DeterministicWithFakeClock) {
   const std::string b = make_trace();
   EXPECT_EQ(a, b) << "fake-clock traces must be byte-identical";
   EXPECT_NE(a.find("\"ts\":0.000"), std::string::npos);
-}
-
-TEST(JsonlFileSinkTest, OneParseableObjectPerLine) {
-  const std::filesystem::path path = unique_temp_path("clip_obs_test", ".jsonl");
-  {
-    FakeClock clock;
-    ObsSession session(obs::ObsOptions{.clock = &clock});
-    obs::JsonlFileSink sink(path);
-    session.set_sink(&sink);
-    for (int i = 0; i < 4; ++i) {
-      ScopedSpan span(&session, "line", "test");
-      clock.advance_us(1.0);
-    }
-  }
-  std::ifstream in(path);
-  std::string line;
-  int lines = 0;
-  while (std::getline(in, line)) {
-    const JsonValue v = JsonParser(line).parse();
-    EXPECT_EQ(v.at("name").str(), "line");
-    ++lines;
-  }
-  EXPECT_EQ(lines, 4);
-  std::filesystem::remove(path);
 }
 
 // ------------------------------------------------------- thread safety ----

@@ -518,44 +518,6 @@ TEST_P(KillPoint, EveryEventBoundaryRecoversByteIdentically) {
   }
 }
 
-// A ring-buffered flight recorder evicts points between snapshots, some
-// before any snapshot wrote them; recovery must still rebuild the same
-// window, and the deltas it writes next must match the dying run's.
-TEST(Recovery, RingBufferedTimelineRecoversByteIdentically) {
-  Cluster& c = cluster();
-  const auto scenarios = recovery_scenarios(c.horizon_s);
-  const fault::FaultPlan& plan = scenarios[1].plan;  // crash-1
-  obs::TimelineOptions ring;
-  ring.ring_capacity = 3;
-  std::uint64_t dropped = 0;
-  const auto drive = [&](runtime::Journal* journal,
-                         runtime::Journal* resume) {
-    runtime::QueueEventLoop loop(c.ex, c.sched, c.opt, c.jobs);
-    obs::Timeline timeline(ring);
-    fault::FaultInjector injector(plan, c.ex.spec().nodes);
-    loop.set_timeline(&timeline);
-    loop.set_fault_injector(&injector);
-    if (journal != nullptr) loop.set_journal(journal);
-    const runtime::QueueReport r =
-        resume != nullptr ? loop.recover(*resume) : loop.run();
-    dropped = timeline.dropped();
-    return fingerprint(r) + '\n' + timeline.to_csv_string();
-  };
-
-  runtime::JournalOptions jopt;
-  jopt.snapshot_every = 5;
-  runtime::Journal reference(jopt);
-  const std::string ref = drive(&reference, nullptr);
-  ASSERT_GT(dropped, 0u) << "the ring never evicted; test covers nothing";
-  const std::string ref_journal = journal_text(reference);
-  for (std::size_t kill = 0; kill <= reference.size(); ++kill) {
-    runtime::Journal j = reference;
-    j.truncate(kill);
-    ASSERT_EQ(drive(nullptr, &j), ref) << "kill@" << kill;
-    ASSERT_EQ(journal_text(j), ref_journal) << "kill@" << kill;
-  }
-}
-
 TEST(Recovery, CountersAccountReplayAndRecovery) {
   Cluster& c = cluster();
   const auto scenarios = recovery_scenarios(c.horizon_s);

@@ -412,9 +412,7 @@ TEST(PowerMeter, DisabledMeterIsExact) {
 }
 
 TEST(PowerMeter, NoiseIsSmallAndBounded) {
-  MeterOptions opt;
-  opt.power_noise_sigma = 0.005;
-  PowerMeter meter(opt);
+  PowerMeter meter;
   for (int i = 0; i < 1000; ++i) {
     const double v = meter.read_power(Watts(100.0)).value();
     EXPECT_GT(v, 98.0);  // 4-sigma clamp = 2%
